@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact_linear import IntMatrix, Rat, rat_matmul, rat_rank, solve_integral
+from .exact_linear import IntMatrix, Rat, dot, rat_matmul, rat_rank, solve_integral
 from .fan import Fan, dual_basis, walls
 from .intersection import AugmentedIntersectionMatrix, principal_columns
 from .splitting import SplittingSystem
@@ -98,8 +98,8 @@ def validate(data: KaneyamaBundleData) -> list[str]:
     for wall in walls(fan):
         tau_rays = [fan.rays[t] for t in wall.tau]
         c1, c2 = wall.sigma1, wall.sigma2
-        key1 = sorted(tuple(_dot(chi, v) for v in tau_rays) for chi in data.weight_systems[c1])
-        key2 = sorted(tuple(_dot(chi, v) for v in tau_rays) for chi in data.weight_systems[c2])
+        key1 = sorted(tuple(dot(chi, v) for v in tau_rays) for chi in data.weight_systems[c1])
+        key2 = sorted(tuple(dot(chi, v) for v in tau_rays) for chi in data.weight_systems[c2])
         if key1 != key2:
             violations.append(
                 f"net condition fails at wall tau {wall.tau} between cones {c1} and {c2}"
@@ -110,7 +110,7 @@ def validate(data: KaneyamaBundleData) -> list[str]:
                 for j, chi_b in enumerate(data.weight_systems[cb]):
                     if p[i][j] == 0:
                         continue
-                    if any(_dot(chi_a, v) - _dot(chi_b, v) < 0 for v in tau_rays):
+                    if any(dot(chi_a, v) - dot(chi_b, v) < 0 for v in tau_rays):
                         violations.append(
                             f"support fails for pasting ({ca},{cb}) entry ({i},{j}) at wall tau {wall.tau}"
                         )
@@ -127,10 +127,6 @@ def validate(data: KaneyamaBundleData) -> list[str]:
     return violations
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
 def tangent_bundle(fan: Fan) -> KaneyamaBundleData:
     """Tangent bundle data: each cone's weight system is its dual basis.
 
@@ -145,7 +141,7 @@ def tangent_bundle(fan: Fan) -> KaneyamaBundleData:
             if c1 == c2:
                 continue
             rays1 = fan.cone_rays(c1)
-            pasting_map[(c2, c1)] = [[_dot(e, v) for v in rays1] for e in duals[c2]]
+            pasting_map[(c2, c1)] = [[dot(e, v) for v in rays1] for e in duals[c2]]
     return assemble_bundle(fan, duals, pasting_map)
 
 
@@ -256,7 +252,7 @@ def euler_splitting_system(
     rows = []
     for wi, wall in enumerate(aim.row_walls):
         q_row = aim.q.entries[wi]
-        degs = [_dot(q_row, d) for d in spec.summand_divisors]
+        degs = [dot(q_row, d) for d in spec.summand_divisors]
         tau = set(wall.tau)
         kinds = []
         for alpha in spec.section_exponents:

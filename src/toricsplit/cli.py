@@ -18,7 +18,7 @@ from .bundle_data import (
     load_bundle,
     tangent_bundle,
 )
-from .fan import Fan, parse_fan
+from .fan import Fan, parse_fan, wall_label
 from .intersection import AugmentedIntersectionMatrix, augmented_matrix
 from .solver import SplittingType, find_splitting_types
 from .splitting import SplittingSystem, format_system, splitting_system
@@ -55,21 +55,24 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="toricsplit", add_help=True)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    def common(p: _Parser, fan_inputs: bool = False, bundle: bool = False) -> None:
+    def common(
+        p: _Parser, fan_inputs: bool = False, bundle: bool = False, strict: bool = False
+    ) -> _Parser:
         p.add_argument("--format", choices=("text", "tsv"), default="text")
-        p.add_argument("--strict-signs", action="store_true")
-        p.add_argument("--k", type=int, default=None)
+        if strict:
+            p.add_argument("--strict-signs", action="store_true")
         if fan_inputs:
             p.add_argument("--fan", default=None, help="fan description file")
             p.add_argument("--graph", default=None, help="comma-separated circular weights")
         if bundle:
             p.add_argument("--bundle", required=True, help="bundle description file")
+        return p
 
-    common(sub.add_parser("surfaces"))
+    common(sub.add_parser("surfaces")).add_argument("--k", type=int, default=None)
     common(sub.add_parser("q-matrix"), fan_inputs=True)
-    common(sub.add_parser("tangent-split"), fan_inputs=True)
-    common(sub.add_parser("bundle-split"), fan_inputs=True, bundle=True)
-    common(sub.add_parser("table41"))
+    common(sub.add_parser("tangent-split"), fan_inputs=True, strict=True)
+    common(sub.add_parser("bundle-split"), fan_inputs=True, bundle=True, strict=True)
+    common(sub.add_parser("table41"), strict=True)
     return parser
 
 
@@ -79,8 +82,8 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         fan_path=getattr(ns, "fan", None),
         bundle_path=getattr(ns, "bundle", None),
         graph=getattr(ns, "graph", None),
-        strict=ns.strict_signs,
-        k=ns.k,
+        strict=getattr(ns, "strict_signs", False),
+        k=getattr(ns, "k", None),
         fmt=ns.format,
     )
 
@@ -96,10 +99,6 @@ def _load_fan(config: RunConfig) -> Fan:
     except ValueError:
         raise ValueError(f"graph weights must be integers: {config.graph!r}") from None
     return graph_to_fan(WeightedCircularGraph(weights))
-
-
-def _wall_label(tau: tuple[int, ...]) -> str:
-    return "tau(" + ",".join(str(t + 1) for t in tau) + ")"
 
 
 def cmd_surfaces(config: RunConfig, out) -> None:
@@ -123,10 +122,10 @@ def cmd_q_matrix(config: RunConfig, out) -> None:
     if config.fmt == "text":
         print(f"intersection matrix: {aim.q.rows} walls x {aim.q.cols} rays", file=out)
         for wall, row in zip(aim.row_walls, aim.q.entries):
-            print(f"{_wall_label(wall.tau)}: " + " ".join(str(x) for x in row), file=out)
+            print(f"{wall_label(wall.tau)}: " + " ".join(str(x) for x in row), file=out)
     else:
         for wall, row in zip(aim.row_walls, aim.q.entries):
-            print(_wall_label(wall.tau) + "\t" + ",".join(str(x) for x in row), file=out)
+            print(wall_label(wall.tau) + "\t" + ",".join(str(x) for x in row), file=out)
 
 
 def _print_split_report(
@@ -141,7 +140,7 @@ def _print_split_report(
         out.write(format_system(system))
         print("intersection matrix:", file=out)
         for wall, row in zip(aim.row_walls, aim.q.entries):
-            print(f"{_wall_label(wall.tau)}: " + " ".join(str(x) for x in row), file=out)
+            print(f"{wall_label(wall.tau)}: " + " ".join(str(x) for x in row), file=out)
         if not types:
             print("no splitting type", file=out)
             return
@@ -149,7 +148,7 @@ def _print_split_report(
         for idx, t in enumerate(types, start=1):
             print(f"type {idx} (candidate {t.perm_id})", file=out)
             for tau, row in zip(system.taus, t.rows):
-                print(f"  degrees {_wall_label(tau)}: " + " ".join(str(d) for d in row), file=out)
+                print(f"  degrees {wall_label(tau)}: " + " ".join(str(d) for d in row), file=out)
             for l, (col, canon, sign) in enumerate(
                 zip(t.columns, t.canonical, t.sign_classes), start=1
             ):
@@ -161,9 +160,9 @@ def _print_split_report(
                 )
     else:
         for tau, row in zip(system.taus, system.degrees):
-            print("degrees\t" + _wall_label(tau) + "\t" + ",".join(str(d) for d in row), file=out)
+            print("degrees\t" + wall_label(tau) + "\t" + ",".join(str(d) for d in row), file=out)
         for wall, row in zip(aim.row_walls, aim.q.entries):
-            print("q\t" + _wall_label(wall.tau) + "\t" + ",".join(str(x) for x in row), file=out)
+            print("q\t" + wall_label(wall.tau) + "\t" + ",".join(str(x) for x in row), file=out)
         if not types:
             print("no splitting type", file=out)
             return

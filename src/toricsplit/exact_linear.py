@@ -174,6 +174,25 @@ def solve_integral(
     return x, kernel
 
 
+def unimodular_inverse(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Integral inverse of a square integer matrix, from solving A @ X == I.
+
+    Raises ValueError when no integral inverse exists, that is unless the
+    determinant is +-1.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("inverse of a non-square matrix")
+    solved = solve_integral(IntMatrix.from_rows(rows), IntMatrix.identity(n))
+    if solved is None:
+        raise ValueError("matrix is not unimodular: no integral inverse")
+    return solved[0].entries
+
+
+def dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
 def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant by fraction-free Bareiss elimination."""
     n = len(rows)
@@ -263,20 +282,3 @@ def rat_matmul(
 ) -> list[list[Fraction]]:
     cols = list(zip(*b))
     return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]
-
-
-def rat_solve(a: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> list[Fraction] | None:
-    """One rational solution of a @ x == rhs with free coordinates zero, or None."""
-    if len(a) != len(rhs):
-        raise ValueError("dimension mismatch between matrix and right-hand side")
-    if not a:
-        return []
-    nc = len(a[0])
-    aug = [list(row) + [r] for row, r in zip(a, rhs)]
-    m, pivots = _rref(aug)
-    if nc in pivots:
-        return None
-    x = [Fraction(0)] * nc
-    for t, p in enumerate(pivots):
-        x[p] = m[t][nc]
-    return x

@@ -8,12 +8,11 @@ downstream report is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd
 
-from .exact_linear import IntMatrix, int_det, rat_invert, solve_integral
+from .exact_linear import dot, int_det, unimodular_inverse
 
 
 @dataclass(frozen=True)
@@ -26,6 +25,26 @@ class Fan:
 
     def cone_rays(self, cone_index: int) -> tuple[tuple[int, ...], ...]:
         return tuple(self.rays[j] for j in self.max_cones[cone_index])
+
+    @cached_property
+    def reduction(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Ray subset whose class coordinates are reduced to zero, and its inverse.
+
+        The subset is the last ``dim`` rays when they form a lattice basis,
+        otherwise the lexicographically first subset that does.  The inverse
+        is that of the matrix whose rows are the subset's rays.
+        """
+        j, n = len(self.rays), self.dim
+        tail = tuple(range(j - n, j))
+        if abs(int_det([self.rays[k] for k in tail])) == 1:
+            support = tail
+        else:
+            support = next(
+                combo
+                for combo in combinations(range(j), n)
+                if abs(int_det([self.rays[k] for k in combo])) == 1
+            )
+        return support, unimodular_inverse([self.rays[k] for k in support])
 
 
 @dataclass(frozen=True)
@@ -100,12 +119,11 @@ def make_fan(n: int, rays, max_cones) -> Fan:
 
     # a foreign ray with nonnegative coordinates in a cone's basis sits inside it
     for idx in cone_tuples:
-        basis_inv = rat_invert([list(col) for col in zip(*(ray_tuples[i] for i in idx))])
+        basis_inv = unimodular_inverse(list(zip(*(ray_tuples[i] for i in idx))))
         for j, ray in enumerate(ray_tuples):
             if j in idx:
                 continue
-            coords = [sum(row[k] * ray[k] for k in range(n)) for row in basis_inv]
-            if all(c >= 0 for c in coords):
+            if all(dot(row, ray) >= 0 for row in basis_inv):
                 raise ValueError(f"overlapping cones: ray {j} lies inside cone {idx}")
 
     return Fan(n, ray_tuples, tuple(cone_tuples))
@@ -113,27 +131,26 @@ def make_fan(n: int, rays, max_cones) -> Fan:
 
 @lru_cache(maxsize=None)
 def walls(fan: Fan) -> tuple[Wall, ...]:
-    """All walls of the fan, in lexicographic order of their tau index sets."""
+    """All walls of the fan, in lexicographic order of their tau index sets.
+
+    The relation is read off v_extra2 in the dual basis of sigma1: its
+    extra1 coordinate is -1 and its tau coordinates are -a_1, ..., -a_{n-1}.
+    """
     by_facet: dict[tuple[int, ...], list[int]] = {}
     for ci, cone in enumerate(fan.max_cones):
         for facet in combinations(cone, fan.dim - 1):
             by_facet.setdefault(facet, []).append(ci)
+    duals = [dual_basis(fan, ci) for ci in range(len(fan.max_cones))]
     out = []
     for tau in sorted(by_facet):
         c1, c2 = sorted(by_facet[tau])
-        (e1,) = set(fan.max_cones[c1]) - set(tau)
+        cone1 = fan.max_cones[c1]
+        (e1,) = set(cone1) - set(tau)
         (e2,) = set(fan.max_cones[c2]) - set(tau)
-        target = [-(a + b) for a, b in zip(fan.rays[e1], fan.rays[e2])]
-        if tau:
-            cols = IntMatrix.from_rows([[fan.rays[t][r] for t in tau] for r in range(fan.dim)])
-            solved = solve_integral(cols, IntMatrix.from_rows([[v] for v in target]))
-            if solved is None:
-                raise ValueError(f"wall relation for tau {tau} has no integral solution")
-            relation = tuple(solved[0].column(0))
-        else:
-            if any(target):
-                raise ValueError(f"opposite rays {e1}, {e2} do not cancel")
-            relation = ()
+        coords = [dot(e, fan.rays[e2]) for e in duals[c1]]
+        if coords[cone1.index(e1)] != -1:
+            raise ValueError(f"wall relation for tau {tau}: rays {e1}, {e2} do not sum into its span")
+        relation = tuple(-coords[cone1.index(t)] for t in tau)
         out.append(Wall(tau, c1, c2, e1, e2, relation))
     return tuple(out)
 
@@ -144,13 +161,12 @@ def dual_basis(fan: Fan, cone_index: int) -> tuple[tuple[int, ...], ...]:
     Indexed against the stored (sorted) ray order of the cone; existence is
     guaranteed by unimodularity, and the result is integral.
     """
-    ray_rows = [list(r) for r in fan.cone_rays(cone_index)]
-    inv = rat_invert([list(col) for col in zip(*ray_rows)])
-    basis = []
-    for row in inv:
-        assert all(f.denominator == 1 for f in row)
-        basis.append(tuple(int(f) for f in row))
-    return tuple(basis)
+    return unimodular_inverse(list(zip(*fan.cone_rays(cone_index))))
+
+
+def wall_label(tau: tuple[int, ...]) -> str:
+    """Report label of a wall: its tau ray indices, 1-based."""
+    return "tau(" + ",".join(str(t + 1) for t in tau) + ")"
 
 
 def projective_space(n: int) -> Fan:

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from math import lcm
 from typing import Sequence
 
-from .exact_linear import IntMatrix
+from .exact_linear import IntMatrix, rat_kernel
 from .fan import Fan, Wall, walls
 
 
@@ -28,6 +30,19 @@ class AugmentedIntersectionMatrix:
     fan: Fan
     row_walls: tuple[Wall, ...]
     q: IntMatrix
+
+    @cached_property
+    def left_kernel(self) -> tuple[tuple[int, ...], ...]:
+        """Basis of {y : y @ Q = 0}: the RREF kernel of Q^T, each vector cleared of denominators.
+
+        Every vector ends at its own free wall, so the basis stays in
+        echelon form by last nonzero entry.
+        """
+        out = []
+        for vec in rat_kernel(list(zip(*self.q.entries))):
+            scale = lcm(*(c.denominator for c in vec))
+            out.append(tuple(int(c * scale) for c in vec))
+        return tuple(out)
 
 
 def augmented_matrix(fan: Fan) -> AugmentedIntersectionMatrix:

@@ -19,17 +19,9 @@ the principal-divisor lattice and deduplicated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
-from .exact_linear import (
-    IntMatrix,
-    hnf,
-    int_det,
-    rat_invert,
-    rat_kernel,
-    solve_integral,
-)
+from .exact_linear import IntMatrix, hnf, solve_integral
 from .fan import Fan
 from .intersection import (
     AugmentedIntersectionMatrix,
@@ -100,7 +92,7 @@ def find_splitting_types(
     _assert_kernel_is_principal(kernel, aim.fan)
 
     choices = [tuple(sorted(set(permutations(row)), reverse=True)) for row in degree_rows]
-    triggers = _prefix_constraints(q)
+    triggers = _prefix_constraints(aim.left_kernel)
     start_modes = _STRICT_MODES if strict else _DEFAULT_MODES
 
     assigned: list[tuple[int, ...]] = []
@@ -145,7 +137,7 @@ def find_splitting_types(
 
 
 def _constraint_holds(
-    vec: tuple[Fraction, ...], assigned: list[tuple[int, ...]], r: int
+    vec: tuple[int, ...], assigned: list[tuple[int, ...]], r: int
 ) -> bool:
     for l in range(r):
         if sum(c * row[l] for c, row in zip(vec, assigned)) != 0:
@@ -153,15 +145,14 @@ def _constraint_holds(
     return True
 
 
-def _prefix_constraints(q: IntMatrix) -> dict[int, list[tuple[Fraction, ...]]]:
-    """Left-kernel relations of ``q`` keyed by the last wall they touch."""
-    if q.rows == 0:
-        return {}
-    basis = rat_kernel([list(col) for col in zip(*q.entries)])
-    triggers: dict[int, list[tuple[Fraction, ...]]] = {}
-    for vec in basis:
+def _prefix_constraints(
+    left_kernel: tuple[tuple[int, ...], ...]
+) -> dict[int, list[tuple[int, ...]]]:
+    """Left-kernel relations keyed by the last wall they touch."""
+    triggers: dict[int, list[tuple[int, ...]]] = {}
+    for vec in left_kernel:
         last = max(i for i, c in enumerate(vec) if c != 0)
-        triggers.setdefault(last, []).append(tuple(vec))
+        triggers.setdefault(last, []).append(vec)
     return triggers
 
 
@@ -205,41 +196,18 @@ def _lattice_form(vectors, width: int) -> tuple[tuple[int, ...], ...]:
 def canonical_class_rep(x, fan: Fan) -> tuple[int, ...]:
     """Reduce a ray-coefficient vector modulo the principal-divisor lattice.
 
-    The coordinates of one fixed unimodular ray subset are driven to zero:
-    the last ``dim`` rays when they form a lattice basis, otherwise the
-    lexicographically first subset that does.
+    The coordinates of the fixed unimodular ray subset ``fan.reduction``
+    are driven to zero.
     """
     j = len(fan.rays)
     if len(x) != j:
         raise ValueError(f"class vector needs {j} entries")
-    support = _reduction_support(fan)
-    sub = [list(fan.rays[k]) for k in support]
-    inv = rat_invert(sub)
+    support, inv = fan.reduction
     coeffs = [
         sum(inv[t][m] * x[support[m]] for m in range(fan.dim)) for t in range(fan.dim)
     ]
-    reduced = []
-    for k in range(j):
-        value = x[k] - sum(fan.rays[k][t] * coeffs[t] for t in range(fan.dim))
-        assert value.denominator == 1
-        reduced.append(int(value))
+    reduced = tuple(
+        x[k] - sum(fan.rays[k][t] * coeffs[t] for t in range(fan.dim)) for k in range(j)
+    )
     assert all(reduced[k] == 0 for k in support)
-    return tuple(reduced)
-
-
-_support_cache: dict[Fan, tuple[int, ...]] = {}
-
-
-def _reduction_support(fan: Fan) -> tuple[int, ...]:
-    if fan not in _support_cache:
-        j, n = len(fan.rays), fan.dim
-        tail = tuple(range(j - n, j))
-        if abs(int_det([fan.rays[k] for k in tail])) == 1:
-            _support_cache[fan] = tail
-        else:
-            _support_cache[fan] = next(
-                combo
-                for combo in combinations(range(j), n)
-                if abs(int_det([fan.rays[k] for k in combo])) == 1
-            )
-    return _support_cache[fan]
+    return reduced

@@ -25,8 +25,8 @@ from fractions import Fraction
 from itertools import permutations
 from typing import TYPE_CHECKING, Sequence
 
-from .exact_linear import Rat, rat_invert, rat_kernel, rat_rank
-from .fan import Wall, dual_basis, walls
+from .exact_linear import Rat, dot, rat_invert, rat_kernel, rat_rank
+from .fan import Wall, dual_basis, wall_label, walls
 
 if TYPE_CHECKING:
     from .bundle_data import KaneyamaBundleData
@@ -80,10 +80,6 @@ class SplittingSystem:
                 raise ValueError(f"degree tuple {row} is not non-increasing")
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
 def restrict(
     data: "KaneyamaBundleData", wall: Wall, v_chart: Sequence[int] | None = None
 ) -> WallRestriction:
@@ -102,15 +98,15 @@ def restrict(
         v = fan.rays[wall.extra1]
     else:
         v = tuple(int(x) for x in v_chart)
-        if _dot(conormal, v) != 1:
+        if dot(conormal, v) != 1:
             raise ValueError(f"v_chart {v} does not pair to 1 against the wall conormal")
 
     w1 = data.weight_systems[c1]
     w2 = data.weight_systems[c2]
     p = data.pasting(c2, c1)
     tau_rays = [fan.rays[t] for t in wall.tau]
-    key1 = [tuple(_dot(chi, vt) for vt in tau_rays) for chi in w1]
-    key2 = [tuple(_dot(chi, vt) for vt in tau_rays) for chi in w2]
+    key1 = [tuple(dot(chi, vt) for vt in tau_rays) for chi in w1]
+    key2 = [tuple(dot(chi, vt) for vt in tau_rays) for chi in w2]
     if sorted(key1) != sorted(key2):
         raise ValueError(f"net condition fails at wall tau {wall.tau}")
 
@@ -127,8 +123,8 @@ def restrict(
     for key in sorted(set(key1)):
         idx1 = [i for i, k in enumerate(key1) if k == key]
         idx2 = [i for i, k in enumerate(key2) if k == key]
-        t1 = [_dot(w1[i], v) for i in idx1]
-        t2 = [_dot(w2[i], v) for i in idx2]
+        t1 = [dot(w1[i], v) for i in idx1]
+        t2 = [dot(w2[i], v) for i in idx2]
         order1 = sorted(range(len(idx1)), key=lambda m: -t1[m])
         order2 = sorted(range(len(idx2)), key=lambda m: t2[m])
         block_pasting = tuple(
@@ -498,6 +494,5 @@ def twist_system(
 def format_system(system: SplittingSystem) -> str:
     lines = []
     for tau, row in zip(system.taus, system.degrees):
-        label = ",".join(str(t + 1) for t in tau)
-        lines.append(f"tau({label}): " + " ".join(str(d) for d in row))
+        lines.append(f"{wall_label(tau)}: " + " ".join(str(d) for d in row))
     return "\n".join(lines) + "\n"

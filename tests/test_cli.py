@@ -148,6 +148,8 @@ def test_error_paths(capsys, tmp_path):
         (("tangent-split", "--graph", "1,1,1,1"), "inconsistent weight sequence"),
         (("tangent-split", "--fan", str(tmp_path / "missing.fan")), "No such file"),
         (("bundle-split", "--graph", "1,1,1"), "--bundle"),
+        (("q-matrix", "--graph", "1,1,1", "--strict-signs"), "unrecognized arguments: --strict-signs"),
+        (("tangent-split", "--graph", "1,1,1", "--k", "3"), "unrecognized arguments: --k 3"),
     ]
     for argv, message in cases:
         code = main(list(argv))

@@ -11,8 +11,8 @@ from toricsplit.exact_linear import (
     rat_kernel,
     rat_matmul,
     rat_rank,
-    rat_solve,
     solve_integral,
+    unimodular_inverse,
 )
 
 
@@ -135,10 +135,9 @@ def test_solve_random_roundtrip():
         x, kernel = result
         assert a @ x == b
         assert len(kernel) == n - rat_rank(a.entries)
+        # the two solutions differ by a kernel vector: adding it keeps the rank
         diff = [x.entries[i][0] - x0.entries[i][0] for i in range(n)]
-        if any(diff):
-            stacked = [list(col) for col in zip(*kernel)]
-            assert rat_solve(stacked, diff) is not None
+        assert rat_rank(kernel + [diff]) == len(kernel)
 
 
 def test_int_det_cases():
@@ -171,6 +170,38 @@ def test_rat_invert_and_matmul():
         rat_invert([[1, 2], [2, 4]])
 
 
-def test_rat_solve():
-    assert rat_solve([[2, 0], [0, 4]], [1, 2]) == [Fraction(1, 2), Fraction(1, 2)]
-    assert rat_solve([[1, 1], [1, 1]], [0, 1]) is None
+def _random_unimodular(rng, n):
+    # a product of elementary matrices: row swaps, sign flips and row additions
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        move = rng.randrange(3)
+        if move == 0:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif move == 1:
+            rows[i] = [-x for x in rows[i]]
+        elif i != j:
+            c = rng.randint(-3, 3)
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def test_unimodular_inverse_roundtrip():
+    rng = random.Random(7)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        a = _random_unimodular(rng, n)
+        assert abs(int_det(a)) == 1
+        inv = unimodular_inverse(a)
+        assert all(isinstance(x, int) for row in inv for x in row)
+        assert mat(a) @ mat(inv) == IntMatrix.identity(n)
+        assert mat(inv) @ mat(a) == IntMatrix.identity(n)
+
+
+def test_unimodular_inverse_rejects_non_unimodular():
+    with pytest.raises(ValueError, match="not unimodular"):
+        unimodular_inverse([[2, 1], [0, 1]])
+    with pytest.raises(ValueError, match="not unimodular"):
+        unimodular_inverse([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="non-square"):
+        unimodular_inverse([[1, 0, 0], [0, 1, 0]])

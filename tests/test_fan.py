@@ -9,6 +9,7 @@ from toricsplit.fan import (
     projective_space,
     walls,
 )
+from toricsplit.surface_graph import enumerate_blowups, graph_to_fan
 
 CP2_RAYS = [(1, 0), (0, 1), (-1, -1)]
 CP2_CONES = [(0, 1), (1, 2), (2, 0)]
@@ -77,12 +78,23 @@ def test_walls_cp3():
 
 
 def test_wall_relation_property_cp4():
-    fan = projective_space(4)
-    for w in walls(fan):
-        total = [a + b for a, b in zip(fan.rays[w.extra1], fan.rays[w.extra2])]
-        for coeff, t in zip(w.relation, w.tau):
-            total = [x + coeff * y for x, y in zip(total, fan.rays[t])]
-        assert not any(total)
+    fans = [projective_space(n) for n in range(1, 6)]
+    fans += [graph_to_fan(g) for k in range(5) for g in enumerate_blowups(k)]
+    for fan in fans:
+        for w in walls(fan):
+            assert len(w.relation) == len(w.tau) == fan.dim - 1
+            total = [a + b for a, b in zip(fan.rays[w.extra1], fan.rays[w.extra2])]
+            for coeff, t in zip(w.relation, w.tau):
+                total = [x + coeff * y for x, y in zip(total, fan.rays[t])]
+            assert not any(total), (fan, w)
+
+
+def test_walls_rejects_cones_on_one_side_of_a_wall():
+    # (1,1) lies inside the cone {(1,0),(0,1)}: make_fan refuses this data,
+    # and walls names the wall whose two cones are not on opposite sides
+    fan = Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2), (0, 2)))
+    with pytest.raises(ValueError, match=r"wall relation for tau \(0,\)"):
+        walls(fan)
 
 
 def test_dual_basis():

@@ -5,6 +5,7 @@ from itertools import permutations, product
 
 import pytest
 
+from toricsplit import intersection
 from toricsplit.bundle_data import cp2_rank2, tangent_bundle
 from toricsplit.exact_linear import IntMatrix, solve_integral
 from toricsplit.fan import make_fan, projective_space, walls
@@ -112,6 +113,26 @@ def test_kernel_guard_trips_on_foreign_matrix():
 
 
 # --------------------------------------------------------------- properties
+
+
+def test_left_kernel_is_built_once_per_matrix(monkeypatch):
+    calls = []
+    real = intersection.rat_kernel
+
+    def spy(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(intersection, "rat_kernel", spy)
+    aim, system = tangent_case(graph_to_fan(hirzebruch(1)))
+    find_splitting_types(aim, system)
+    find_splitting_types(aim, system, strict=True)
+    assert len(calls) == 1
+    # integral relations y with y @ Q = 0, one per wall beyond the rank of Q
+    assert len(aim.left_kernel) == 2
+    for vec in aim.left_kernel:
+        assert all(isinstance(c, int) for c in vec)
+        assert (IntMatrix.from_rows([vec]) @ aim.q).entries == ((0,) * aim.q.cols,)
 
 
 def test_results_are_deterministic():
