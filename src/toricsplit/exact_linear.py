@@ -4,12 +4,23 @@ Everything is elementary row reduction kept deterministic so callers can
 rely on canonical output: ``hnf`` returns the reduced row Hermite normal
 form and ``solve_integral`` the particular solution whose free coordinates
 vanish in HNF coordinates.  No floating point anywhere.
+
+Kernels and inverses of integer matrices come from one fraction-free
+Gauss-Jordan elimination, ``_int_rref``: each pivot is made positive, the
+pivot column is cleared from every other row by ``p*row_i - f*row_r``, and
+each updated row is divided by the gcd of its entries.  Pivot row t divided
+by its pivot is then exactly row t of the rational reduced row echelon
+form, so ``int_kernel`` returns ``rat_kernel``'s basis with each vector
+scaled by the lcm of its denominators, and ``unimodular_inverse`` reads the
+inverse off the reduced ``[A | I]``.  The ``Fraction`` routines
+(``rat_kernel``, ``rat_invert``, ``rat_rank``) serve rational input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Rat = int | Fraction
@@ -174,19 +185,81 @@ def solve_integral(
     return x, kernel
 
 
+def _int_rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination over the integers.
+
+    Returns (E, pivots).  Every pivot E[t][pivots[t]] is positive, every
+    other entry of a pivot column is zero, rows past the rank are zero, and
+    E[t] / E[t][pivots[t]] is row t of the rational reduced row echelon form.
+    """
+    m = [list(row) for row in rows]
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pivot_row = m[r]
+        p = pivot_row[c]
+        if p < 0:
+            pivot_row = m[r] = [-y for y in pivot_row]
+            p = -p
+        for i in range(nr):
+            f = m[i][c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(m[i], pivot_row)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return m, pivots
+
+
+def int_kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Integral basis of the right null space, one primitive vector per free column.
+
+    The vector of free column f is ``rat_kernel``'s, scaled by the lcm of
+    its denominators: its entry at f is positive and is its last nonzero
+    entry.
+    """
+    if not rows:
+        return []
+    m, pivots = _int_rref(rows)
+    nc = len(rows[0])
+    basis = []
+    for f in range(nc):
+        if f in pivots:
+            continue
+        # the rational entry at pivot column p is -m[t][f] / m[t][p]
+        scale = lcm(*(m[t][p] // gcd(m[t][f], m[t][p]) for t, p in enumerate(pivots)))
+        vec = [0] * nc
+        vec[f] = scale
+        for t, p in enumerate(pivots):
+            vec[p] = -m[t][f] * scale // m[t][p]
+        basis.append(tuple(vec))
+    return basis
+
+
 def unimodular_inverse(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Integral inverse of a square integer matrix, from solving A @ X == I.
+    """Integral inverse of a square integer matrix, read off the reduced [A | I].
 
     Raises ValueError when no integral inverse exists, that is unless the
-    determinant is +-1.
+    determinant is +-1: then some pivot of the reduced, row-primitive
+    [A | I] is not 1, or lies in the right half.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("inverse of a non-square matrix")
-    solved = solve_integral(IntMatrix.from_rows(rows), IntMatrix.identity(n))
-    if solved is None:
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    m, pivots = _int_rref(aug)
+    if pivots != list(range(n)) or any(m[t][t] != 1 for t in range(n)):
         raise ValueError("matrix is not unimodular: no integral inverse")
-    return solved[0].entries
+    return tuple(tuple(row[n:]) for row in m)
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:

@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import lcm
 from typing import Sequence
 
-from .exact_linear import IntMatrix, rat_kernel
+from .exact_linear import IntMatrix, int_kernel
 from .fan import Fan, Wall, walls
 
 
@@ -33,16 +32,12 @@ class AugmentedIntersectionMatrix:
 
     @cached_property
     def left_kernel(self) -> tuple[tuple[int, ...], ...]:
-        """Basis of {y : y @ Q = 0}: the RREF kernel of Q^T, each vector cleared of denominators.
+        """Basis of {y : y @ Q = 0}: the integral RREF kernel of Q^T.
 
         Every vector ends at its own free wall, so the basis stays in
         echelon form by last nonzero entry.
         """
-        out = []
-        for vec in rat_kernel(list(zip(*self.q.entries))):
-            scale = lcm(*(c.denominator for c in vec))
-            out.append(tuple(int(c * scale) for c in vec))
-        return tuple(out)
+        return tuple(int_kernel(list(zip(*self.q.entries))))
 
 
 def augmented_matrix(fan: Fan) -> AugmentedIntersectionMatrix:

@@ -87,7 +87,8 @@ def find_splitting_types(
     q = aim.q
     zero_rhs = IntMatrix(q.rows, 1, tuple((0,) for _ in range(q.rows)))
     solved = solve_integral(q, zero_rhs)
-    assert solved is not None
+    if solved is None:
+        raise RuntimeError("invariant broken: Q @ x = 0 has no integral solution")
     _, kernel = solved
     _assert_kernel_is_principal(kernel, aim.fan)
 
@@ -166,10 +167,12 @@ def _solve_candidate(
         return None
     x, _ = solved
     columns = tuple(x.column(l) for l in range(x.cols))
-    assert (q @ x).entries == rhs.entries
+    if (q @ x).entries != rhs.entries:
+        raise RuntimeError(f"invariant broken: integral solve of candidate {perm_id} misses Q @ x = rows")
     canonical = tuple(canonical_class_rep(col, aim.fan) for col in columns)
     signs = tuple(sign_of_class(aim, col) for col in columns)
-    assert all(s != SignClass.MIXED for s in signs)
+    if SignClass.MIXED in signs:
+        raise RuntimeError(f"invariant broken: candidate {perm_id} solves to a class of mixed sign")
     return SplittingType(perm_id, rows, columns, canonical, signs)
 
 
@@ -209,5 +212,6 @@ def canonical_class_rep(x, fan: Fan) -> tuple[int, ...]:
     reduced = tuple(
         x[k] - sum(fan.rays[k][t] * coeffs[t] for t in range(fan.dim)) for k in range(j)
     )
-    assert all(reduced[k] == 0 for k in support)
+    if any(reduced[k] for k in support):
+        raise RuntimeError(f"invariant broken: reduced class {reduced} is nonzero on the support {support}")
     return reduced

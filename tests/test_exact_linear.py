@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,6 +8,7 @@ from toricsplit.exact_linear import (
     IntMatrix,
     hnf,
     int_det,
+    int_kernel,
     rat_invert,
     rat_kernel,
     rat_matmul,
@@ -161,6 +163,55 @@ def test_rat_rank_and_kernel():
         assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
 
 
+def _kernel_cases(rng):
+    yield []
+    yield [[]]
+    yield [[0, 0, 0], [0, 0, 0]]
+    for case in range(1200):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        if case % 4 == 0:
+            # rank-deficient: a product through an inner dimension below min(m, n)
+            k = rng.randint(0, min(m, n) - 1)
+            left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]
+            right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+            rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if k else [0] * n for row in left]
+        else:
+            # sparse like Q^T, with some all-zero rows
+            rows = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)] for _ in range(m)]
+            if case % 4 == 1:
+                rows[rng.randrange(m)] = [0] * n
+        yield rows
+
+
+def _pivot_columns(rows):
+    # column c is a pivot exactly when it raises the rank of the columns before it
+    cols = list(zip(*rows)) if rows else []
+    ranks = [rat_rank(list(zip(*cols[:c])) if c else []) for c in range(len(cols) + 1)]
+    return [c for c in range(len(cols)) if ranks[c + 1] > ranks[c]]
+
+
+def _lcm_scaled(vec):
+    scale = lcm(*(c.denominator for c in vec))
+    return tuple(int(c * scale) for c in vec)
+
+
+def test_int_kernel_matches_scaled_rat_kernel():
+    rng = random.Random(4)
+    shapes = set()
+    for rows in _kernel_cases(rng):
+        basis = int_kernel(rows)
+        assert basis == [_lcm_scaled(vec) for vec in rat_kernel(rows)], rows
+        n = len(rows[0]) if rows else 0
+        pivots = _pivot_columns(rows)
+        free = [c for c in range(n) if c not in pivots]
+        # each vector ends at its own free column, with a positive entry there
+        assert [max(i for i, c in enumerate(vec) if c) for vec in basis] == free
+        assert all(vec[f] > 0 for vec, f in zip(basis, free))
+        shapes.add((len(rows) > n, len(rows) < n, len(pivots) == min(len(rows), n)))
+    # tall, wide and square, each both full-rank and rank-deficient
+    assert len(shapes) == 6
+
+
 def test_rat_invert_and_matmul():
     a = [[1, 2], [3, 5]]
     inv = rat_invert(a)
@@ -188,12 +239,13 @@ def _random_unimodular(rng, n):
 
 def test_unimodular_inverse_roundtrip():
     rng = random.Random(7)
-    for _ in range(100):
-        n = rng.randint(1, 5)
+    for _ in range(300):
+        n = rng.randint(1, 6)
         a = _random_unimodular(rng, n)
         assert abs(int_det(a)) == 1
         inv = unimodular_inverse(a)
         assert all(isinstance(x, int) for row in inv for x in row)
+        assert inv == tuple(tuple(int(x) for x in row) for row in rat_invert(a))
         assert mat(a) @ mat(inv) == IntMatrix.identity(n)
         assert mat(inv) @ mat(a) == IntMatrix.identity(n)
 

@@ -1,11 +1,16 @@
 """Splitting-type search: frozen answers, brute-force agreement, canonicalization."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
-from toricsplit import intersection
+from toricsplit import intersection, solver
 from toricsplit.bundle_data import cp2_rank2, tangent_bundle
 from toricsplit.exact_linear import IntMatrix, solve_integral
 from toricsplit.fan import make_fan, projective_space, walls
@@ -112,18 +117,89 @@ def test_kernel_guard_trips_on_foreign_matrix():
         find_splitting_types(bogus, system)
 
 
+def test_check_homogeneous_solve_exists(monkeypatch):
+    monkeypatch.setattr(solver, "solve_integral", lambda a, b: None)
+    aim, system = tangent_case(projective_space(2))
+    with pytest.raises(RuntimeError, match="Q @ x = 0 has no integral solution"):
+        find_splitting_types(aim, system)
+
+
+def test_check_candidate_solution_satisfies_rows(monkeypatch):
+    def off_by_one(a, b):
+        solved = solve_integral(a, b)
+        if solved is None or not any(any(row) for row in b.entries):
+            return solved
+        x, kernel = solved
+        rows = [list(row) for row in x.entries]
+        rows[0][0] += 1
+        return IntMatrix.from_rows(rows), kernel
+
+    monkeypatch.setattr(solver, "solve_integral", off_by_one)
+    aim, system = tangent_case(projective_space(2))
+    with pytest.raises(RuntimeError, match="misses Q @ x = rows"):
+        find_splitting_types(aim, system)
+
+
+def test_check_no_mixed_sign(monkeypatch):
+    monkeypatch.setattr(solver, "sign_of_class", lambda aim, x: SignClass.MIXED)
+    aim, system = tangent_case(projective_space(2))
+    with pytest.raises(RuntimeError, match="mixed sign"):
+        find_splitting_types(aim, system)
+
+
+def test_check_reduced_support_is_zero(monkeypatch):
+    fan = projective_space(2)
+    support, inv = fan.reduction
+    monkeypatch.setitem(fan.__dict__, "reduction", (support, tuple((0,) * len(row) for row in inv)))
+    x = tuple(int(k == support[0]) for k in range(len(fan.rays)))
+    with pytest.raises(RuntimeError, match="nonzero on the support"):
+        canonical_class_rep(x, fan)
+
+
+def test_exactness_checks_survive_optimize_flag():
+    script = textwrap.dedent(
+        """
+        from toricsplit import solver
+        from toricsplit.bundle_data import tangent_bundle
+        from toricsplit.exact_linear import unimodular_inverse
+        from toricsplit.fan import projective_space
+        from toricsplit.intersection import SignClass, augmented_matrix
+        from toricsplit.splitting import splitting_system
+
+        assert False, "asserts must be stripped"
+        try:
+            unimodular_inverse([[2, 1], [0, 1]])
+        except ValueError:
+            print("ValueError")
+        solver.sign_of_class = lambda aim, x: SignClass.MIXED
+        fan = projective_space(2)
+        try:
+            solver.find_splitting_types(augmented_matrix(fan), splitting_system(tangent_bundle(fan)))
+        except RuntimeError:
+            print("RuntimeError")
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["ValueError", "RuntimeError"]
+
+
 # --------------------------------------------------------------- properties
 
 
 def test_left_kernel_is_built_once_per_matrix(monkeypatch):
     calls = []
-    real = intersection.rat_kernel
+    real = intersection.int_kernel
 
     def spy(rows):
         calls.append(rows)
         return real(rows)
 
-    monkeypatch.setattr(intersection, "rat_kernel", spy)
+    monkeypatch.setattr(intersection, "int_kernel", spy)
     aim, system = tangent_case(graph_to_fan(hirzebruch(1)))
     find_splitting_types(aim, system)
     find_splitting_types(aim, system, strict=True)
