@@ -1,10 +1,12 @@
 """Equivariant bundle data over a fan: weight systems, pastings, Euler quotients.
 
 A rank-r equivariant bundle is described by one multiset of r dual-lattice
-weights per maximal cone plus an invertible r x r rational pasting matrix
-per ordered pair of maximal cones, subject to three exact conditions
-(net, cocycle, support).  Weights are stored sorted lexicographically and
-pastings are permuted to match, so serialization is deterministic.
+weights per maximal cone plus invertible r x r rational pastings between
+their frames, subject to three exact conditions (net, cocycle, support).
+Only the pastings into and out of the first cone's frame are stored; every
+other pasting is their product, so the cocycle condition holds by
+construction.  Weights are stored sorted lexicographically and pastings
+are permuted to match, so serialization is deterministic.
 """
 
 from __future__ import annotations
@@ -18,19 +20,23 @@ from .fan import Fan, dual_basis, walls
 from .intersection import AugmentedIntersectionMatrix, principal_columns
 from .splitting import SplittingSystem
 
-PastingMatrix = tuple[tuple[Fraction, ...], ...]
+PastingMatrix = tuple[tuple[Rat, ...], ...]
 
 
 @dataclass(frozen=True)
 class KaneyamaBundleData:
+    """``to_base[c]`` is the pasting (0, c) and ``from_base[c]`` the pasting
+    (c, 0), from cone c's frame to cone 0's and back; both are the identity at c = 0."""
+
     fan: Fan
     rank: int
     weight_systems: tuple[tuple[tuple[int, ...], ...], ...]
-    pastings: tuple[tuple[PastingMatrix, ...], ...]
+    to_base: tuple[PastingMatrix, ...]
+    from_base: tuple[PastingMatrix, ...]
 
-    def pasting(self, c2: int, c1: int) -> PastingMatrix:
+    def pasting(self, c2: int, c1: int) -> list[list[Rat]]:
         """Pasting matrix from cone c1's frame to cone c2's; rows index c2 weights."""
-        return self.pastings[c2][c1]
+        return rat_matmul(self.from_base[c2], self.to_base[c1])
 
 
 def assemble_bundle(
@@ -38,7 +44,11 @@ def assemble_bundle(
     weight_systems: Sequence[Sequence[Sequence[int]]],
     pasting_map: Mapping[tuple[int, int], Sequence[Sequence[Rat]]],
 ) -> KaneyamaBundleData:
-    """Sort each weight system lexicographically and permute pastings to match."""
+    """Sort each weight system lexicographically and permute pastings to match.
+
+    Stores the pastings (0, c) and (c, 0); each other pair given must equal
+    the product through cone 0, or a ``ValueError`` names the three cones.
+    """
     n_cones = len(fan.max_cones)
     if len(weight_systems) != n_cones:
         raise ValueError("one weight system per maximal cone required")
@@ -51,23 +61,24 @@ def assemble_bundle(
         tagged = sorted(range(rank), key=lambda i: tuple(ws[i]))
         perms.append(tagged)
         sorted_systems.append(tuple(tuple(int(x) for x in ws[i]) for i in tagged))
-    grid = []
-    for c2 in range(n_cones):
-        row = []
-        for c1 in range(n_cones):
-            if c1 == c2:
-                mat = tuple(
-                    tuple(Fraction(1 if i == j else 0) for j in range(rank)) for i in range(rank)
-                )
-            else:
-                raw = pasting_map[(c2, c1)]
-                mat = tuple(
-                    tuple(Fraction(raw[perms[c2][i]][perms[c1][j]]) for j in range(rank))
-                    for i in range(rank)
-                )
-            row.append(mat)
-        grid.append(tuple(row))
-    return KaneyamaBundleData(fan, rank, tuple(sorted_systems), tuple(grid))
+
+    def permuted(c2: int, c1: int) -> list[list[Rat]]:
+        raw = pasting_map[(c2, c1)]
+        return [[raw[i][j] for j in perms[c1]] for i in perms[c2]]
+
+    identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    star = range(1, n_cones)
+    data = KaneyamaBundleData(
+        fan,
+        rank,
+        tuple(sorted_systems),
+        (identity, *(tuple(map(tuple, permuted(0, c))) for c in star)),
+        (identity, *(tuple(map(tuple, permuted(c, 0))) for c in star)),
+    )
+    for c2, c1 in pasting_map:
+        if 0 not in (c2, c1) and data.pasting(c2, c1) != permuted(c2, c1):
+            raise ValueError(f"cocycle fails for cones ({c2},0,{c1})")
+    return data
 
 
 def validate(data: KaneyamaBundleData) -> list[str]:
@@ -76,22 +87,22 @@ def validate(data: KaneyamaBundleData) -> list[str]:
     r = data.rank
     violations: list[str] = []
     n_cones = len(fan.max_cones)
-    if len(data.weight_systems) != n_cones:
-        return ["weight system count does not match the fan"]
+    if not len(data.weight_systems) == len(data.to_base) == len(data.from_base) == n_cones:
+        return ["weight system or pasting count does not match the fan"]
     for ci, ws in enumerate(data.weight_systems):
         if len(ws) != r or any(len(chi) != fan.dim for chi in ws):
             violations.append(f"weight system of cone {ci} has the wrong shape")
-    for c2 in range(n_cones):
-        for c1 in range(n_cones):
-            p = data.pasting(c2, c1)
-            if len(p) != r or any(len(row) != r for row in p):
-                violations.append(f"pasting ({c2},{c1}) has the wrong shape")
-                continue
-            if c1 == c2:
-                if any(p[i][j] != (1 if i == j else 0) for i in range(r) for j in range(r)):
-                    violations.append(f"pasting ({c2},{c1}) is not the identity")
-            elif rat_rank(p) < r:
-                violations.append(f"pasting ({c2},{c1}) is singular")
+    identity = [[int(i == j) for j in range(r)] for i in range(r)]
+    # through cone 0 the cocycle condition is pasting (c, 0) @ (0, c) = identity
+    for c in range(n_cones):
+        pair = (data.from_base[c], data.to_base[c])
+        if any(len(p) != r or any(len(row) != r for row in p) for p in pair):
+            violations.append(f"pasting ({c},0) or (0,{c}) has the wrong shape")
+        elif rat_matmul(*pair) != identity:
+            if any(rat_rank(p) < r for p in pair):
+                violations.append(f"pasting ({c},0) or (0,{c}) is singular")
+            else:
+                violations.append(f"cocycle fails for cones ({c},0,{c}): pasting ({c},{c}) is not the identity")
     if violations:
         return violations
 
@@ -114,16 +125,6 @@ def validate(data: KaneyamaBundleData) -> list[str]:
                         violations.append(
                             f"support fails for pasting ({ca},{cb}) entry ({i},{j}) at wall tau {wall.tau}"
                         )
-
-    for c3 in range(n_cones):
-        for c2 in range(n_cones):
-            if c2 == c3:
-                continue
-            left = {c1: rat_matmul(data.pasting(c3, c2), data.pasting(c2, c1)) for c1 in range(n_cones) if c1 != c2}
-            for c1, prod in left.items():
-                target = data.pasting(c3, c1)
-                if any(prod[i][j] != target[i][j] for i in range(r) for j in range(r)):
-                    violations.append(f"cocycle fails for cones ({c3},{c2},{c1})")
     return violations
 
 
@@ -131,17 +132,14 @@ def tangent_bundle(fan: Fan) -> KaneyamaBundleData:
     """Tangent bundle data: each cone's weight system is its dual basis.
 
     The pasting from cone c1 to cone c2 pairs c2's dual basis against c1's
-    rays, which is exactly the Jacobian of the monomial chart change, so the
-    cocycle condition holds identically.
+    rays, which is exactly the Jacobian of the monomial chart change.  Only
+    the pastings into and out of cone 0 are built.
     """
     duals = [dual_basis(fan, ci) for ci in range(len(fan.max_cones))]
     pasting_map = {}
-    for c2 in range(len(fan.max_cones)):
-        for c1 in range(len(fan.max_cones)):
-            if c1 == c2:
-                continue
-            rays1 = fan.cone_rays(c1)
-            pasting_map[(c2, c1)] = [[dot(e, v) for v in rays1] for e in duals[c2]]
+    for c in range(1, len(fan.max_cones)):
+        pasting_map[(0, c)] = [[dot(e, v) for v in fan.cone_rays(c)] for e in duals[0]]
+        pasting_map[(c, 0)] = [[dot(e, v) for v in fan.cone_rays(0)] for e in duals[c]]
     return assemble_bundle(fan, duals, pasting_map)
 
 
@@ -269,7 +267,8 @@ def euler_splitting_system(
                 kinds.append("mixed")
         if "constant" in kinds:
             drop = kinds.index("constant")
-            assert degs[drop] == 0
+            if degs[drop] != 0:
+                raise RuntimeError("a summand with a constant section has nonzero wall degree")
             remaining = [m for i, m in enumerate(degs) if i != drop]
         else:
             first = [i for i, k in enumerate(kinds) if k == "power1"]
@@ -307,7 +306,8 @@ def parse_bundle(text: str, fan: Fan) -> KaneyamaBundleData:
     Grammar: "rank r", then one "weights i: (w ...);(w ...)" line per
     maximal cone (1-based), then one "pasting i j: <r*r rationals>" line per
     ordered pair of distinct maximal cones (from cone j's frame to cone i's,
-    row-major).  '#' comments and blank lines are ignored.
+    row-major); each must equal the product through cone 1's frame.  '#'
+    comments and blank lines are ignored.
     """
     rank: int | None = None
     n_cones = len(fan.max_cones)

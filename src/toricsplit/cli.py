@@ -24,7 +24,6 @@ from .solver import SplittingType, find_splitting_types
 from .splitting import SplittingSystem, format_system, splitting_system
 from .surface_graph import WeightedCircularGraph, enumerate_blowups, graph_to_fan
 
-HARD_BLOWUP_CAP = 12
 SURFACE_ENUMERATION_CAP = 9
 
 
@@ -39,8 +38,8 @@ class RunConfig:
     fmt: str
 
     def __post_init__(self) -> None:
-        if self.k is not None and not 0 <= self.k <= HARD_BLOWUP_CAP:
-            raise ValueError(f"k must be between 0 and {HARD_BLOWUP_CAP}")
+        if self.k is not None and not 0 <= self.k <= SURFACE_ENUMERATION_CAP:
+            raise ValueError(f"k must be between 0 and {SURFACE_ENUMERATION_CAP}")
         if self.fmt not in ("text", "tsv"):
             raise ValueError(f"unknown output format {self.fmt!r}")
 
@@ -104,8 +103,6 @@ def _load_fan(config: RunConfig) -> Fan:
 def cmd_surfaces(config: RunConfig, out) -> None:
     if config.k is None:
         raise ValueError("surfaces requires --k")
-    if config.k > SURFACE_ENUMERATION_CAP:
-        raise ValueError(f"k={config.k} exceeds the enumeration cap {SURFACE_ENUMERATION_CAP}")
     graphs = sorted(enumerate_blowups(config.k), key=lambda g: g.weights)
     if config.fmt == "text":
         print(f"surfaces with {config.k} blowups: {len(graphs)}", file=out)

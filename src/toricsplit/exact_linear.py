@@ -350,8 +350,7 @@ def rat_invert(rows: Sequence[Sequence[Rat]]) -> list[list[Fraction]]:
     return [row[n:] for row in m]
 
 
-def rat_matmul(
-    a: Sequence[Sequence[Rat]], b: Sequence[Sequence[Rat]]
-) -> list[list[Fraction]]:
+def rat_matmul(a: Sequence[Sequence[Rat]], b: Sequence[Sequence[Rat]]) -> list[list[Rat]]:
+    """Exact product; integer factors give integer entries."""
     cols = list(zip(*b))
-    return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]

@@ -92,12 +92,11 @@ def restrict(
     """
     fan = data.fan
     c1, c2 = wall.sigma1, wall.sigma2
-    cone1 = fan.max_cones[c1]
-    conormal = dual_basis(fan, c1)[cone1.index(wall.extra1)]
     if v_chart is None:
         v = fan.rays[wall.extra1]
     else:
         v = tuple(int(x) for x in v_chart)
+        conormal = dual_basis(fan, c1)[fan.max_cones[c1].index(wall.extra1)]
         if dot(conormal, v) != 1:
             raise ValueError(f"v_chart {v} does not pair to 1 against the wall conormal")
 
@@ -238,7 +237,8 @@ def _top_stratum(
 
         v1 = next((vec for vec in basis if in_block_i(vec)), None)
         v2 = next((vec for vec in basis if hits_row_block(vec)), None)
-        assert v1 is not None and v2 is not None
+        if v1 is None or v2 is None:
+            raise RuntimeError("a nonempty stratum has no witness vector")
         if hits_row_block(v1):
             local = v1
         elif in_block_i(v2):
@@ -249,7 +249,7 @@ def _top_stratum(
         for m, ci in enumerate(cols):
             full[ci] = local[m]
         return col_blocks[i - 1], j_rows, _integerize(full)
-    raise AssertionError("no stratum found for an invertible pasting")
+    raise RuntimeError("no stratum found for an invertible pasting")
 
 
 def _integerize(vec: list[Fraction]) -> list[Fraction]:
@@ -289,10 +289,8 @@ def _deflate(
     del w2[l_row]
 
 
-def splitting_system(data: "KaneyamaBundleData", fan=None) -> SplittingSystem:
+def splitting_system(data: "KaneyamaBundleData") -> SplittingSystem:
     """Restrict to every wall and bootstrap blockwise; tuples sorted non-increasing."""
-    if fan is not None and fan != data.fan:
-        raise ValueError("fan does not match the bundle data")
     taus = []
     rows = []
     for wall in walls(data.fan):
@@ -368,10 +366,13 @@ def h0_oracle(transition: Sequence[Sequence[tuple[Rat, int]]]) -> tuple[int, ...
     degrees: list[int] = []
     for d in range(hi, lo - 1, -1):
         mult = h[d] - 2 * h[d + 1] + h[d + 2]
-        assert mult >= 0
+        if mult < 0:
+            raise RuntimeError(f"negative multiplicity of degree {d}")
         degrees.extend([d] * mult)
-    assert len(degrees) == r
-    assert sum(degrees) == det_exp
+    if len(degrees) != r:
+        raise RuntimeError(f"{len(degrees)} degrees found for a rank-{r} transition")
+    if sum(degrees) != det_exp:
+        raise RuntimeError("degrees do not sum to the determinant exponent")
     return tuple(degrees)
 
 
@@ -438,8 +439,8 @@ def _h_separable(t: MonomialMatrix, split: tuple[list[int], list[int]], k: int) 
             continue
         rows = [i for i in range(r) if u[i] < k - m]
         contribution = len(cols) - rat_rank([[coeff[i][j] for j in cols] for i in rows]) if rows else len(cols)
-        if m == m_lo:
-            assert contribution == 0
+        if m == m_lo and contribution:
+            raise RuntimeError("sections below the lowest exponent level")
         total += contribution
     return total
 
@@ -481,10 +482,9 @@ def twist_system(
     """Shift every wall tuple by the restriction degree of the line bundle class ``column``."""
     from .intersection import apply_q
 
+    if tuple(w.tau for w in aim.row_walls) != system.taus:
+        raise ValueError("system walls do not match the intersection matrix")
     shifts = apply_q(aim, column)
-    if len(shifts) != len(system.degrees):
-        raise ValueError("system and intersection matrix walls differ")
-    assert tuple(w.tau for w in aim.row_walls) == system.taus
     return SplittingSystem(
         system.taus,
         tuple(tuple(d + shift for d in row) for row, shift in zip(system.degrees, shifts)),

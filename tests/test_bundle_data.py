@@ -1,11 +1,10 @@
 """Bundle data validation, example constructions, and the text formats."""
 
-from fractions import Fraction
+from dataclasses import replace
 
 import pytest
 
 from toricsplit.bundle_data import (
-    KaneyamaBundleData,
     cp2_rank2,
     euler_monomial_spec,
     euler_splitting_system,
@@ -41,45 +40,99 @@ def test_validate_reports_net_violation():
     good = tangent_bundle(projective_space(2))
     systems = list(good.weight_systems)
     systems[0] = ((0, 1), (2, 0))  # stretch one weight of the first chart
-    bad = KaneyamaBundleData(good.fan, 2, tuple(systems), good.pastings)
+    bad = replace(good, weight_systems=tuple(systems))
     problems = validate(bad)
     assert any("net condition" in p and "wall" in p for p in problems)
 
 
+def _with_star(data, c, to_base=None, from_base=None):
+    """``data`` with cone c's pastings into and out of cone 0 replaced."""
+    to = list(data.to_base)
+    back = list(data.from_base)
+    if to_base is not None:
+        to[c] = to_base
+    if from_base is not None:
+        back[c] = from_base
+    return replace(data, to_base=tuple(to), from_base=tuple(back))
+
+
 def test_validate_reports_cocycle_violation():
     good = tangent_bundle(projective_space(2))
-    grid = [list(row) for row in good.pastings]
-    grid[1][0] = tuple(tuple(2 * x for x in row) for row in grid[1][0])
-    bad = KaneyamaBundleData(good.fan, 2, good.weight_systems, tuple(tuple(r) for r in grid))
-    problems = validate(bad)
-    assert any(p.startswith("cocycle fails") for p in problems)
+    doubled = tuple(tuple(2 * x for x in row) for row in good.from_base[1])
+    problems = validate(_with_star(good, 1, from_base=doubled))
+    assert problems == ["cocycle fails for cones (1,0,1): pasting (1,1) is not the identity"]
 
 
 def test_validate_reports_support_violation():
     good = tangent_bundle(projective_space(2))
-    skew = tuple(tuple(Fraction(x) for x in row) for row in [[1, 1], [1, 0]])
-    grid = [list(row) for row in good.pastings]
-    grid[1][0] = skew  # invertible, but couples weights the wall forbids
-    bad = KaneyamaBundleData(good.fan, 2, good.weight_systems, tuple(tuple(r) for r in grid))
-    assert any(p.startswith("support fails") for p in validate(bad))
+    skew = ((1, 1), (1, 0))  # invertible, but couples weights the wall forbids
+    bad = _with_star(good, 1, to_base=((0, 1), (1, -1)), from_base=skew)
+    problems = validate(bad)
+    assert problems and all(p.startswith("support fails") for p in problems)
 
 
 def test_validate_reports_non_identity_diagonal():
     good = tangent_bundle(projective_space(2))
-    swap = tuple(tuple(Fraction(1 if i != j else 0) for j in range(2)) for i in range(2))
-    grid = [list(row) for row in good.pastings]
-    grid[0][0] = swap
-    bad = KaneyamaBundleData(good.fan, 2, good.weight_systems, tuple(tuple(r) for r in grid))
-    assert any("not the identity" in p for p in validate(bad))
+    swap = ((0, 1), (1, 0))
+    assert any("not the identity" in p for p in validate(_with_star(good, 0, from_base=swap)))
 
 
 def test_validate_reports_singular_pasting():
     good = tangent_bundle(projective_space(2))
-    zero = tuple(tuple(Fraction(0) for _ in range(2)) for _ in range(2))
-    grid = [list(row) for row in good.pastings]
-    grid[2][1] = zero
-    bad = KaneyamaBundleData(good.fan, 2, good.weight_systems, tuple(tuple(r) for r in grid))
-    assert any("singular" in p for p in validate(bad))
+    zero = ((0, 0), (0, 0))
+    assert validate(_with_star(good, 2, to_base=zero)) == ["pasting (2,0) or (0,2) is singular"]
+
+
+def _altered_pasting(data, label, entries):
+    """``format_bundle(data)`` with the pasting line ``label`` given new entries."""
+    lines = format_bundle(data).splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(label + ":"))
+    lines[index] = f"{label}: {entries}"
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_bundle_rejects_cocycle_break():
+    fan = projective_space(2)
+    data = tangent_bundle(fan)
+    # pasting 3 2 (cones 2 <- 1, 0-based) no longer factors through cone 0
+    text = _altered_pasting(data, "pasting 3 2", "2 0 0 1")
+    with pytest.raises(ValueError, match=r"^cocycle fails for cones \(2,0,1\)$"):
+        parse_bundle(text, fan)
+    # pasting 1 2 (cones 0 <- 1) enters every derived pasting out of cone 1
+    text = _altered_pasting(data, "pasting 1 2", "1 0 0 1")
+    with pytest.raises(ValueError, match=r"^cocycle fails for cones \(2,0,1\)$"):
+        parse_bundle(text, fan)
+
+
+def test_parse_bundle_rejects_singular_pasting():
+    fan = projective_space(1)
+    text = _altered_pasting(tangent_bundle(fan), "pasting 2 1", "0")
+    with pytest.raises(ValueError, match=r"^pasting \(1,0\) or \(0,1\) is singular$"):
+        parse_bundle(text, fan)
+
+
+def test_tangent_pastings_pair_weights_with_rays():
+    # independent of the star storage: pasting (c2, c1) entry (i, j) pairs
+    # weight i of cone c2 with the ray of cone c1 dual to weight j of c1
+    fans = [projective_space(n) for n in range(1, 6)]
+    fans += [graph_to_fan(g) for k in range(5) for g in enumerate_blowups(k)]
+    for fan in fans:
+        data = tangent_bundle(fan)
+        n_cones = len(fan.max_cones)
+        for c1 in range(n_cones):
+            rays1 = fan.cone_rays(c1)
+            dual_rays = [
+                next(v for v in rays1 if sum(a * b for a, b in zip(chi, v)) == 1)
+                for chi in data.weight_systems[c1]
+            ]
+            for c2 in range(n_cones):
+                if c2 == c1:
+                    continue
+                expected = [
+                    [sum(a * b for a, b in zip(chi, v)) for v in dual_rays]
+                    for chi in data.weight_systems[c2]
+                ]
+                assert data.pasting(c2, c1) == expected, (fan.rays, c2, c1)
 
 
 def test_cp2_rank2_stored_weights():
@@ -224,15 +277,15 @@ def test_parse_bundle_requires_all_pastings():
 
 def test_parse_bundle_validates_conditions():
     fan = projective_space(2)
-    text = format_bundle(tangent_bundle(fan))
-    broken = text.replace("weights 1:", "weights 1: (5 5);", 1).replace(";(", "(", 1)
-    # malformed surgery above may fail parsing outright; build a clean bad input instead
     data = tangent_bundle(fan)
     systems = list(data.weight_systems)
     systems[0] = ((0, 1), (2, 0))
-    bad = KaneyamaBundleData(fan, 2, tuple(systems), data.pastings)
+    bad = replace(data, weight_systems=tuple(systems))
     with pytest.raises(ValueError, match="net condition"):
         parse_bundle(format_bundle(bad), fan)
+    skewed = _with_star(data, 1, to_base=((0, 1), (1, -1)), from_base=((1, 1), (1, 0)))
+    with pytest.raises(ValueError, match="support fails"):
+        parse_bundle(format_bundle(skewed), fan)
 
 
 def test_parse_euler_errors():

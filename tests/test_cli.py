@@ -1,8 +1,10 @@
 """Command-line behavior: golden outputs, error paths, determinism."""
 
+from dataclasses import replace
+
 import pytest
 
-from toricsplit.bundle_data import cp2_rank2, format_bundle
+from toricsplit.bundle_data import cp2_rank2, format_bundle, tangent_bundle
 from toricsplit.cli import main
 from toricsplit.fan import format_fan, projective_space
 from toricsplit.surface_graph import graph_to_fan, hirzebruch
@@ -140,8 +142,9 @@ def test_bundle_split_euler_file(capsys, tmp_path):
 def test_error_paths(capsys, tmp_path):
     cases = [
         (("surfaces",), "requires --k"),
-        (("surfaces", "--k", "13"), "between 0 and 12"),
-        (("surfaces", "--k", "10"), "enumeration cap"),
+        (("surfaces", "--k", "13"), "k must be between 0 and 9"),
+        (("surfaces", "--k", "10"), "k must be between 0 and 9"),
+        (("surfaces", "--k", "-1"), "k must be between 0 and 9"),
         (("tangent-split",), "exactly one of"),
         (("tangent-split", "--graph", "1,1,1", "--fan", "x"), "exactly one of"),
         (("tangent-split", "--graph", "1,x,1"), "integers"),
@@ -162,14 +165,29 @@ def test_error_paths(capsys, tmp_path):
 
 
 def test_invalid_bundle_file_reports_validation(capsys, tmp_path):
-    fan_file = tmp_path / "cp2.fan"
-    fan_file.write_text(format_fan(projective_space(2)))
-    bad = tmp_path / "bad.bundle"
-    bad.write_text(format_bundle(cp2_rank2(1, 1, 1)).replace("weights 1: (0 1);(1 0)", "weights 1: (0 2);(1 0)"))
-    code = main(["bundle-split", "--fan", str(fan_file), "--bundle", str(bad)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "net condition" in captured.err or "support fails" in captured.err
+    cp2 = format_bundle(cp2_rank2(1, 1, 1))
+    p1 = format_bundle(tangent_bundle(projective_space(1)))
+    tangent = tangent_bundle(projective_space(2))
+    # an invertible pair of pastings between cones 0 and 1 that couples weights at a wall
+    skew = (tangent.to_base[0], ((0, 1), (1, -1)), tangent.to_base[2])
+    skew_back = (tangent.from_base[0], ((1, 1), (1, 0)), tangent.from_base[2])
+    cases = [
+        (2, cp2.replace("weights 1: (0 1);(1 0)", "weights 1: (0 2);(1 0)"), "net condition"),
+        (2, cp2.replace("pasting 3 2: -1 1 0 1", "pasting 3 2: -1 1 0 2"), "cocycle fails"),
+        (1, p1.replace("pasting 2 1: -1", "pasting 2 1: 0"), "singular"),
+        (2, format_bundle(replace(tangent, to_base=skew, from_base=skew_back)), "support fails"),
+    ]
+    for n, text, message in cases:
+        fan_file = tmp_path / "p.fan"
+        fan_file.write_text(format_fan(projective_space(n)))
+        bad = tmp_path / "bad.bundle"
+        bad.write_text(text)
+        code = main(["bundle-split", "--fan", str(fan_file), "--bundle", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err, (message, captured.err)
 
 
 def test_missing_subcommand(capsys):

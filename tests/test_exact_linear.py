@@ -217,6 +217,8 @@ def test_rat_invert_and_matmul():
     inv = rat_invert(a)
     prod = rat_matmul(a, inv)
     assert prod == [[1, 0], [0, 1]]
+    # integer factors keep integer entries (no Fraction coercion)
+    assert all(type(x) is int for row in rat_matmul(a, [[2, -1], [0, 3]]) for x in row)
     with pytest.raises(ValueError):
         rat_invert([[1, 2], [2, 4]])
 

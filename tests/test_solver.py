@@ -1,5 +1,6 @@
 """Splitting-type search: frozen answers, brute-force agreement, canonicalization."""
 
+import ast
 import os
 import random
 import subprocess
@@ -159,7 +160,7 @@ def test_check_reduced_support_is_zero(monkeypatch):
 def test_exactness_checks_survive_optimize_flag():
     script = textwrap.dedent(
         """
-        from toricsplit import solver
+        from toricsplit import solver, splitting
         from toricsplit.bundle_data import tangent_bundle
         from toricsplit.exact_linear import unimodular_inverse
         from toricsplit.fan import projective_space
@@ -177,6 +178,11 @@ def test_exactness_checks_survive_optimize_flag():
             solver.find_splitting_types(augmented_matrix(fan), splitting_system(tangent_bundle(fan)))
         except RuntimeError:
             print("RuntimeError")
+        splitting._h_separable = lambda t, split, k: 0  # no sections at any twist
+        try:
+            splitting.h0_oracle([[(1, 2), (0, 0)], [(0, 0), (1, -1)]])
+        except RuntimeError:
+            print("RuntimeError")
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -185,7 +191,21 @@ def test_exactness_checks_survive_optimize_flag():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["ValueError", "RuntimeError"]
+    assert result.stdout.split() == ["ValueError", "RuntimeError", "RuntimeError"]
+
+
+def test_package_has_no_assert():
+    # exactness checks must be explicit raises: asserts vanish under -O and
+    # AssertionError escapes the CLI's error handler as a traceback
+    package = Path(__file__).resolve().parents[1] / "src" / "toricsplit"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Name) and node.id == "AssertionError"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 # --------------------------------------------------------------- properties

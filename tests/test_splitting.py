@@ -1,6 +1,7 @@
 """Splitting degrees on invariant curves: oracle, bootstrap, and wall restriction."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -218,9 +219,8 @@ def test_restrict_rejects_bad_v_chart():
 
 def test_restrict_rejects_net_violation():
     fan = projective_space(2)
-    one = tuple(tuple(Fraction(1) for _ in range(1)) for _ in range(1))
-    grid = tuple(tuple(one for _ in range(3)) for _ in range(3))
-    data = KaneyamaBundleData(fan, 1, (((1, 0),), ((0, 1),), ((0, 0),)), grid)
+    one = ((1,),)
+    data = KaneyamaBundleData(fan, 1, (((1, 0),), ((0, 1),), ((0, 0),)), (one,) * 3, (one,) * 3)
     with pytest.raises(ValueError, match="net condition"):
         restrict(data, walls(fan)[0])
 
@@ -228,9 +228,8 @@ def test_restrict_rejects_net_violation():
 def test_restrict_rejects_support_violation():
     fan = projective_space(2)
     good = tangent_bundle(fan)
-    ones = tuple(tuple(Fraction(1) for _ in range(2)) for _ in range(2))
-    grid = tuple(tuple(ones for _ in row) for row in good.pastings)
-    data = KaneyamaBundleData(fan, 2, good.weight_systems, grid)
+    ones = ((1, 1), (1, 1))
+    data = replace(good, to_base=(ones,) * 3, from_base=(ones,) * 3)
     with pytest.raises(ValueError, match="support condition"):
         restrict(data, walls(fan)[0])
 
@@ -286,17 +285,10 @@ def test_cp2_rank2_equal_weights_uniform():
 def test_splitting_system_multidimensional_block():
     fan = projective_space(2)
     zero = ((0, 0), (0, 0))
-    ident = tuple(tuple(Fraction(1 if i == j else 0) for j in range(2)) for i in range(2))
-    grid = tuple(tuple(ident for _ in range(3)) for _ in range(3))
-    data = KaneyamaBundleData(fan, 2, (zero, zero, zero), grid)
+    ident = ((1, 0), (0, 1))
+    data = KaneyamaBundleData(fan, 2, (zero, zero, zero), (ident,) * 3, (ident,) * 3)
     system = splitting_system(data)
     assert all(row == (0, 0) for row in system.degrees)
-
-
-def test_splitting_system_fan_mismatch():
-    data = tangent_bundle(projective_space(2))
-    with pytest.raises(ValueError, match="fan"):
-        splitting_system(data, projective_space(3))
 
 
 def test_system_requires_sorted_rows():
@@ -312,6 +304,9 @@ def test_twist_shifts_by_restriction_degrees():
     assert all(row == (3, 2) for row in twisted.degrees)
     back = twist_system(twisted, aim, (-1, 0, 0))
     assert back == system
+    shuffled = SplittingSystem(system.taus[::-1], system.degrees)
+    with pytest.raises(ValueError, match="do not match the intersection matrix"):
+        twist_system(shuffled, aim, (1, 0, 0))
 
 
 def test_format_system_golden():
