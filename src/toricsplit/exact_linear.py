@@ -5,15 +5,18 @@ rely on canonical output: ``hnf`` returns the reduced row Hermite normal
 form and ``solve_integral`` the particular solution whose free coordinates
 vanish in HNF coordinates.  No floating point anywhere.
 
-Kernels and inverses of integer matrices come from one fraction-free
-Gauss-Jordan elimination, ``_int_rref``: each pivot is made positive, the
-pivot column is cleared from every other row by ``p*row_i - f*row_r``, and
-each updated row is divided by the gcd of its entries.  Pivot row t divided
-by its pivot is then exactly row t of the rational reduced row echelon
-form, so ``int_kernel`` returns ``rat_kernel``'s basis with each vector
-scaled by the lcm of its denominators, and ``unimodular_inverse`` reads the
-inverse off the reduced ``[A | I]``.  The ``Fraction`` routines
-(``rat_kernel``, ``rat_invert``, ``rat_rank``) serve rational input.
+Ranks, kernels and inverses come from one fraction-free Gauss-Jordan
+elimination, ``_int_rref``: each pivot is made positive, the pivot column
+is cleared from every other row by ``p*row_i - f*row_r``, and each updated
+row is divided by the gcd of its entries.  Pivot row t divided by its
+pivot is then exactly row t of the rational reduced row echelon form.
+Rational input is first cleared row by row: each row is multiplied by the
+lcm of its denominators, which changes neither the row space nor that
+reduced form.  So ``rat_rank``, ``rat_kernel`` and ``rat_invert`` read
+their exact ``Fraction`` answers off integer rows, ``int_kernel`` returns
+``rat_kernel``'s basis with each vector scaled by the lcm of its
+denominators, and ``unimodular_inverse`` reads the inverse off the reduced
+``[A | I]``.
 """
 
 from __future__ import annotations
@@ -220,6 +223,10 @@ def _int_rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]
     return m, pivots
 
 
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    return len(_int_rref(rows)[1])
+
+
 def int_kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Integral basis of the right null space, one primitive vector per free column.
 
@@ -292,40 +299,24 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _rref(rows: Sequence[Sequence[Rat]]) -> tuple[list[list[Fraction]], list[int]]:
-    # Deterministic reduced row echelon form over exact rationals.
-    m = [[Fraction(x) for x in row] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return m, pivots
+def clear_denominators(rows: Sequence[Sequence[Rat]]) -> list[list[int]]:
+    """Each row times the lcm of its entries' denominators: integer rows, same row space."""
+    cleared = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        cleared.append([x.numerator * (scale // x.denominator) for x in row])
+    return cleared
 
 
 def rat_rank(rows: Sequence[Sequence[Rat]]) -> int:
-    return len(_rref(rows)[1])
+    return int_rank(clear_denominators(rows))
 
 
 def rat_kernel(rows: Sequence[Sequence[Rat]]) -> list[list[Fraction]]:
     """Basis of the right null space over the rationals, one vector per free column."""
     if not rows:
         return []
-    m, pivots = _rref(rows)
+    m, pivots = _int_rref(clear_denominators(rows))
     nc = len(rows[0])
     free = [c for c in range(nc) if c not in pivots]
     basis = []
@@ -333,21 +324,22 @@ def rat_kernel(rows: Sequence[Sequence[Rat]]) -> list[list[Fraction]]:
         v = [Fraction(0)] * nc
         v[f] = Fraction(1)
         for t, p in enumerate(pivots):
-            v[p] = -m[t][f]
+            v[p] = Fraction(-m[t][f], m[t][p])
         basis.append(v)
     return basis
 
 
 def rat_invert(rows: Sequence[Sequence[Rat]]) -> list[list[Fraction]]:
+    """Inverse over the rationals, read off the reduced [A | I]."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise ValueError("inverse of a non-square matrix")
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(rows)]
-    m, pivots = _rref(aug)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    m, pivots = _int_rref(clear_denominators(aug))
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
-    return [row[n:] for row in m]
+    return [[Fraction(x, m[t][t]) for x in m[t][n:]] for t in range(n)]
 
 
 def rat_matmul(a: Sequence[Sequence[Rat]], b: Sequence[Sequence[Rat]]) -> list[list[Rat]]:

@@ -14,8 +14,8 @@ Two independent routes are provided on purpose:
 * ``h0_oracle`` counts twisted global sections of a monomial transition
   matrix by exact linear algebra and reads the degrees off the jumps.
 
-They share no code beyond rational matrix primitives and are checked
-against each other in the test suite.
+They share no code beyond the rank and kernel primitives of
+``exact_linear`` and are checked against each other in the test suite.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Sequence
 
-from .exact_linear import Rat, dot, rat_invert, rat_kernel, rat_rank
+from .exact_linear import Rat, clear_denominators, dot, int_rank, rat_invert, rat_kernel, rat_rank
 from .fan import Wall, dual_basis, wall_label, walls
 
 if TYPE_CHECKING:
@@ -34,6 +35,7 @@ if TYPE_CHECKING:
 
 Monomial = tuple[Fraction, int]
 MonomialMatrix = tuple[tuple[Monomial, ...], ...]
+IntMonomialMatrix = tuple[tuple[tuple[int, int], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -253,13 +255,9 @@ def _top_stratum(
 
 
 def _integerize(vec: list[Fraction]) -> list[Fraction]:
-    from math import gcd, lcm
-
-    denom = lcm(*[f.denominator for f in vec]) if vec else 1
+    denom = lcm(*[f.denominator for f in vec])
     ints = [int(f * denom) for f in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     if g:
         ints = [x // g for x in ints]
     lead = next((x for x in ints if x), 1)
@@ -333,15 +331,18 @@ def h0_oracle(transition: Sequence[Sequence[tuple[Rat, int]]]) -> tuple[int, ...
     monomial (the Laurent-invertibility test).  For each twist k the
     dimension h(k) of sections s over polynomials in 1/z with z**(-k) T s
     polynomial in z is computed exactly; multiplicities are the second
-    differences of h.
+    differences of h.  Denominators are cleared once per transition, row by
+    row, so every rank is taken over the integers.
     """
-    t = tuple(tuple((Fraction(c), int(e)) for c, e in row) for row in transition)
-    r = len(t)
-    if any(len(row) != r for row in t):
+    r = len(transition)
+    if any(len(row) != r for row in transition):
         raise ValueError("transition matrix must be square")
-    det_terms: dict[int, Fraction] = {}
+    if r > _DETERMINANT_RANK_CAP:
+        raise RuntimeError(f"transition rank {r} exceeds the determinant rank cap {_DETERMINANT_RANK_CAP}")
+    t = _clear_rows(transition)
+    det_terms: dict[int, int] = {}
     for perm in permutations(range(r)):
-        coeff = Fraction(1)
+        coeff = 1
         exp = 0
         for i in range(r):
             c, e = t[i][perm[i]]
@@ -349,7 +350,7 @@ def h0_oracle(transition: Sequence[Sequence[tuple[Rat, int]]]) -> tuple[int, ...
             exp += e
         if coeff:
             sign = _perm_sign(perm)
-            det_terms[exp] = det_terms.get(exp, Fraction(0)) + sign * coeff
+            det_terms[exp] = det_terms.get(exp, 0) + sign * coeff
     det_terms = {e: c for e, c in det_terms.items() if c != 0}
     if not det_terms:
         raise ValueError("singular transition matrix")
@@ -376,12 +377,25 @@ def h0_oracle(transition: Sequence[Sequence[tuple[Rat, int]]]) -> tuple[int, ...
     return tuple(degrees)
 
 
+def _clear_rows(transition: Sequence[Sequence[tuple[Rat, int]]]) -> IntMonomialMatrix:
+    """The transition with each row times the lcm of its coefficients' denominators.
+
+    A constant row scale changes neither which sections s have z**(-k) T s
+    polynomial nor the exponent of det T, so h(k) and the degrees stay those
+    of the transition, and every rank below is taken over the integers.
+    """
+    coeffs = clear_denominators([[c for c, _ in row] for row in transition])
+    return tuple(
+        tuple((c, int(e)) for c, (_, e) in zip(crow, row)) for crow, row in zip(coeffs, transition)
+    )
+
+
 def _perm_sign(perm: tuple[int, ...]) -> int:
     inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
     return -1 if inversions % 2 else 1
 
 
-def _separate_exponents(t: MonomialMatrix) -> tuple[list[int], list[int]] | None:
+def _separate_exponents(t: IntMonomialMatrix) -> tuple[list[int], list[int]] | None:
     """Solve exponent(i, j) = u_i + t_j over the nonzero entries, if possible."""
     r = len(t)
     u: list[int | None] = [None] * r
@@ -421,7 +435,7 @@ def _separate_exponents(t: MonomialMatrix) -> tuple[list[int], list[int]] | None
     return u, tt  # type: ignore[return-value]
 
 
-def _h_separable(t: MonomialMatrix, split: tuple[list[int], list[int]], k: int) -> int:
+def _h_separable(t: IntMonomialMatrix, split: tuple[list[int], list[int]], k: int) -> int:
     """Exact h(k): levels decouple into constant rank computations.
 
     Writing s_j as a series in z**(m - t_j) for m <= t_j, the coefficient
@@ -438,17 +452,18 @@ def _h_separable(t: MonomialMatrix, split: tuple[list[int], list[int]], k: int) 
         if not cols:
             continue
         rows = [i for i in range(r) if u[i] < k - m]
-        contribution = len(cols) - rat_rank([[coeff[i][j] for j in cols] for i in rows]) if rows else len(cols)
+        contribution = len(cols) - int_rank([[coeff[i][j] for j in cols] for i in rows])
         if m == m_lo and contribution:
             raise RuntimeError("sections below the lowest exponent level")
         total += contribution
     return total
 
 
+_DETERMINANT_RANK_CAP = 8  # the determinant sums over all r! permutations
 _TRUNCATION_CAP = 4096
 
 
-def _h_truncated(t: MonomialMatrix, k: int, det_exp: int) -> int:
+def _h_truncated(t: IntMonomialMatrix, k: int, det_exp: int) -> int:
     """h(k) by bounded-depth elimination; depth bound from the adjugate formula."""
     r = len(t)
     exps = [e for row in t for c, e in row if c != 0]
@@ -457,11 +472,11 @@ def _h_truncated(t: MonomialMatrix, k: int, det_exp: int) -> int:
         raise RuntimeError(f"section pole depth {depth} exceeds the hard cap {_TRUNCATION_CAP}")
     # variables s[j, m] for -depth <= m <= 0; one constraint per negative power per row
     var_index = {(j, m): j * (depth + 1) + (m + depth) for j in range(r) for m in range(-depth, 1)}
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     p_min = min(exps) - k - depth
     for i in range(r):
         for p in range(p_min, 0):
-            row = [Fraction(0)] * len(var_index)
+            row = [0] * len(var_index)
             touched = False
             for j in range(r):
                 c, e = t[i][j]
@@ -473,7 +488,7 @@ def _h_truncated(t: MonomialMatrix, k: int, det_exp: int) -> int:
                     touched = True
             if touched:
                 rows.append(row)
-    return len(var_index) - (rat_rank(rows) if rows else 0)
+    return len(var_index) - int_rank(rows)
 
 
 def twist_system(

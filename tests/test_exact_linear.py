@@ -22,6 +22,50 @@ def mat(rows):
     return IntMatrix.from_rows(rows)
 
 
+def _fraction_rref(rows):
+    # reference Gauss-Jordan over Fraction, independent of the package's elimination
+    m = [[Fraction(x) for x in row] for row in rows]
+    nr, nc = len(m), len(m[0]) if m else 0
+    pivots = []
+    for c in range(nc):
+        r = len(pivots)
+        pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _oracle_kernel(rows):
+    if not rows:
+        return []
+    m, pivots = _fraction_rref(rows)
+    nc = len(rows[0])
+    basis = []
+    for f in (c for c in range(nc) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(nc)]
+        for t, p in enumerate(pivots):
+            v[p] = -m[t][f]
+        basis.append(v)
+    return basis
+
+
+def _oracle_invert(rows):
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("inverse of a non-square matrix")
+    m, pivots = _fraction_rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in m]
+
+
 def is_reduced_echelon(h):
     last_pivot = -1
     seen_zero_row = False
@@ -186,7 +230,7 @@ def _kernel_cases(rng):
 def _pivot_columns(rows):
     # column c is a pivot exactly when it raises the rank of the columns before it
     cols = list(zip(*rows)) if rows else []
-    ranks = [rat_rank(list(zip(*cols[:c])) if c else []) for c in range(len(cols) + 1)]
+    ranks = [len(_fraction_rref(list(zip(*cols[:c])) if c else [])[1]) for c in range(len(cols) + 1)]
     return [c for c in range(len(cols)) if ranks[c + 1] > ranks[c]]
 
 
@@ -200,7 +244,7 @@ def test_int_kernel_matches_scaled_rat_kernel():
     shapes = set()
     for rows in _kernel_cases(rng):
         basis = int_kernel(rows)
-        assert basis == [_lcm_scaled(vec) for vec in rat_kernel(rows)], rows
+        assert basis == [_lcm_scaled(vec) for vec in _oracle_kernel(rows)], rows
         n = len(rows[0]) if rows else 0
         pivots = _pivot_columns(rows)
         free = [c for c in range(n) if c not in pivots]
@@ -221,6 +265,71 @@ def test_rat_invert_and_matmul():
     assert all(type(x) is int for row in rat_matmul(a, [[2, -1], [0, 3]]) for x in row)
     with pytest.raises(ValueError):
         rat_invert([[1, 2], [2, 4]])
+
+
+def _rational_cases(rng):
+    yield []
+    yield [[]]
+    yield [[0, 0], [0, 0]]
+    yield [[Fraction(1, 2), 1], [1, 2]]  # singular, one entry non-integral
+    for case in range(600):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        if case % 3 == 0:
+            n = m  # square, so half the inverses below are attempted
+        if case % 5 == 0:
+            # rank-deficient: a product through an inner dimension below min(m, n)
+            k = rng.randint(1, min(m, n)) - 1
+            left = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(k)] for _ in range(m)]
+            right = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)] for _ in range(k)]
+            rows = [
+                [sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)] if k else [0] * n
+                for row in left
+            ]
+        else:
+            rows = [
+                [rng.choice((0, 1, -1, rng.randint(-6, 6), Fraction(rng.randint(-9, 9), rng.randint(2, 5))))
+                 for _ in range(n)]
+                for _ in range(m)
+            ]
+        if case % 4 == 1:
+            rows[rng.randrange(m)] = [0] * n
+        if case % 7 == 2 and m > 1:
+            # a rational multiple of another row
+            i, j = rng.sample(range(m), 2)
+            rows[i] = [Fraction(rng.randint(1, 4), rng.randint(2, 5)) * x for x in rows[j]]
+        yield rows
+
+
+def _outcome(fn, rows):
+    try:
+        return fn(rows)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_rational_input_matches_fraction_oracle():
+    rng = random.Random(11)
+    seen = set()
+    for rows in _rational_cases(rng):
+        m, pivots = _fraction_rref(rows)
+        assert rat_rank(rows) == len(pivots), rows
+        kernel = rat_kernel(rows)
+        assert kernel == _oracle_kernel(rows), rows
+        assert all(type(x) is Fraction for vec in kernel for x in vec)
+        inverse = _outcome(rat_invert, rows)
+        assert inverse == _outcome(_oracle_invert, rows), rows
+        if not isinstance(inverse, str):
+            assert all(type(x) is Fraction for row in inverse for x in row)
+        n = len(rows[0]) if rows else 0
+        seen.add((
+            any(isinstance(x, Fraction) and x.denominator > 1 for row in rows for x in row),
+            len(rows) == n,
+            len(pivots) == min(len(rows), n),
+            isinstance(inverse, str) and "singular matrix" in inverse,
+        ))
+    assert (True, True, True, False) in seen  # invertible with non-integral entries
+    assert (True, True, False, True) in seen  # singular square with non-integral entries
+    assert (True, False, True, False) in seen and (True, False, False, False) in seen  # non-square
 
 
 def _random_unimodular(rng, n):
@@ -247,7 +356,7 @@ def test_unimodular_inverse_roundtrip():
         assert abs(int_det(a)) == 1
         inv = unimodular_inverse(a)
         assert all(isinstance(x, int) for row in inv for x in row)
-        assert inv == tuple(tuple(int(x) for x in row) for row in rat_invert(a))
+        assert inv == tuple(tuple(int(x) for x in row) for row in _oracle_invert(a))
         assert mat(a) @ mat(inv) == IntMatrix.identity(n)
         assert mat(inv) @ mat(a) == IntMatrix.identity(n)
 

@@ -11,7 +11,9 @@ from toricsplit.exact_linear import rat_rank
 from toricsplit.fan import projective_space, walls
 from toricsplit.intersection import augmented_matrix
 from toricsplit.splitting import (
+    _DETERMINANT_RANK_CAP,
     SplittingSystem,
+    _clear_rows,
     _h_separable,
     _h_truncated,
     _separate_exponents,
@@ -95,14 +97,24 @@ def test_oracle_depth_cap():
         h0_oracle(t)
 
 
+def test_oracle_determinant_rank_cap():
+    n = _DETERMINANT_RANK_CAP
+    assert h0_oracle(mono([[(1, 0) if i == j else (0, 0) for j in range(n)] for i in range(n)])) == (0,) * n
+    n += 1
+    with pytest.raises(RuntimeError, match="determinant rank cap"):
+        h0_oracle(mono([[(1, 0) if i == j else (0, 0) for j in range(n)] for i in range(n)]))
+
+
 def test_truncated_matches_separable_path():
     rng = random.Random(97)
-    for _ in range(12):
-        r = rng.randint(1, 2)
+    for case in range(36):
+        # the first 12 pastings are integral, the rest have denominators 2..5
+        r = rng.randint(1, 2) if case < 12 else rng.randint(1, 3)
         w1 = sorted((rng.randint(-2, 2) for _ in range(r)), reverse=True)
         w2 = sorted(rng.randint(-2, 2) for _ in range(r))
-        a = _random_invertible(rng, r)
-        t = transition_from_block(w1, w2, a)
+        a = _random_invertible(rng, r) if case < 12 else _random_rational_invertible(rng, r)
+        t = _clear_rows(transition_from_block(w1, w2, a))
+        assert all(type(c) is int for row in t for c, _ in row)
         split = _separate_exponents(t)
         assert split is not None
         det_exp = sum(w1) - sum(w2)
@@ -159,14 +171,26 @@ def _random_invertible(rng, r):
             return a
 
 
+def _random_rational_invertible(rng, r):
+    # integers mixed with fractions of denominator 2..5, at least one non-integral
+    while True:
+        a = [
+            [rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-9, 9), rng.randint(2, 5)))) for _ in range(r)]
+            for _ in range(r)
+        ]
+        if rat_rank(a) == r and any(isinstance(x, Fraction) and x.denominator > 1 for row in a for x in row):
+            return a
+
+
 def test_bootstrap_agrees_with_oracle():
-    # the two routes share no code beyond rational rank/inverse
+    # the two routes share no code beyond rational rank/kernel/inverse
     rng = random.Random(20260814)
-    for _ in range(500):
+    for case in range(800):
+        # the first 500 pastings are integral, the rest have denominators 2..5
         r = rng.randint(1, 3)
         w1 = sorted((rng.randint(-4, 4) for _ in range(r)), reverse=True)
         w2 = sorted(rng.randint(-4, 4) for _ in range(r))
-        a = _random_invertible(rng, r)
+        a = _random_invertible(rng, r) if case < 500 else _random_rational_invertible(rng, r)
         degrees = bootstrap(w1, w2, a)
         assert sum(degrees) == sum(w1) - sum(w2)
         assert degrees == h0_oracle(transition_from_block(w1, w2, a))
