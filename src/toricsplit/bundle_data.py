@@ -4,9 +4,12 @@ A rank-r equivariant bundle is described by one multiset of r dual-lattice
 weights per maximal cone plus invertible r x r rational pastings between
 their frames, subject to three exact conditions (net, cocycle, support).
 Only the pastings into and out of the first cone's frame are stored; every
-other pasting is their product, so the cocycle condition holds by
-construction.  Weights are stored sorted lexicographically and pastings
-are permuted to match, so serialization is deterministic.
+other pasting is their product, so the cocycle condition is checked in
+``assemble_bundle`` (given pastings factor through that frame) and by
+``validate``'s per-cone identity check.  Net and support are checked wall by
+wall in ``splitting.restrict`` alone.  Weights are stored sorted
+lexicographically and pastings are permuted to match, so serialization is
+deterministic.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact_linear import IntMatrix, Rat, dot, rat_matmul, rat_rank, solve_integral
+from .exact_linear import Rat, dot, rat_matmul, rat_rank
 from .fan import Fan, dual_basis, walls
-from .intersection import AugmentedIntersectionMatrix, principal_columns
-from .splitting import SplittingSystem
+from .intersection import AugmentedIntersectionMatrix
+from .solver import canonical_class_rep
+from .splitting import SplittingSystem, restrict
 
 PastingMatrix = tuple[tuple[Rat, ...], ...]
 
@@ -82,7 +86,11 @@ def assemble_bundle(
 
 
 def validate(data: KaneyamaBundleData) -> list[str]:
-    """All violations of the net, cocycle, and support conditions (empty = valid)."""
+    """All violations of the net, cocycle, and support conditions (empty = valid).
+
+    Checks shapes and, for the cocycle condition, (c, 0) @ (0, c) = I per
+    cone; net and support come from ``splitting.restrict``, one per wall.
+    """
     fan = data.fan
     r = data.rank
     violations: list[str] = []
@@ -105,26 +113,16 @@ def validate(data: KaneyamaBundleData) -> list[str]:
                 violations.append(f"cocycle fails for cones ({c},0,{c}): pasting ({c},{c}) is not the identity")
     if violations:
         return violations
-
+    # restrict checks support of pasting (c2, c1) only: with the net condition
+    # it is supported on the preorder of weight keys, matrices so supported
+    # are closed under products, and by Cayley-Hamilton an inverse is a
+    # polynomial in its matrix, so (c1, c2), the inverse by the identity
+    # check above, is supported there too and passes the reverse check.
     for wall in walls(fan):
-        tau_rays = [fan.rays[t] for t in wall.tau]
-        c1, c2 = wall.sigma1, wall.sigma2
-        key1 = sorted(tuple(dot(chi, v) for v in tau_rays) for chi in data.weight_systems[c1])
-        key2 = sorted(tuple(dot(chi, v) for v in tau_rays) for chi in data.weight_systems[c2])
-        if key1 != key2:
-            violations.append(
-                f"net condition fails at wall tau {wall.tau} between cones {c1} and {c2}"
-            )
-        for ca, cb in ((c2, c1), (c1, c2)):
-            p = data.pasting(ca, cb)
-            for i, chi_a in enumerate(data.weight_systems[ca]):
-                for j, chi_b in enumerate(data.weight_systems[cb]):
-                    if p[i][j] == 0:
-                        continue
-                    if any(dot(chi_a, v) - dot(chi_b, v) < 0 for v in tau_rays):
-                        violations.append(
-                            f"support fails for pasting ({ca},{cb}) entry ({i},{j}) at wall tau {wall.tau}"
-                        )
+        try:
+            restrict(data, wall)
+        except ValueError as exc:
+            violations.append(str(exc))
     return violations
 
 
@@ -207,10 +205,9 @@ def make_euler_spec(
             raise ValueError(f"exponent vector {tuple(alpha)} needs {j} entries")
         if any(e < 0 for e in alpha):
             raise ValueError(f"exponent vector {tuple(alpha)} must be nonnegative")
-    principal = IntMatrix.from_rows([list(col) for col in zip(*principal_columns(fan))])
     for d, alpha in zip(divisors, exponents):
-        diff = IntMatrix.from_rows([[e - x] for e, x in zip(alpha, d)])
-        if solve_integral(principal, diff) is None:
+        # the monomial is a section iff alpha - d is principal, i.e. reduces to zero
+        if any(canonical_class_rep([e - x for e, x in zip(alpha, d)], fan)):
             raise ValueError(
                 f"monomial {tuple(alpha)} is not a section of the summand {tuple(d)}"
             )
@@ -317,23 +314,26 @@ def parse_bundle(text: str, fan: Fan) -> KaneyamaBundleData:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("rank"):
+        keyword = line.split()[0]
+        head, _, body = line.partition(":")
+        if keyword == "rank":
             if rank is not None:
                 raise ValueError(f"line {lineno}: duplicate rank line")
             try:
-                rank = int(line.split()[1])
-            except (IndexError, ValueError):
+                (value,) = line.split()[1:]
+                rank = int(value)
+            except ValueError:
                 raise ValueError(f"line {lineno}: rank takes one integer") from None
             if rank < 1:
                 raise ValueError(f"line {lineno}: rank must be positive")
-        elif line.startswith("weights"):
+        elif keyword == "weights":
             if rank is None:
                 raise ValueError(f"line {lineno}: weights before rank")
-            head, _, body = line.partition(":")
             try:
-                ci = int(head.split()[1]) - 1
-            except (IndexError, ValueError):
-                raise ValueError(f"line {lineno}: weights needs a cone index") from None
+                (index,) = head.split()[1:]
+                ci = int(index) - 1
+            except ValueError:
+                raise ValueError(f"line {lineno}: weights needs one cone index") from None
             if not 0 <= ci < n_cones:
                 raise ValueError(f"line {lineno}: cone index out of range")
             if ci in weights:
@@ -353,14 +353,13 @@ def parse_bundle(text: str, fan: Fan) -> KaneyamaBundleData:
             if len(chis) != rank:
                 raise ValueError(f"line {lineno}: expected {rank} weights")
             weights[ci] = chis
-        elif line.startswith("pasting"):
+        elif keyword == "pasting":
             if rank is None:
                 raise ValueError(f"line {lineno}: pasting before rank")
-            head, _, body = line.partition(":")
-            parts = head.split()
             try:
-                c2, c1 = int(parts[1]) - 1, int(parts[2]) - 1
-            except (IndexError, ValueError):
+                i, j = head.split()[1:]
+                c2, c1 = int(i) - 1, int(j) - 1
+            except ValueError:
                 raise ValueError(f"line {lineno}: pasting needs two cone indices") from None
             if not (0 <= c2 < n_cones and 0 <= c1 < n_cones) or c1 == c2:
                 raise ValueError(f"line {lineno}: invalid cone pair")
@@ -374,7 +373,7 @@ def parse_bundle(text: str, fan: Fan) -> KaneyamaBundleData:
                 raise ValueError(f"line {lineno}: expected {rank * rank} entries")
             pastings[(c2, c1)] = [vals[i * rank : (i + 1) * rank] for i in range(rank)]
         else:
-            raise ValueError(f"line {lineno}: unknown keyword {line.split()[0]!r}")
+            raise ValueError(f"line {lineno}: unknown keyword {keyword!r}")
     if rank is None:
         raise ValueError("missing rank line")
     missing_w = [ci + 1 for ci in range(n_cones) if ci not in weights]
@@ -418,8 +417,9 @@ def parse_euler(text: str, fan: Fan) -> EulerBundleSpec:
                 raise ValueError(f"line {lineno}: expected 'euler' header")
             seen_header = True
             continue
-        if not line.startswith("summand"):
-            raise ValueError(f"line {lineno}: unknown keyword {line.split()[0]!r}")
+        keyword = line.split()[0]
+        if keyword != "summand":
+            raise ValueError(f"line {lineno}: unknown keyword {keyword!r}")
         body = line[len("summand") :]
         left, sep, right = body.partition(":")
         if not sep:
@@ -438,13 +438,14 @@ def parse_euler(text: str, fan: Fan) -> EulerBundleSpec:
 
 def load_bundle(text: str, fan: Fan) -> KaneyamaBundleData | EulerBundleSpec:
     """Dispatch on the first content line: 'rank' or 'euler'."""
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line == "euler":
+        keyword = line.split()[0]
+        if keyword == "euler":
             return parse_euler(text, fan)
-        if line.startswith("rank"):
+        if keyword == "rank":
             return parse_bundle(text, fan)
-        raise ValueError(f"unrecognized bundle file header {line.split()[0]!r}")
+        raise ValueError(f"line {lineno}: unrecognized bundle file header {keyword!r}")
     raise ValueError("empty bundle file")

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 
-from .exact_linear import dot, int_det, unimodular_inverse
+from .exact_linear import dot, unimodular_inverse
 
 
 @dataclass(frozen=True)
@@ -35,16 +35,12 @@ class Fan:
         is that of the matrix whose rows are the subset's rays.
         """
         j, n = len(self.rays), self.dim
-        tail = tuple(range(j - n, j))
-        if abs(int_det([self.rays[k] for k in tail])) == 1:
-            support = tail
-        else:
-            support = next(
-                combo
-                for combo in combinations(range(j), n)
-                if abs(int_det([self.rays[k] for k in combo])) == 1
-            )
-        return support, unimodular_inverse([self.rays[k] for k in support])
+        for support in chain([tuple(range(j - n, j))], combinations(range(j), n)):
+            try:
+                return support, unimodular_inverse([self.rays[k] for k in support])
+            except ValueError:
+                continue
+        raise RuntimeError("invariant broken: no ray subset is a lattice basis")
 
 
 @dataclass(frozen=True)
@@ -91,14 +87,17 @@ def make_fan(n: int, rays, max_cones) -> Fan:
         raise ValueError("duplicate rays")
 
     cone_tuples = []
+    cone_inverses = []
     for cone in max_cones:
         idx = tuple(sorted(int(i) for i in cone))
         if len(idx) != n or len(set(idx)) != n:
             raise ValueError(f"maximal cone {tuple(cone)} must consist of {n} distinct rays")
         if idx[0] < 0 or idx[-1] >= len(ray_tuples):
             raise ValueError(f"cone {tuple(cone)} references a ray that does not exist")
-        if abs(int_det([ray_tuples[i] for i in idx])) != 1:
-            raise ValueError(f"non-unimodular cone {tuple(cone)}")
+        try:
+            cone_inverses.append(unimodular_inverse(list(zip(*(ray_tuples[i] for i in idx)))))
+        except ValueError:
+            raise ValueError(f"non-unimodular cone {tuple(cone)}") from None
         cone_tuples.append(idx)
     if len(set(cone_tuples)) != len(cone_tuples):
         raise ValueError("duplicate maximal cones")
@@ -118,8 +117,7 @@ def make_fan(n: int, rays, max_cones) -> Fan:
             )
 
     # a foreign ray with nonnegative coordinates in a cone's basis sits inside it
-    for idx in cone_tuples:
-        basis_inv = unimodular_inverse(list(zip(*(ray_tuples[i] for i in idx))))
+    for idx, basis_inv in zip(cone_tuples, cone_inverses):
         for j, ray in enumerate(ray_tuples):
             if j in idx:
                 continue

@@ -31,23 +31,17 @@ from .intersection import (
 )
 from .splitting import SplittingSystem
 
-# admissibility modes a column can still aim for
-_DEFAULT_MODES = frozenset({"nonneg", "neg"})
-_STRICT_MODES = frozenset({"pos", "zero", "neg"})
+# sign classes a column can still aim for, one bit each:
+# nonneg 0b0001, neg 0b0010, pos 0b0100, zero 0b1000
+_DEFAULT_MODES = 0b0011
+_STRICT_MODES = 0b1110
 
 
-def _surviving_modes(modes: frozenset[str], entry: int) -> frozenset[str]:
-    keep = set()
-    for mode in modes:
-        if mode == "nonneg" and entry >= 0:
-            keep.add(mode)
-        elif mode == "pos" and entry > 0:
-            keep.add(mode)
-        elif mode == "zero" and entry == 0:
-            keep.add(mode)
-        elif mode == "neg" and entry < 0:
-            keep.add(mode)
-    return frozenset(keep)
+def _entry_modes(entry: int) -> int:
+    """The sign classes an entry is compatible with."""
+    if entry > 0:
+        return 0b0101
+    return 0b1001 if entry == 0 else 0b0010
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,10 @@ def find_splitting_types(
     _, kernel = solved
     _assert_kernel_is_principal(kernel, aim.fan)
 
-    choices = [tuple(sorted(set(permutations(row)), reverse=True)) for row in degree_rows]
+    choices = [
+        tuple((o, tuple(map(_entry_modes, o))) for o in sorted(set(permutations(row)), reverse=True))
+        for row in degree_rows
+    ]
     triggers = _prefix_constraints(aim.left_kernel)
     start_modes = _STRICT_MODES if strict else _DEFAULT_MODES
 
@@ -100,7 +97,7 @@ def find_splitting_types(
     results: dict[tuple[tuple[int, ...], ...], SplittingType] = {}
     counter = 0
 
-    def scan(i: int, col_modes: tuple[frozenset[str], ...], pair_tied: tuple[bool, ...]) -> None:
+    def scan(i: int, col_modes: tuple[int, ...], pair_tied: tuple[bool, ...]) -> None:
         nonlocal counter
         if i == n_walls:
             counter += 1
@@ -109,11 +106,9 @@ def find_splitting_types(
                 key = tuple(sorted(solution.canonical))
                 results.setdefault(key, solution)
             return
-        for ordering in choices[i]:
-            modes = tuple(
-                _surviving_modes(col_modes[l], ordering[l]) for l in range(r)
-            )
-            if any(not m for m in modes):
+        for ordering, entry_modes in choices[i]:
+            modes = tuple(m & e for m, e in zip(col_modes, entry_modes))
+            if not all(modes):
                 continue
             tied = list(pair_tied)
             dead = False

@@ -109,7 +109,7 @@ def restrict(
     key1 = [tuple(dot(chi, vt) for vt in tau_rays) for chi in w1]
     key2 = [tuple(dot(chi, vt) for vt in tau_rays) for chi in w2]
     if sorted(key1) != sorted(key2):
-        raise ValueError(f"net condition fails at wall tau {wall.tau}")
+        raise ValueError(f"net condition fails at wall tau {wall.tau} between cones {c1} and {c2}")
 
     # entries joining different isotypic classes must vanish in the limit
     # into the wall point; the support condition makes the exponent positive
@@ -117,7 +117,7 @@ def restrict(
         for i1, k1 in enumerate(key1):
             if k1 != k2 and p[i2][i1] != 0 and any(b - a < 0 for a, b in zip(k1, k2)):
                 raise ValueError(
-                    f"pasting entry ({i2},{i1}) at wall tau {wall.tau} violates the support condition"
+                    f"support fails for pasting ({c2},{c1}) entry ({i2},{i1}) at wall tau {wall.tau}"
                 )
 
     blocks = []
@@ -174,7 +174,7 @@ def bootstrap(
         i_cols, j_rows, v = _top_stratum(w1, w2, a)
         degrees.append(w1[i_cols[0]] - w2[j_rows[0]])
         _deflate(a, w1, w2, v, j_rows)
-    degrees.append(w1[0] - w2[0])
+    degrees.extend(x - y for x, y in zip(w1, w2))
     return tuple(sorted(degrees, reverse=True))
 
 
@@ -337,6 +337,8 @@ def h0_oracle(transition: Sequence[Sequence[tuple[Rat, int]]]) -> tuple[int, ...
     r = len(transition)
     if any(len(row) != r for row in transition):
         raise ValueError("transition matrix must be square")
+    if r == 0:
+        return ()
     if r > _DETERMINANT_RANK_CAP:
         raise RuntimeError(f"transition rank {r} exceeds the determinant rank cap {_DETERMINANT_RANK_CAP}")
     t = _clear_rows(transition)

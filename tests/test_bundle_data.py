@@ -1,6 +1,8 @@
 """Bundle data validation, example constructions, and the text formats."""
 
+import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +19,7 @@ from toricsplit.bundle_data import (
     tangent_bundle,
     validate,
 )
+from toricsplit.exact_linear import dot, rat_matmul
 from toricsplit.fan import projective_space, walls
 from toricsplit.intersection import augmented_matrix
 from toricsplit.splitting import splitting_system
@@ -81,6 +84,111 @@ def test_validate_reports_singular_pasting():
     good = tangent_bundle(projective_space(2))
     zero = ((0, 0), (0, 0))
     assert validate(_with_star(good, 2, to_base=zero)) == ["pasting (2,0) or (0,2) is singular"]
+
+
+def _reference_wall_fails(data, wall):
+    """The net check and the two-direction support check that ``validate`` once ran itself."""
+    tau_rays = [data.fan.rays[t] for t in wall.tau]
+    c1, c2 = wall.sigma1, wall.sigma2
+    key1 = sorted(tuple(dot(chi, v) for v in tau_rays) for chi in data.weight_systems[c1])
+    key2 = sorted(tuple(dot(chi, v) for v in tau_rays) for chi in data.weight_systems[c2])
+    if key1 != key2:
+        return True
+    for ca, cb in ((c2, c1), (c1, c2)):
+        p = data.pasting(ca, cb)
+        for i, chi_a in enumerate(data.weight_systems[ca]):
+            for j, chi_b in enumerate(data.weight_systems[cb]):
+                if p[i][j] == 0:
+                    continue
+                if any(dot(chi_a, v) - dot(chi_b, v) < 0 for v in tau_rays):
+                    return True
+    return False
+
+
+def _frame_change(rng, r):
+    """A random invertible r x r matrix and its inverse: a product of scalings, shears and swaps."""
+    g = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    g_inv = [row[:] for row in g]
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("scale", "shear", "swap"))
+        i, j = rng.sample(range(r), 2) if r > 1 else (0, 0)
+        if kind == "scale":
+            t = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+            step = [[t if (a == b == i) else Fraction(int(a == b)) for b in range(r)] for a in range(r)]
+            back = [[1 / t if (a == b == i) else Fraction(int(a == b)) for b in range(r)] for a in range(r)]
+        elif kind == "shear" and i != j:
+            t = Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2))
+            step = [[Fraction(int(a == b)) + (t if (a, b) == (i, j) else 0) for b in range(r)] for a in range(r)]
+            back = [[Fraction(int(a == b)) - (t if (a, b) == (i, j) else 0) for b in range(r)] for a in range(r)]
+        else:
+            swap = {i: j, j: i}
+            step = back = [[Fraction(int(swap.get(a, a) == b)) for b in range(r)] for a in range(r)]
+        g = rat_matmul(g, step)
+        g_inv = rat_matmul(back, g_inv)
+    return g, g_inv
+
+
+def _perturbed(rng, data):
+    """``data`` with random frame changes at star cones and, sometimes, altered weights.
+
+    A frame change of cone c multiplies (0, c) by G on the right and (c, 0)
+    by G^-1 on the left, so the per-cone identity check still passes.  A
+    relabelling of a cone's weights with the matching permutation, and a
+    twist of every weight by one character, keep the bundle valid.
+    """
+    weights = [list(ws) for ws in data.weight_systems]
+    to, back = list(data.to_base), list(data.from_base)
+    r, n_cones, dim = data.rank, len(weights), data.fan.dim
+    for _ in range(rng.randint(1, 2)):
+        c = rng.randrange(1, n_cones)
+        if rng.random() < 0.3 and r > 1:
+            order = rng.sample(range(r), r)  # new weight k is old weight order[k]
+            g = [[Fraction(int(order[k] == i)) for k in range(r)] for i in range(r)]
+            g_inv = [list(col) for col in zip(*g)]
+            weights[c] = [weights[c][order[k]] for k in range(r)]
+        else:
+            g, g_inv = _frame_change(rng, r)
+        to[c] = tuple(map(tuple, rat_matmul(to[c], g)))
+        back[c] = tuple(map(tuple, rat_matmul(g_inv, back[c])))
+    roll = rng.random()
+    if roll < 0.15:
+        twist = [rng.randint(-2, 2) for _ in range(dim)]
+        weights = [[tuple(x + t for x, t in zip(chi, twist)) for chi in ws] for ws in weights]
+    elif roll < 0.3:
+        c, k, axis = rng.randrange(n_cones), rng.randrange(r), rng.randrange(dim)
+        chi = list(weights[c][k])
+        chi[axis] += rng.choice((-1, 1))
+        weights[c][k] = tuple(chi)
+    return replace(
+        data,
+        weight_systems=tuple(tuple(ws) for ws in weights),
+        to_base=tuple(to),
+        from_base=tuple(back),
+    )
+
+
+def test_validate_matches_two_direction_wall_reference():
+    # restrict checks support in one direction only; on every perturbed
+    # bundle it must fail exactly the walls the two-direction loop fails
+    fans = [projective_space(2), projective_space(3)]
+    fans += [graph_to_fan(g) for k in range(3) for g in enumerate_blowups(k)]
+    bases = [tangent_bundle(fan) for fan in fans]
+    bases += [cp2_rank2(a, b, c) for a, b, c in [(1, 1, 1), (1, 2, 3), (2, 2, 1), (3, 1, 2)]]
+    rng = random.Random(20261018)
+    valid = 0
+    failing_walls = 0
+    for case in range(2400):
+        data = _perturbed(rng, bases[case % len(bases)])
+        expected = [wall for wall in walls(data.fan) if _reference_wall_fails(data, wall)]
+        problems = validate(data)
+        assert len(problems) == len(expected), (case, problems)
+        for wall, problem in zip(expected, problems):
+            assert f"at wall tau {wall.tau}" in problem, (case, problem)
+            assert problem.startswith(("net condition fails", "support fails")), problem
+        valid += not problems
+        failing_walls += len(expected)
+    assert 400 < valid < 2000, valid
+    assert failing_walls > 1000, failing_walls
 
 
 def _altered_pasting(data, label, entries):
@@ -296,3 +404,5 @@ def test_parse_euler_errors():
         parse_euler("euler\nsummand 1 0 0 1 0 0\n", fan)
     with pytest.raises(ValueError, match="non-integer"):
         parse_euler("euler\nsummand 1 0 x : 1 0 0\n", fan)
+    with pytest.raises(ValueError, match="line 2: unknown keyword 'summand1'"):
+        parse_euler("euler\nsummand1 0 0 : 1 0 0\n", fan)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from toricsplit.bundle_data import cp2_rank2, format_bundle, tangent_bundle
+from toricsplit.bundle_data import cp2_rank2, format_bundle, load_bundle, parse_bundle, tangent_bundle
 from toricsplit.cli import main
 from toricsplit.fan import format_fan, projective_space
 from toricsplit.surface_graph import graph_to_fan, hirzebruch
@@ -188,6 +188,34 @@ def test_invalid_bundle_file_reports_validation(capsys, tmp_path):
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err, (message, captured.err)
+
+
+@pytest.mark.parametrize(
+    "old, new, lineno",
+    [
+        ("rank 1", "ranks 1", 1),
+        ("rank 1", "rank 1 7", 1),
+        ("weights 1:", "weightsX 1:", 2),
+        ("weights 2:", "weights 2 9:", 3),
+        ("pasting 1 2:", "pastings 1 2 3:", 4),
+    ],
+)
+def test_bundle_keywords_are_whole_tokens(capsys, tmp_path, old, new, lineno):
+    fan = projective_space(1)
+    good = format_bundle(tangent_bundle(fan))
+    assert good.splitlines()[lineno - 1].startswith(old)
+    text = good.replace(old, new, 1)
+    for load in (parse_bundle, load_bundle):
+        with pytest.raises(ValueError, match=f"^line {lineno}: "):
+            load(text, fan)
+    fan_file = tmp_path / "p1.fan"
+    fan_file.write_text(format_fan(fan))
+    bad = tmp_path / "bad.bundle"
+    bad.write_text(text)
+    code, out, err = run(capsys, "bundle-split", "--fan", str(fan_file), "--bundle", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: line {lineno}: ") and err.count("\n") == 1
 
 
 def test_missing_subcommand(capsys):

@@ -1,5 +1,10 @@
+from itertools import combinations
+
 import pytest
 
+import toricsplit.exact_linear as exact_linear
+import toricsplit.fan as fan_module
+from toricsplit.exact_linear import unimodular_inverse
 from toricsplit.fan import (
     Fan,
     dual_basis,
@@ -37,6 +42,8 @@ def test_make_fan_rejects_bad_data():
         make_fan(2, [(2, 0), (0, 1), (-1, -1)], CP2_CONES)
     with pytest.raises(ValueError, match="non-unimodular"):
         make_fan(2, [(1, 0), (1, 2)], [(0, 1)])
+    with pytest.raises(ValueError, match=r"non-unimodular cone \(0, 1\)"):
+        make_fan(2, [(1, 0), (-1, 0)], [(0, 1)])
     # one cone missing: its facets are no longer shared by two cones
     with pytest.raises(ValueError, match="exactly 2"):
         make_fan(2, CP2_RAYS, [(0, 1), (1, 2)])
@@ -47,6 +54,31 @@ def test_make_fan_rejects_bad_data():
             [(1, 0), (0, 1), (1, 1), (0, -1)],
             [(0, 1), (1, 2), (2, 3), (0, 3)],
         )
+
+
+def test_make_fan_inverts_each_cone_once(monkeypatch):
+    # the inverse is the smoothness test and is reused by the overlap check
+    calls = {"unimodular_inverse": 0, "int_det": 0}
+
+    def spy(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    monkeypatch.setattr(fan_module, "unimodular_inverse", spy("unimodular_inverse", unimodular_inverse))
+    for module in (fan_module, exact_linear):
+        monkeypatch.setattr(module, "int_det", spy("int_det", exact_linear.int_det), raising=False)
+    cases = [
+        (2, CP2_RAYS, CP2_CONES),
+        (2, [(1, 0), (0, 1), (-1, -3), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], list(combinations(range(4), 3))),
+    ]
+    for n, rays, cones in cases:
+        calls.update(unimodular_inverse=0, int_det=0)
+        make_fan(n, rays, cones)
+        assert calls == {"unimodular_inverse": len(cones), "int_det": 0}
 
 
 def test_walls_cp2():

@@ -147,6 +147,12 @@ def test_bootstrap_rank_one():
     assert bootstrap((4,), (1,), [[Fraction(2, 3)]]) == (3,)
 
 
+def test_rank_zero_block_has_no_degrees():
+    assert bootstrap([], [], []) == ()
+    assert h0_oracle([]) == ()
+    assert h0_oracle(transition_from_block([], [], [])) == ()
+
+
 def test_bootstrap_rejects_singular_pasting():
     with pytest.raises(ValueError, match="singular pasting"):
         bootstrap((1, 0), (0, 1), [[1, 1], [1, 1]])
@@ -254,7 +260,7 @@ def test_restrict_rejects_support_violation():
     good = tangent_bundle(fan)
     ones = ((1, 1), (1, 1))
     data = replace(good, to_base=(ones,) * 3, from_base=(ones,) * 3)
-    with pytest.raises(ValueError, match="support condition"):
+    with pytest.raises(ValueError, match="support fails"):
         restrict(data, walls(fan)[0])
 
 
