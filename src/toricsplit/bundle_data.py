@@ -14,17 +14,22 @@ deterministic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exact_linear import Rat, dot, rat_matmul, rat_rank
-from .fan import Fan, dual_basis, walls
+from .fan import Fan, walls
 from .intersection import AugmentedIntersectionMatrix
 from .solver import canonical_class_rep
 from .splitting import SplittingSystem, restrict
 
 PastingMatrix = tuple[tuple[Rat, ...], ...]
+
+# the one pasting entry form ``format_bundle`` writes: p or p/q with q != 0
+_RATIONAL_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+_ENTRY_LENGTH_CAP = 4300  # Python's default digit limit for int(), on every version
 
 
 @dataclass(frozen=True)
@@ -133,12 +138,11 @@ def tangent_bundle(fan: Fan) -> KaneyamaBundleData:
     rays, which is exactly the Jacobian of the monomial chart change.  Only
     the pastings into and out of cone 0 are built.
     """
-    duals = [dual_basis(fan, ci) for ci in range(len(fan.max_cones))]
     pasting_map = {}
     for c in range(1, len(fan.max_cones)):
-        pasting_map[(0, c)] = [[dot(e, v) for v in fan.cone_rays(c)] for e in duals[0]]
-        pasting_map[(c, 0)] = [[dot(e, v) for v in fan.cone_rays(0)] for e in duals[c]]
-    return assemble_bundle(fan, duals, pasting_map)
+        pasting_map[(0, c)] = [[dot(e, v) for v in fan.cone_rays(c)] for e in fan.duals[0]]
+        pasting_map[(c, 0)] = [[dot(e, v) for v in fan.cone_rays(0)] for e in fan.duals[c]]
+    return assemble_bundle(fan, fan.duals, pasting_map)
 
 
 def cp2_rank2(a: int, b: int, c: int) -> KaneyamaBundleData:
@@ -365,10 +369,10 @@ def parse_bundle(text: str, fan: Fan) -> KaneyamaBundleData:
                 raise ValueError(f"line {lineno}: invalid cone pair")
             if (c2, c1) in pastings:
                 raise ValueError(f"line {lineno}: duplicate pasting {c2 + 1} {c1 + 1}")
-            try:
-                vals = [Fraction(tok) for tok in body.split()]
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-rational pasting entry") from None
+            entries = body.split()
+            if not all(len(tok) <= _ENTRY_LENGTH_CAP and _RATIONAL_ENTRY.fullmatch(tok) for tok in entries):
+                raise ValueError(f"line {lineno}: non-rational pasting entry")
+            vals = [Fraction(tok) for tok in entries]
             if len(vals) != rank * rank:
                 raise ValueError(f"line {lineno}: expected {rank * rank} entries")
             pastings[(c2, c1)] = [vals[i * rank : (i + 1) * rank] for i in range(rank)]

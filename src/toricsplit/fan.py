@@ -1,13 +1,14 @@
 """Complete nonsingular fans: validation, walls, wall relations, dual bases.
 
 A fan is stored as an ordered ray list plus maximal cones given by ray
-index sets.  Ray and cone order is preserved from input so every
-downstream report is reproducible bit for bit.
+index sets, with each cone's dual basis from ``make_fan``'s one inversion.
+Ray and cone order is preserved from input so every downstream report is
+reproducible bit for bit.  ``walls`` caches the last fan's walls only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from math import gcd
@@ -17,11 +18,12 @@ from .exact_linear import dot, unimodular_inverse
 
 @dataclass(frozen=True)
 class Fan:
-    """Validated complete nonsingular fan in a lattice of rank ``dim``."""
+    """Validated complete nonsingular fan; ``duals[c]`` is cone c's dual basis."""
 
     dim: int
     rays: tuple[tuple[int, ...], ...]
     max_cones: tuple[tuple[int, ...], ...]
+    duals: tuple[tuple[tuple[int, ...], ...], ...] = field(compare=False, repr=False)
 
     def cone_rays(self, cone_index: int) -> tuple[tuple[int, ...], ...]:
         return tuple(self.rays[j] for j in self.max_cones[cone_index])
@@ -124,28 +126,28 @@ def make_fan(n: int, rays, max_cones) -> Fan:
             if all(dot(row, ray) >= 0 for row in basis_inv):
                 raise ValueError(f"overlapping cones: ray {j} lies inside cone {idx}")
 
-    return Fan(n, ray_tuples, tuple(cone_tuples))
+    return Fan(n, ray_tuples, tuple(cone_tuples), tuple(cone_inverses))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def walls(fan: Fan) -> tuple[Wall, ...]:
     """All walls of the fan, in lexicographic order of their tau index sets.
 
     The relation is read off v_extra2 in the dual basis of sigma1: its
     extra1 coordinate is -1 and its tau coordinates are -a_1, ..., -a_{n-1}.
+    The cache holds one fan, as callers ask for one fan's walls in a row.
     """
     by_facet: dict[tuple[int, ...], list[int]] = {}
     for ci, cone in enumerate(fan.max_cones):
         for facet in combinations(cone, fan.dim - 1):
             by_facet.setdefault(facet, []).append(ci)
-    duals = [dual_basis(fan, ci) for ci in range(len(fan.max_cones))]
     out = []
     for tau in sorted(by_facet):
         c1, c2 = sorted(by_facet[tau])
         cone1 = fan.max_cones[c1]
         (e1,) = set(cone1) - set(tau)
         (e2,) = set(fan.max_cones[c2]) - set(tau)
-        coords = [dot(e, fan.rays[e2]) for e in duals[c1]]
+        coords = [dot(e, fan.rays[e2]) for e in fan.duals[c1]]
         if coords[cone1.index(e1)] != -1:
             raise ValueError(f"wall relation for tau {tau}: rays {e1}, {e2} do not sum into its span")
         relation = tuple(-coords[cone1.index(t)] for t in tau)
@@ -156,10 +158,9 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
 def dual_basis(fan: Fan, cone_index: int) -> tuple[tuple[int, ...], ...]:
     """Vectors e^1..e^n of the dual lattice with <e^i, v_j> = delta_ij.
 
-    Indexed against the stored (sorted) ray order of the cone; existence is
-    guaranteed by unimodularity, and the result is integral.
+    Indexed against the cone's stored (sorted) ray order; stored by ``make_fan``.
     """
-    return unimodular_inverse(list(zip(*fan.cone_rays(cone_index))))
+    return fan.duals[cone_index]
 
 
 def wall_label(tau: tuple[int, ...]) -> str:

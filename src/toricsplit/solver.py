@@ -35,6 +35,7 @@ from .splitting import SplittingSystem
 # nonneg 0b0001, neg 0b0010, pos 0b0100, zero 0b1000
 _DEFAULT_MODES = 0b0011
 _STRICT_MODES = 0b1110
+_ORDERING_RANK_CAP = 8  # each wall tries up to r! orderings of its row
 
 
 def _entry_modes(entry: int) -> int:
@@ -77,6 +78,8 @@ def find_splitting_types(
     r = len(degree_rows[0])
     if any(len(row) != r for row in degree_rows):
         raise ValueError("wall tuples have mixed lengths")
+    if r > _ORDERING_RANK_CAP:
+        raise RuntimeError(f"bundle rank {r} exceeds the ordering rank cap {_ORDERING_RANK_CAP}")
 
     q = aim.q
     zero_rhs = IntMatrix(q.rows, 1, tuple((0,) for _ in range(q.rows)))

@@ -27,7 +27,7 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Sequence
 
 from .exact_linear import Rat, clear_denominators, dot, int_rank, rat_invert, rat_kernel, rat_rank
-from .fan import Wall, dual_basis, wall_label, walls
+from .fan import Wall, wall_label, walls
 
 if TYPE_CHECKING:
     from .bundle_data import KaneyamaBundleData
@@ -98,7 +98,7 @@ def restrict(
         v = fan.rays[wall.extra1]
     else:
         v = tuple(int(x) for x in v_chart)
-        conormal = dual_basis(fan, c1)[fan.max_cones[c1].index(wall.extra1)]
+        conormal = fan.duals[c1][fan.max_cones[c1].index(wall.extra1)]
         if dot(conormal, v) != 1:
             raise ValueError(f"v_chart {v} does not pair to 1 against the wall conormal")
 

@@ -18,3 +18,5 @@ def test_traced_names_resolve(monkeypatch):
         module = importlib.import_module(f"toricsplit.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"toricsplit.{layer}.{name} is traced but missing"
+    # fan.walls.hit_ratio is read from the walls cache
+    assert callable(getattr(importlib.import_module("toricsplit.fan").walls, "cache_info", None))

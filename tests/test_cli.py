@@ -218,6 +218,48 @@ def test_bundle_keywords_are_whole_tokens(capsys, tmp_path, old, new, lineno):
     assert err.startswith(f"error: line {lineno}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("token", ["1/0", "1e9", "0.5", "1/-2", "1" * 4301])
+def test_bad_pasting_entries_are_named(capsys, tmp_path, token):
+    # only p and p/q with q != 0 are read; nothing else reaches Fraction,
+    # which would divide by zero or expand the exponent of 1e10000000
+    fan = projective_space(1)
+    good = format_bundle(tangent_bundle(fan))
+    assert good.splitlines()[3] == "pasting 1 2: -1"
+    text = good.replace("pasting 1 2: -1", f"pasting 1 2: {token}")
+    with pytest.raises(ValueError, match="^line 4: non-rational pasting entry$"):
+        parse_bundle(text, fan)
+    fan_file = tmp_path / "p1.fan"
+    fan_file.write_text(format_fan(fan))
+    bad = tmp_path / "bad.bundle"
+    bad.write_text(text)
+    code, out, err = run(capsys, "bundle-split", "--fan", str(fan_file), "--bundle", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 4: non-rational pasting entry\n"
+
+
+def test_bundle_rank_over_ordering_cap_is_named(capsys, tmp_path):
+    r = 9
+    identity = " ".join(str(int(i == j)) for i in range(r) for j in range(r))
+    text = "\n".join(
+        [
+            f"rank {r}",
+            "weights 1: " + ";".join(f"({i})" for i in range(r)),
+            "weights 2: " + ";".join(f"({-i})" for i in range(r)),
+            f"pasting 1 2: {identity}",
+            f"pasting 2 1: {identity}",
+        ]
+    )
+    fan_file = tmp_path / "p1.fan"
+    fan_file.write_text(format_fan(projective_space(1)))
+    bundle = tmp_path / "rank9.bundle"
+    bundle.write_text(text + "\n")
+    code, out, err = run(capsys, "bundle-split", "--fan", str(fan_file), "--bundle", str(bundle))
+    assert code == 2
+    assert out == ""
+    assert err == "error: bundle rank 9 exceeds the ordering rank cap 8\n"
+
+
 def test_missing_subcommand(capsys):
     code = main([])
     captured = capsys.readouterr()

@@ -1,9 +1,15 @@
+import gc
+import weakref
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
+import toricsplit.bundle_data as bundle_data
 import toricsplit.exact_linear as exact_linear
 import toricsplit.fan as fan_module
+import toricsplit.splitting as splitting
+from toricsplit.bundle_data import format_bundle, parse_bundle, tangent_bundle
 from toricsplit.exact_linear import unimodular_inverse
 from toricsplit.fan import (
     Fan,
@@ -18,6 +24,12 @@ from toricsplit.surface_graph import enumerate_blowups, graph_to_fan
 
 CP2_RAYS = [(1, 0), (0, 1), (-1, -1)]
 CP2_CONES = [(0, 1), (1, 2), (2, 0)]
+
+
+def direct_fan(dim, rays, cones):
+    """A Fan built without make_fan's checks, its dual bases inverted here."""
+    duals = tuple(unimodular_inverse(list(zip(*(rays[i] for i in cone)))) for cone in cones)
+    return Fan(dim, rays, cones, duals)
 
 
 def fa_fan(a):
@@ -57,7 +69,8 @@ def test_make_fan_rejects_bad_data():
 
 
 def test_make_fan_inverts_each_cone_once(monkeypatch):
-    # the inverse is the smoothness test and is reused by the overlap check
+    # the inverse is the smoothness test, is reused by the overlap check, and
+    # is the dual basis every later consumer reads: none of them inverts again
     calls = {"unimodular_inverse": 0, "int_det": 0}
 
     def spy(name, original):
@@ -67,7 +80,10 @@ def test_make_fan_inverts_each_cone_once(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(fan_module, "unimodular_inverse", spy("unimodular_inverse", unimodular_inverse))
+    for module in (fan_module, bundle_data, splitting):
+        monkeypatch.setattr(
+            module, "unimodular_inverse", spy("unimodular_inverse", unimodular_inverse), raising=False
+        )
     for module in (fan_module, exact_linear):
         monkeypatch.setattr(module, "int_det", spy("int_det", exact_linear.int_det), raising=False)
     cases = [
@@ -77,8 +93,27 @@ def test_make_fan_inverts_each_cone_once(monkeypatch):
     ]
     for n, rays, cones in cases:
         calls.update(unimodular_inverse=0, int_det=0)
-        make_fan(n, rays, cones)
+        fan = make_fan(n, rays, cones)
         assert calls == {"unimodular_inverse": len(cones), "int_det": 0}
+        calls.update(unimodular_inverse=0)
+        walls.cache_clear()
+        ws = walls(fan)
+        data = tangent_bundle(fan)
+        splitting.splitting_system(data)
+        for wall in ws:
+            splitting.restrict(data, wall, v_chart=fan.rays[wall.extra1])
+        parse_bundle(format_bundle(data), fan)
+        assert calls == {"unimodular_inverse": 0, "int_det": 0}
+
+
+def test_walls_cache_keeps_no_earlier_fan():
+    f1, f2 = projective_space(2), projective_space(3)
+    ref = weakref.ref(f1)
+    walls(f1)
+    walls(f2)
+    del f1
+    gc.collect()
+    assert ref() is None
 
 
 def test_walls_cp2():
@@ -124,7 +159,7 @@ def test_wall_relation_property_cp4():
 def test_walls_rejects_cones_on_one_side_of_a_wall():
     # (1,1) lies inside the cone {(1,0),(0,1)}: make_fan refuses this data,
     # and walls names the wall whose two cones are not on opposite sides
-    fan = Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2), (0, 2)))
+    fan = direct_fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2), (0, 2)))
     with pytest.raises(ValueError, match=r"wall relation for tau \(0,\)"):
         walls(fan)
 
@@ -178,4 +213,8 @@ def test_parse_rejects_malformed():
 
 
 def test_projective_space_cp2_matches_literal():
-    assert projective_space(2) == Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (0, 2), (1, 2)))
+    literal = direct_fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (0, 2), (1, 2)))
+    assert projective_space(2) == literal
+    # the dual bases are derived data: equality and hashing read dim, rays and cones
+    bare = replace(literal, duals=())
+    assert bare == literal and hash(bare) == hash(literal)

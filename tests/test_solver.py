@@ -110,6 +110,17 @@ def test_wall_mismatch_rejected():
         find_splitting_types(aim, shifted)
 
 
+def test_ordering_rank_cap_stops_before_any_permutation(monkeypatch):
+    def no_permutations(row):
+        raise AssertionError(f"permutations of {row} built")
+
+    monkeypatch.setattr(solver, "permutations", no_permutations)
+    aim = augmented_matrix(projective_space(1))
+    system = SplittingSystem(tuple(w.tau for w in aim.row_walls), (tuple(range(8, -1, -1)),))
+    with pytest.raises(RuntimeError, match="^bundle rank 9 exceeds the ordering rank cap 8$"):
+        find_splitting_types(aim, system)
+
+
 def test_kernel_guard_trips_on_foreign_matrix():
     fan = projective_space(2)
     aim, system = tangent_case(fan)
