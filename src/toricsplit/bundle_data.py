@@ -313,7 +313,7 @@ def parse_bundle(text: str, fan: Fan) -> KaneyamaBundleData:
     rank: int | None = None
     n_cones = len(fan.max_cones)
     weights: dict[int, list[tuple[int, ...]]] = {}
-    pastings: dict[tuple[int, int], list[list[Fraction]]] = {}
+    pastings: dict[tuple[int, int], list[list[Rat]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -372,7 +372,7 @@ def parse_bundle(text: str, fan: Fan) -> KaneyamaBundleData:
             entries = body.split()
             if not all(len(tok) <= _ENTRY_LENGTH_CAP and _RATIONAL_ENTRY.fullmatch(tok) for tok in entries):
                 raise ValueError(f"line {lineno}: non-rational pasting entry")
-            vals = [Fraction(tok) for tok in entries]
+            vals = [Fraction(tok) if "/" in tok else int(tok) for tok in entries]
             if len(vals) != rank * rank:
                 raise ValueError(f"line {lineno}: expected {rank * rank} entries")
             pastings[(c2, c1)] = [vals[i * rank : (i + 1) * rank] for i in range(rank)]

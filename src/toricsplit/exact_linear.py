@@ -5,6 +5,12 @@ rely on canonical output: ``hnf`` returns the reduced row Hermite normal
 form and ``solve_integral`` the particular solution whose free coordinates
 vanish in HNF coordinates.  No floating point anywhere.
 
+``SolvePlan`` is the one back-substitution: it keeps what an integral
+solve needs of the matrix alone (the HNF of its transpose as sparse pivot
+and residual terms, the rank rows of U and the integral kernel), so a
+caller with many right-hand sides for one matrix pays for one ``hnf``;
+``solve_integral`` is a loop over columns on top of it.
+
 Ranks, kernels and inverses come from one fraction-free Gauss-Jordan
 elimination, ``_int_rref``: each pivot is made positive, the pivot column
 is cleared from every other row by ``p*row_i - f*row_r``, and each updated
@@ -27,6 +33,8 @@ from math import gcd, lcm
 from typing import Sequence
 
 Rat = int | Fraction
+# the nonzero entries of a vector as (index, coeff) pairs, in index order
+SparseTerms = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -60,7 +68,7 @@ class IntMatrix:
         return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(list(zip(*self.entries))) if self.rows else IntMatrix(0, 0, ())
+        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.rows else ((),) * self.cols)
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
@@ -141,6 +149,62 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix.from_rows(h), IntMatrix.from_rows(u)
 
 
+class SolvePlan:
+    """Everything in an integral solve of a @ x = c that depends on ``a`` alone.
+
+    Built from one ``hnf`` of the transpose, U @ a^T == H: a @ x = c with
+    x = U^T y reads H^T y = c, which is triangular on H's pivot columns.
+    ``solve`` back-substitutes one right-hand column through the sparse
+    pivot terms, checks the equations at the other columns, and maps y to
+    x through the rank rows of U (Cohen, GTM 138, section 2.4).  The rows
+    of U past the rank are an integral basis of the kernel.
+    """
+
+    def __init__(self, a: IntMatrix) -> None:
+        h, u = hnf(a.transpose())
+        pivots: list[int] = []
+        for row in h.entries:
+            p = next((j for j, v in enumerate(row) if v != 0), None)
+            if p is None:
+                break
+            pivots.append(p)
+        rank = len(pivots)
+        self.rows = a.rows
+        self.kernel = list(u.entries[rank:])
+        h_cols = list(zip(*h.entries[:rank])) if rank else [()] * a.rows
+        u_cols = list(zip(*u.entries[:rank])) if rank else [()] * a.cols
+        # y[t] = (c[p] - sum(coeff * y[s] for s, coeff in terms)) / pivot
+        self._pivot_terms = tuple(
+            (p, h_cols[p][t], nonzero_terms(h_cols[p][:t])) for t, p in enumerate(pivots)
+        )
+        # every equation off the pivot columns must hold as it stands
+        on_pivot = set(pivots)
+        self._residual_terms = tuple(
+            (i, nonzero_terms(col)) for i, col in enumerate(h_cols) if i not in on_pivot
+        )
+        # x[j] = sum(coeff * y[t] for t, coeff in terms)
+        self._unknown_terms = tuple(nonzero_terms(col) for col in u_cols)
+
+    def solve(self, c: Sequence[int]) -> tuple[int, ...] | None:
+        """The canonical integral x with a @ x == c, or None when there is none."""
+        if len(c) != self.rows:
+            raise ValueError(f"dimension mismatch: {self.rows} equations, {len(c)} right-hand rows")
+        y: list[int] = []
+        for p, pivot, terms in self._pivot_terms:
+            s = c[p] - sum(coeff * y[t] for t, coeff in terms)
+            if s % pivot:
+                return None
+            y.append(s // pivot)
+        for i, terms in self._residual_terms:
+            if sum(coeff * y[t] for t, coeff in terms) != c[i]:
+                return None
+        return tuple(sum(coeff * y[t] for t, coeff in terms) for terms in self._unknown_terms)
+
+
+def nonzero_terms(vec: Sequence[int]) -> SparseTerms:
+    return tuple((i, v) for i, v in enumerate(vec) if v)
+
+
 def solve_integral(
     a: IntMatrix, b: IntMatrix
 ) -> tuple[IntMatrix, list[tuple[int, ...]]] | None:
@@ -154,38 +218,14 @@ def solve_integral(
     """
     if a.rows != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows} equations, {b.rows} right-hand rows")
-    n_unknowns = a.cols
-    hp, up = hnf(a.transpose())
-    pivots: list[int] = []
-    for t in range(hp.rows):
-        p = next((j for j in range(hp.cols) if hp.entries[t][j] != 0), None)
-        if p is None:
-            break
-        pivots.append(p)
-    rank = len(pivots)
-    kernel = [up.entries[t] for t in range(rank, n_unknowns)]
-
-    x_cols: list[list[int]] = []
+    plan = SolvePlan(a)
+    x_cols = []
     for c_idx in range(b.cols):
-        c = b.column(c_idx)
-        y = [0] * n_unknowns
-        ok = True
-        for t, p in enumerate(pivots):
-            s = c[p] - sum(hp.entries[u_i][p] * y[u_i] for u_i in range(t))
-            piv = hp.entries[t][p]
-            if s % piv:
-                ok = False
-                break
-            y[t] = s // piv
-        if not ok:
+        col = plan.solve(b.column(c_idx))
+        if col is None:
             return None
-        for i in range(a.rows):
-            if sum(hp.entries[t][i] * y[t] for t in range(rank)) != c[i]:
-                return None
-        x_cols.append([sum(up.entries[t][j] * y[t] for t in range(rank)) for j in range(n_unknowns)])
-
-    x = IntMatrix.from_rows([list(col) for col in zip(*x_cols)]) if x_cols else IntMatrix(n_unknowns, 0, tuple(() for _ in range(n_unknowns)))
-    return x, kernel
+        x_cols.append(col)
+    return IntMatrix(b.cols, a.cols, tuple(x_cols)).transpose(), plan.kernel
 
 
 def _int_rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:

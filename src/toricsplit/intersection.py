@@ -12,7 +12,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Sequence
 
-from .exact_linear import IntMatrix, int_kernel
+from .exact_linear import IntMatrix, SolvePlan, SparseTerms, hnf, int_kernel, nonzero_terms
 from .fan import Fan, Wall, walls
 
 
@@ -38,6 +38,33 @@ class AugmentedIntersectionMatrix:
         echelon form by last nonzero entry.
         """
         return tuple(int_kernel(list(zip(*self.q.entries))))
+
+    @cached_property
+    def kernel_triggers(self) -> tuple[tuple[SparseTerms, ...], ...]:
+        """The left-kernel relations as sparse (wall, coeff) terms, listed under their last wall."""
+        triggers: list[list[SparseTerms]] = [[] for _ in self.row_walls]
+        for terms in map(nonzero_terms, self.left_kernel):
+            triggers[terms[-1][0]].append(terms)
+        return tuple(map(tuple, triggers))
+
+    @cached_property
+    def solve_plan(self) -> SolvePlan:
+        """The integral solve plan of Q, built once; Q's solution lattice is checked here.
+
+        Every solve against Q may be ambiguous only up to linear
+        equivalence: the plan's kernel must be the principal-divisor lattice.
+        """
+        plan = SolvePlan(self.q)
+        if plan.solve((0,) * self.q.rows) is None:
+            raise RuntimeError("invariant broken: Q @ x = 0 has no integral solution")
+        h_kernel = _lattice_form(plan.kernel)
+        h_principal = _lattice_form(principal_columns(self.fan))
+        if h_kernel != h_principal:
+            raise RuntimeError(
+                "solution lattice is not the principal-divisor lattice: "
+                f"kernel HNF {h_kernel} vs principal HNF {h_principal}"
+            )
+        return plan
 
 
 def augmented_matrix(fan: Fan) -> AugmentedIntersectionMatrix:
@@ -75,3 +102,10 @@ def sign_of_class(aim: AugmentedIntersectionMatrix, x: Sequence[int]) -> SignCla
 def principal_columns(fan: Fan) -> list[tuple[int, ...]]:
     """Generators of the principal-divisor lattice: one column per dual-lattice basis vector."""
     return [tuple(ray[t] for ray in fan.rays) for t in range(fan.dim)]
+
+
+def _lattice_form(vectors) -> tuple[tuple[int, ...], ...]:
+    if not vectors:
+        return ()
+    h, _ = hnf(IntMatrix.from_rows([list(v) for v in vectors]))
+    return tuple(row for row in h.entries if any(row))

@@ -12,8 +12,12 @@ first scan over walls, pruning on three exact conditions:
 * rational consistency of every left-kernel relation of the intersection
   matrix as soon as its last supported wall is assigned.
 
-Surviving candidates are solved integrally; solutions are reduced modulo
-the principal-divisor lattice and deduplicated.
+The relations are read as sparse terms from ``aim.kernel_triggers``.
+Surviving candidates are solved integrally, column by column, by
+back-substitution against the matrix's cached ``aim.solve_plan`` (one HNF
+per matrix, whose solution lattice is checked when the plan is built);
+each solution is checked against Q, reduced modulo the principal-divisor
+lattice and deduplicated.
 """
 
 from __future__ import annotations
@@ -21,14 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .exact_linear import IntMatrix, hnf, solve_integral
+from .exact_linear import SolvePlan, SparseTerms
 from .fan import Fan
-from .intersection import (
-    AugmentedIntersectionMatrix,
-    SignClass,
-    principal_columns,
-    sign_of_class,
-)
+from .intersection import AugmentedIntersectionMatrix, SignClass, apply_q, sign_of_class
 from .splitting import SplittingSystem
 
 # sign classes a column can still aim for, one bit each:
@@ -36,6 +35,7 @@ from .splitting import SplittingSystem
 _DEFAULT_MODES = 0b0011
 _STRICT_MODES = 0b1110
 _ORDERING_RANK_CAP = 8  # each wall tries up to r! orderings of its row
+_STAT_KEYS = ("leaves", "failed_solves", "duplicates", "sign_cuts", "lex_cuts", "kernel_cuts")
 
 
 def _entry_modes(entry: int) -> int:
@@ -61,13 +61,23 @@ class SplittingType:
 
 
 def find_splitting_types(
-    aim: AugmentedIntersectionMatrix, system: SplittingSystem, strict: bool = False
+    aim: AugmentedIntersectionMatrix,
+    system: SplittingSystem,
+    strict: bool = False,
+    stats: dict[str, int] | None = None,
 ) -> list[SplittingType]:
     """All splitting types of a degree system, canonicalized and sorted.
 
     Default sign rule: each column's restriction degrees are all >= 0 or
     all < 0.  Strict mode narrows to all > 0, all = 0, or all < 0.  An empty
     result means the system admits no splitting type.
+
+    When ``stats`` is a dict, the search adds its counts to it: ``leaves``
+    (candidates reached), ``failed_solves`` (leaves with no integral
+    solution), ``duplicates`` (solutions equal to an earlier one up to
+    linear equivalence and column order) and the orderings cut by
+    ``sign_cuts``, ``lex_cuts`` and ``kernel_cuts``.  The result has
+    ``leaves - failed_solves - duplicates`` types.
     """
     if tuple(w.tau for w in aim.row_walls) != system.taus:
         raise ValueError("system walls do not match the intersection matrix")
@@ -81,37 +91,31 @@ def find_splitting_types(
     if r > _ORDERING_RANK_CAP:
         raise RuntimeError(f"bundle rank {r} exceeds the ordering rank cap {_ORDERING_RANK_CAP}")
 
-    q = aim.q
-    zero_rhs = IntMatrix(q.rows, 1, tuple((0,) for _ in range(q.rows)))
-    solved = solve_integral(q, zero_rhs)
-    if solved is None:
-        raise RuntimeError("invariant broken: Q @ x = 0 has no integral solution")
-    _, kernel = solved
-    _assert_kernel_is_principal(kernel, aim.fan)
-
+    plan = aim.solve_plan
     choices = [
         tuple((o, tuple(map(_entry_modes, o))) for o in sorted(set(permutations(row)), reverse=True))
         for row in degree_rows
     ]
-    triggers = _prefix_constraints(aim.left_kernel)
+    triggers = aim.kernel_triggers
     start_modes = _STRICT_MODES if strict else _DEFAULT_MODES
 
     assigned: list[tuple[int, ...]] = []
     results: dict[tuple[tuple[int, ...], ...], SplittingType] = {}
-    counter = 0
+    counts = dict.fromkeys(_STAT_KEYS, 0)
 
     def scan(i: int, col_modes: tuple[int, ...], pair_tied: tuple[bool, ...]) -> None:
-        nonlocal counter
         if i == n_walls:
-            counter += 1
-            solution = _solve_candidate(aim, tuple(assigned), counter)
-            if solution is not None:
-                key = tuple(sorted(solution.canonical))
-                results.setdefault(key, solution)
+            counts["leaves"] += 1
+            solution = _solve_candidate(aim, plan, tuple(assigned), counts["leaves"])
+            if solution is None:
+                counts["failed_solves"] += 1
+            elif results.setdefault(tuple(sorted(solution.canonical)), solution) is not solution:
+                counts["duplicates"] += 1
             return
         for ordering, entry_modes in choices[i]:
             modes = tuple(m & e for m, e in zip(col_modes, entry_modes))
             if not all(modes):
+                counts["sign_cuts"] += 1
                 continue
             tied = list(pair_tied)
             dead = False
@@ -123,75 +127,53 @@ def find_splitting_types(
                     if ordering[l] > ordering[l + 1]:
                         tied[l] = False
             if dead:
+                counts["lex_cuts"] += 1
                 continue
             assigned.append(ordering)
-            if all(
-                _constraint_holds(vec, assigned, r) for vec in triggers.get(i, ())
-            ):
+            if all(_relation_holds(terms, assigned, r) for terms in triggers[i]):
                 scan(i + 1, modes, tuple(tied))
+            else:
+                counts["kernel_cuts"] += 1
             assigned.pop()
 
     scan(0, tuple(start_modes for _ in range(r)), tuple(True for _ in range(r - 1)))
+    # scan's closure holds scan itself: emptying that cell frees the search
+    # state now instead of at the next cyclic garbage collection
+    del scan
+    if stats is not None:
+        for key, n in counts.items():
+            stats[key] = stats.get(key, 0) + n
     return [results[key] for key in sorted(results)]
 
 
-def _constraint_holds(
-    vec: tuple[int, ...], assigned: list[tuple[int, ...]], r: int
-) -> bool:
+def _relation_holds(terms: SparseTerms, assigned: list[tuple[int, ...]], r: int) -> bool:
     for l in range(r):
-        if sum(c * row[l] for c, row in zip(vec, assigned)) != 0:
+        if sum(c * assigned[w][l] for w, c in terms) != 0:
             return False
     return True
 
 
-def _prefix_constraints(
-    left_kernel: tuple[tuple[int, ...], ...]
-) -> dict[int, list[tuple[int, ...]]]:
-    """Left-kernel relations keyed by the last wall they touch."""
-    triggers: dict[int, list[tuple[int, ...]]] = {}
-    for vec in left_kernel:
-        last = max(i for i, c in enumerate(vec) if c != 0)
-        triggers.setdefault(last, []).append(vec)
-    return triggers
-
-
 def _solve_candidate(
-    aim: AugmentedIntersectionMatrix, rows: tuple[tuple[int, ...], ...], perm_id: int
+    aim: AugmentedIntersectionMatrix,
+    plan: SolvePlan,
+    rows: tuple[tuple[int, ...], ...],
+    perm_id: int,
 ) -> SplittingType | None:
-    q = aim.q
-    rhs = IntMatrix.from_rows([list(row) for row in rows])
-    solved = solve_integral(q, rhs)
-    if solved is None:
-        return None
-    x, _ = solved
-    columns = tuple(x.column(l) for l in range(x.cols))
-    if (q @ x).entries != rhs.entries:
+    """Solve each column of the candidate rows against Q's plan; None when one has no solution."""
+    targets = tuple(zip(*rows))
+    columns = []
+    for target in targets:
+        x = plan.solve(target)
+        if x is None:
+            return None
+        columns.append(x)
+    if any(apply_q(aim, x) != target for x, target in zip(columns, targets)):
         raise RuntimeError(f"invariant broken: integral solve of candidate {perm_id} misses Q @ x = rows")
     canonical = tuple(canonical_class_rep(col, aim.fan) for col in columns)
     signs = tuple(sign_of_class(aim, col) for col in columns)
     if SignClass.MIXED in signs:
         raise RuntimeError(f"invariant broken: candidate {perm_id} solves to a class of mixed sign")
-    return SplittingType(perm_id, rows, columns, canonical, signs)
-
-
-def _assert_kernel_is_principal(kernel: list[tuple[int, ...]], fan: Fan) -> None:
-    """The solve may only be ambiguous up to linear equivalence; anything else is fatal."""
-    principal = principal_columns(fan)
-    j = len(fan.rays)
-    h_kernel = _lattice_form(kernel, j)
-    h_principal = _lattice_form(principal, j)
-    if h_kernel != h_principal:
-        raise RuntimeError(
-            "solution lattice is not the principal-divisor lattice: "
-            f"kernel HNF {h_kernel} vs principal HNF {h_principal}"
-        )
-
-
-def _lattice_form(vectors, width: int) -> tuple[tuple[int, ...], ...]:
-    if not vectors:
-        return ()
-    h, _ = hnf(IntMatrix.from_rows([list(v) for v in vectors]))
-    return tuple(row for row in h.entries if any(row))
+    return SplittingType(perm_id, rows, tuple(columns), canonical, signs)
 
 
 def canonical_class_rep(x, fan: Fan) -> tuple[int, ...]:

@@ -354,8 +354,15 @@ def test_parse_bundle_accepts_rationals_and_comments():
     fan = projective_space(2)
     data = cp2_rank2(1, 1, 1)
     text = format_bundle(data)
-    text = text.replace("pasting 1 2: 0 1 1 -1", "pasting 1 2: 0/1 2/2 1 -1  # same matrix")
-    assert parse_bundle(text, fan) == data
+    text = text.replace("pasting 1 2: 1 0 -1 1", "pasting 1 2: 2/2 0/1 -1 1  # same matrix")
+    assert "2/2" in text
+    parsed = parse_bundle(text, fan)
+    assert parsed == data
+    # a token with '/' parses as a Fraction, any other as an int
+    entry_types = {type(x) for m in parsed.to_base for row in m for x in row}
+    assert entry_types == {int, Fraction}
+    tangent = parse_bundle(format_bundle(tangent_bundle(fan)), fan)
+    assert {type(x) for m in tangent.to_base + tangent.from_base for row in m for x in row} == {int}
 
 
 def test_parse_bundle_errors_carry_line_numbers():

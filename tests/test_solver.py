@@ -1,19 +1,22 @@
 """Splitting-type search: frozen answers, brute-force agreement, canonicalization."""
 
 import ast
+import gc
+import importlib.util
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import weakref
 from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 
-from toricsplit import intersection, solver
+from toricsplit import exact_linear, intersection, solver
 from toricsplit.bundle_data import cp2_rank2, tangent_bundle
-from toricsplit.exact_linear import IntMatrix, solve_integral
+from toricsplit.exact_linear import IntMatrix, SolvePlan, hnf, rat_rank, solve_integral
 from toricsplit.fan import make_fan, projective_space, walls
 from toricsplit.intersection import AugmentedIntersectionMatrix, SignClass, augmented_matrix
 from toricsplit.solver import SplittingType, canonical_class_rep, find_splitting_types
@@ -130,23 +133,22 @@ def test_kernel_guard_trips_on_foreign_matrix():
 
 
 def test_check_homogeneous_solve_exists(monkeypatch):
-    monkeypatch.setattr(solver, "solve_integral", lambda a, b: None)
+    monkeypatch.setattr(exact_linear.SolvePlan, "solve", lambda plan, c: None)
     aim, system = tangent_case(projective_space(2))
     with pytest.raises(RuntimeError, match="Q @ x = 0 has no integral solution"):
         find_splitting_types(aim, system)
 
 
 def test_check_candidate_solution_satisfies_rows(monkeypatch):
-    def off_by_one(a, b):
-        solved = solve_integral(a, b)
-        if solved is None or not any(any(row) for row in b.entries):
-            return solved
-        x, kernel = solved
-        rows = [list(row) for row in x.entries]
-        rows[0][0] += 1
-        return IntMatrix.from_rows(rows), kernel
+    real = exact_linear.SolvePlan.solve
 
-    monkeypatch.setattr(solver, "solve_integral", off_by_one)
+    def off_by_one(plan, c):
+        x = real(plan, c)
+        if x is None or not any(c):
+            return x
+        return (x[0] + 1,) + x[1:]
+
+    monkeypatch.setattr(exact_linear.SolvePlan, "solve", off_by_one)
     aim, system = tangent_case(projective_space(2))
     with pytest.raises(RuntimeError, match="misses Q @ x = rows"):
         find_splitting_types(aim, system)
@@ -303,6 +305,182 @@ def test_reduction_support_falls_back_lexicographically():
 def test_class_vector_length_checked():
     with pytest.raises(ValueError, match="entries"):
         canonical_class_rep((1, 2), projective_space(2))
+
+
+# ------------------------------------------------------------- solve plan
+
+
+def _reference_solve_integral(a, b):
+    """Oracle for ``SolvePlan``: a fresh HNF of a^T per call, dense back-substitution."""
+    n_unknowns = a.cols
+    hp, up = hnf(a.transpose())
+    pivots = []
+    for t in range(hp.rows):
+        p = next((j for j in range(hp.cols) if hp.entries[t][j] != 0), None)
+        if p is None:
+            break
+        pivots.append(p)
+    rank = len(pivots)
+    kernel = [up.entries[t] for t in range(rank, n_unknowns)]
+    x_cols = []
+    for c_idx in range(b.cols):
+        c = b.column(c_idx)
+        y = [0] * n_unknowns
+        for t, p in enumerate(pivots):
+            s = c[p] - sum(hp.entries[u_i][p] * y[u_i] for u_i in range(t))
+            piv = hp.entries[t][p]
+            if s % piv:
+                return None
+            y[t] = s // piv
+        for i in range(a.rows):
+            if sum(hp.entries[t][i] * y[t] for t in range(rank)) != c[i]:
+                return None
+        x_cols.append([sum(up.entries[t][j] * y[t] for t in range(rank)) for j in range(n_unknowns)])
+    return IntMatrix.from_rows([list(col) for col in zip(*x_cols)]), kernel
+
+
+def _plan_fans():
+    fans = [projective_space(2), projective_space(3)]
+    fans += [graph_to_fan(hirzebruch(a)) for a in range(4)]
+    for k in (2, 4):
+        graphs = sorted(enumerate_blowups(k), key=lambda g: g.weights)
+        fans += [graph_to_fan(graphs[0]), graph_to_fan(graphs[-1])]
+    return fans + [graph_to_fan(WeightedCircularGraph((-1,) * 6))]
+
+
+def test_plan_matches_reference_solve():
+    # The image of Q is saturated on these fans, so every integral column
+    # that Q solves rationally it also solves integrally; 2Q supplies the
+    # columns that are rationally consistent but not integral.
+    rng = random.Random(2024)
+    kinds = {"integral": 0, "inconsistent": 0, "not integral": 0}
+    for fan in _plan_fans():
+        q = augmented_matrix(fan).q
+        for a in (q, IntMatrix.from_rows([[2 * v for v in row] for row in q.entries])):
+            plan = SolvePlan(a)
+            assert plan.kernel == _reference_solve_integral(a, IntMatrix(a.rows, 0, ((),) * a.rows))[1]
+            targets = []
+            for _ in range(12):
+                d = [rng.randint(-4, 4) for _ in range(q.cols)]
+                targets.append(tuple(sum(v * x for v, x in zip(row, d)) for row in q.entries))
+                targets.append(tuple(rng.randint(-4, 4) for _ in range(q.rows)))
+            for c in targets:
+                want = _reference_solve_integral(a, IntMatrix.from_rows([[v] for v in c]))
+                got = plan.solve(c)
+                if want is None:
+                    assert got is None
+                    consistent = rat_rank(a.entries) == rat_rank([row + (v,) for row, v in zip(a.entries, c)])
+                    kinds["not integral" if consistent else "inconsistent"] += 1
+                else:
+                    assert got == want[0].column(0)
+                    kinds["integral"] += 1
+            b = IntMatrix.from_rows(list(zip(*targets[::2])))
+            assert solve_integral(a, b) == _reference_solve_integral(a, b)
+    assert min(kinds.values()) > 20, kinds
+
+
+def test_plan_rejects_wrong_column_length():
+    plan = augmented_matrix(projective_space(2)).solve_plan
+    with pytest.raises(ValueError, match="3 equations, 2 right-hand rows"):
+        plan.solve((1, 1))
+
+
+def _line_sum_systems(aim, rng, count):
+    """Degree systems Q.D of sums of two or three nef or anti-ample line bundles."""
+    fan = aim.fan
+    taus = tuple(w.tau for w in aim.row_walls)
+    for _ in range(count):
+        images = []
+        for _ in range(rng.randint(2, 3)):
+            anti = rng.random() < 0.3
+            if fan.dim == 2:
+                # d(v) = sum_k c_k |det(v_k, v)| is nef, and ample when every c_k >= 1
+                coeffs = [rng.randint(int(anti), 1 + int(anti)) for _ in fan.rays]
+                d = [
+                    sum(c * abs(u[0] * v[1] - u[1] * v[0]) for c, u in zip(coeffs, fan.rays))
+                    for v in fan.rays
+                ]
+            else:
+                d = [rng.randint(int(anti), 3)] + [0] * (len(fan.rays) - 1)
+            images.append(intersection.apply_q(aim, [-x for x in d] if anti else d))
+        yield SplittingSystem(taus, tuple(tuple(sorted(col, reverse=True)) for col in zip(*images)))
+
+
+def test_hnf_count_is_fixed_per_matrix(monkeypatch):
+    calls = []
+
+    def spy(a):
+        calls.append(a)
+        return hnf(a)
+
+    monkeypatch.setattr(exact_linear, "hnf", spy)
+    monkeypatch.setattr(intersection, "hnf", spy)
+    aim = augmented_matrix(graph_to_fan(sorted(enumerate_blowups(3), key=lambda g: g.weights)[-1]))
+    stats = {}
+    find_splitting_types(aim, splitting_system(tangent_bundle(aim.fan)), stats=stats)
+    # one HNF of Q^T for the plan, one each for the kernel and principal lattices
+    assert len(calls) == 3
+    for system in _line_sum_systems(aim, random.Random(5), 8):
+        for strict in (False, True):
+            find_splitting_types(aim, system, strict=strict, stats=stats)
+    assert len(calls) == 3
+    assert stats["leaves"] > 20
+
+
+def test_solve_plan_is_collected_with_its_matrix():
+    aim, system = tangent_case(graph_to_fan(hirzebruch(1)))
+    find_splitting_types(aim, system)
+    plan = weakref.ref(aim.solve_plan)
+    del aim
+    gc.collect()
+    assert plan() is None
+
+
+# ------------------------------------------------------------- search stats
+
+
+def test_stats_reconcile_with_types():
+    rng = random.Random(77)
+    for fan in _plan_fans()[:6]:
+        aim = augmented_matrix(fan)
+        systems = [splitting_system(tangent_bundle(fan)), *_line_sum_systems(aim, rng, 4)]
+        for system in systems:
+            for strict in (False, True):
+                stats = {}
+                types = find_splitting_types(aim, system, strict=strict, stats=stats)
+                assert set(stats) == {
+                    "leaves", "failed_solves", "duplicates", "sign_cuts", "lex_cuts", "kernel_cuts"
+                }
+                assert len(types) == stats["leaves"] - stats["failed_solves"] - stats["duplicates"]
+                assert all(t.perm_id <= stats["leaves"] for t in types)
+                again = dict(stats)
+                find_splitting_types(aim, system, strict=strict, stats=again)
+                assert again == {key: 2 * n for key, n in stats.items()}
+    # 2Q has Q's kernel and left kernel, so its plan is accepted, but odd
+    # degrees then have no integral solution
+    fan = projective_space(2)
+    aim = augmented_matrix(fan)
+    doubled = AugmentedIntersectionMatrix(
+        fan, aim.row_walls, IntMatrix.from_rows([[2 * v for v in row] for row in aim.q.entries])
+    )
+    stats = {}
+    assert find_splitting_types(doubled, splitting_system(tangent_bundle(fan)), stats=stats) == []
+    assert stats["leaves"] == stats["failed_solves"] == 1
+
+
+def test_stats_count_line_sum_search_leaves(monkeypatch):
+    # the benchmark's line_sum_search inputs for seed 1, built without its harness
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.LineSumSearch()
+    items = workload.setup(random.Random(1), None)[: workload.size]
+    stats = {}
+    for _, _, aim, system, strict, _ in items:
+        find_splitting_types(aim, system, strict=strict, stats=stats)
+    assert stats["leaves"] == 6585
 
 
 # ------------------------------------------------------- brute-force oracle
