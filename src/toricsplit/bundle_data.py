@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exact_linear import Rat, dot, rat_matmul, rat_rank
-from .fan import Fan, walls
+from .fan import Fan, content_lines, walls
 from .intersection import AugmentedIntersectionMatrix
 from .solver import canonical_class_rep
 from .splitting import SplittingSystem, restrict
@@ -314,10 +314,7 @@ def parse_bundle(text: str, fan: Fan) -> KaneyamaBundleData:
     n_cones = len(fan.max_cones)
     weights: dict[int, list[tuple[int, ...]]] = {}
     pastings: dict[tuple[int, int], list[list[Rat]]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         keyword = line.split()[0]
         head, _, body = line.partition(":")
         if keyword == "rank":
@@ -412,10 +409,7 @@ def parse_euler(text: str, fan: Fan) -> EulerBundleSpec:
     divisors: list[list[int]] = []
     exponents: list[list[int]] = []
     seen_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if not seen_header:
             if line != "euler":
                 raise ValueError(f"line {lineno}: expected 'euler' header")
@@ -442,14 +436,13 @@ def parse_euler(text: str, fan: Fan) -> EulerBundleSpec:
 
 def load_bundle(text: str, fan: Fan) -> KaneyamaBundleData | EulerBundleSpec:
     """Dispatch on the first content line: 'rank' or 'euler'."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        keyword = line.split()[0]
-        if keyword == "euler":
-            return parse_euler(text, fan)
-        if keyword == "rank":
-            return parse_bundle(text, fan)
-        raise ValueError(f"line {lineno}: unrecognized bundle file header {keyword!r}")
-    raise ValueError("empty bundle file")
+    first = next(content_lines(text), None)
+    if first is None:
+        raise ValueError("empty bundle file")
+    lineno, line = first
+    keyword = line.split()[0]
+    if keyword == "euler":
+        return parse_euler(text, fan)
+    if keyword == "rank":
+        return parse_bundle(text, fan)
+    raise ValueError(f"line {lineno}: unrecognized bundle file header {keyword!r}")

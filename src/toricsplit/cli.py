@@ -9,195 +9,111 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .bundle_data import (
-    EulerBundleSpec,
-    euler_splitting_system,
-    load_bundle,
-    tangent_bundle,
-)
+from .bundle_data import EulerBundleSpec, euler_splitting_system, load_bundle, tangent_bundle
 from .fan import Fan, parse_fan, wall_label
-from .intersection import AugmentedIntersectionMatrix, augmented_matrix
+from .intersection import augmented_matrix
 from .solver import SplittingType, find_splitting_types
-from .splitting import SplittingSystem, format_system, splitting_system
+from .splitting import splitting_system
 from .surface_graph import WeightedCircularGraph, enumerate_blowups, graph_to_fan
 
 SURFACE_ENUMERATION_CAP = 9
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    fan_path: str | None
-    bundle_path: str | None
-    graph: str | None
-    strict: bool
-    k: int | None
-    fmt: str
-
-    def __post_init__(self) -> None:
-        if self.k is not None and not 0 <= self.k <= SURFACE_ENUMERATION_CAP:
-            raise ValueError(f"k must be between 0 and {SURFACE_ENUMERATION_CAP}")
-        if self.fmt not in ("text", "tsv"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse prints multi-line usage on error; we want one parsable line
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise ValueError(message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="toricsplit", add_help=True)
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    def common(
-        p: _Parser, fan_inputs: bool = False, bundle: bool = False, strict: bool = False
-    ) -> _Parser:
-        p.add_argument("--format", choices=("text", "tsv"), default="text")
-        if strict:
-            p.add_argument("--strict-signs", action="store_true")
-        if fan_inputs:
-            p.add_argument("--fan", default=None, help="fan description file")
-            p.add_argument("--graph", default=None, help="comma-separated circular weights")
-        if bundle:
-            p.add_argument("--bundle", required=True, help="bundle description file")
-        return p
-
-    common(sub.add_parser("surfaces")).add_argument("--k", type=int, default=None)
-    common(sub.add_parser("q-matrix"), fan_inputs=True)
-    common(sub.add_parser("tangent-split"), fan_inputs=True, strict=True)
-    common(sub.add_parser("bundle-split"), fan_inputs=True, bundle=True, strict=True)
-    common(sub.add_parser("table41"), strict=True)
-    return parser
-
-
-def _config(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=ns.subcommand,
-        fan_path=getattr(ns, "fan", None),
-        bundle_path=getattr(ns, "bundle", None),
-        graph=getattr(ns, "graph", None),
-        strict=getattr(ns, "strict_signs", False),
-        k=getattr(ns, "k", None),
-        fmt=ns.format,
-    )
-
-
-def _load_fan(config: RunConfig) -> Fan:
-    if (config.fan_path is None) == (config.graph is None):
+def _load_fan(ns: argparse.Namespace) -> Fan:
+    if (ns.fan is None) == (ns.graph is None):
         raise ValueError("exactly one of --fan and --graph is required")
-    if config.fan_path is not None:
-        with open(config.fan_path, encoding="utf-8") as handle:
+    if ns.fan is not None:
+        with open(ns.fan, encoding="utf-8") as handle:
             return parse_fan(handle.read())
     try:
-        weights = tuple(int(tok) for tok in config.graph.split(","))
+        weights = tuple(int(tok) for tok in ns.graph.split(","))
     except ValueError:
-        raise ValueError(f"graph weights must be integers: {config.graph!r}") from None
+        raise ValueError(f"graph weights must be integers: {ns.graph!r}") from None
     return graph_to_fan(WeightedCircularGraph(weights))
 
 
-def cmd_surfaces(config: RunConfig, out) -> None:
-    if config.k is None:
+def _print_rows(out, fmt: str, tag: str, taus, rows) -> None:
+    """Wall-labelled rows: ``tag label: v v`` in text, ``tag<TAB>label<TAB>v,v`` in tsv.
+
+    An empty tag is left out.
+    """
+    tag_sep, label_sep, join = (" ", ": ", " ") if fmt == "text" else ("\t", "\t", ",")
+    head = tag + tag_sep if tag else ""
+    for tau, row in zip(taus, rows):
+        print(head + wall_label(tau) + label_sep + join.join(map(str, row)), file=out)
+
+
+def cmd_surfaces(ns: argparse.Namespace, out) -> None:
+    if ns.k is None:
         raise ValueError("surfaces requires --k")
-    graphs = sorted(enumerate_blowups(config.k), key=lambda g: g.weights)
-    if config.fmt == "text":
-        print(f"surfaces with {config.k} blowups: {len(graphs)}", file=out)
-        for g in graphs:
-            print(",".join(str(w) for w in g.weights), file=out)
-    else:
-        for g in graphs:
-            print(f"{config.k}\t" + ",".join(str(w) for w in g.weights), file=out)
+    if not 0 <= ns.k <= SURFACE_ENUMERATION_CAP:
+        raise ValueError(f"k must be between 0 and {SURFACE_ENUMERATION_CAP}")
+    graphs = sorted(enumerate_blowups(ns.k), key=lambda g: g.weights)
+    if ns.format == "text":
+        print(f"surfaces with {ns.k} blowups: {len(graphs)}", file=out)
+    for g in graphs:
+        weights = ",".join(map(str, g.weights))
+        print(weights if ns.format == "text" else f"{ns.k}\t{weights}", file=out)
 
 
-def cmd_q_matrix(config: RunConfig, out) -> None:
-    fan = _load_fan(config)
-    aim = augmented_matrix(fan)
-    if config.fmt == "text":
+def cmd_q_matrix(ns: argparse.Namespace, out) -> None:
+    aim = augmented_matrix(_load_fan(ns))
+    if ns.format == "text":
         print(f"intersection matrix: {aim.q.rows} walls x {aim.q.cols} rays", file=out)
-        for wall, row in zip(aim.row_walls, aim.q.entries):
-            print(f"{wall_label(wall.tau)}: " + " ".join(str(x) for x in row), file=out)
+    _print_rows(out, ns.format, "", (w.tau for w in aim.row_walls), aim.q.entries)
+
+
+def cmd_split(ns: argparse.Namespace, out) -> None:
+    """The split report of ``--bundle``, or of the tangent bundle when there is none."""
+    fan = _load_fan(ns)
+    bundle_path = getattr(ns, "bundle", None)
+    if bundle_path is None:
+        bundle = tangent_bundle(fan)
     else:
-        for wall, row in zip(aim.row_walls, aim.q.entries):
-            print(wall_label(wall.tau) + "\t" + ",".join(str(x) for x in row), file=out)
-
-
-def _print_split_report(
-    aim: AugmentedIntersectionMatrix,
-    system: SplittingSystem,
-    types: list[SplittingType],
-    config: RunConfig,
-    out,
-) -> None:
-    if config.fmt == "text":
-        print("splitting numbers:", file=out)
-        out.write(format_system(system))
-        print("intersection matrix:", file=out)
-        for wall, row in zip(aim.row_walls, aim.q.entries):
-            print(f"{wall_label(wall.tau)}: " + " ".join(str(x) for x in row), file=out)
-        if not types:
-            print("no splitting type", file=out)
-            return
-        print(f"splitting types: {len(types)}", file=out)
-        for idx, t in enumerate(types, start=1):
-            print(f"type {idx} (candidate {t.perm_id})", file=out)
-            for tau, row in zip(system.taus, t.rows):
-                print(f"  degrees {wall_label(tau)}: " + " ".join(str(d) for d in row), file=out)
-            for l, (col, canon, sign) in enumerate(
-                zip(t.columns, t.canonical, t.sign_classes), start=1
-            ):
-                print(
-                    f"  class {l}: column " + " ".join(str(x) for x in col)
-                    + " ; canonical " + " ".join(str(x) for x in canon)
-                    + f" ; sign {sign.value}",
-                    file=out,
-                )
-    else:
-        for tau, row in zip(system.taus, system.degrees):
-            print("degrees\t" + wall_label(tau) + "\t" + ",".join(str(d) for d in row), file=out)
-        for wall, row in zip(aim.row_walls, aim.q.entries):
-            print("q\t" + wall_label(wall.tau) + "\t" + ",".join(str(x) for x in row), file=out)
-        if not types:
-            print("no splitting type", file=out)
-            return
-        for idx, t in enumerate(types, start=1):
-            for l, (canon, sign) in enumerate(zip(t.canonical, t.sign_classes), start=1):
-                print(
-                    f"type\t{idx}\tclass\t{l}\t" + ",".join(str(x) for x in canon)
-                    + f"\t{sign.value}",
-                    file=out,
-                )
-
-
-def cmd_tangent_split(config: RunConfig, out) -> None:
-    fan = _load_fan(config)
-    aim = augmented_matrix(fan)
-    system = splitting_system(tangent_bundle(fan))
-    types = find_splitting_types(aim, system, strict=config.strict)
-    _print_split_report(aim, system, types, config, out)
-
-
-def cmd_bundle_split(config: RunConfig, out) -> None:
-    fan = _load_fan(config)
-    with open(config.bundle_path, encoding="utf-8") as handle:
-        bundle = load_bundle(handle.read(), fan)
+        with open(bundle_path, encoding="utf-8") as handle:
+            bundle = load_bundle(handle.read(), fan)
     aim = augmented_matrix(fan)
     if isinstance(bundle, EulerBundleSpec):
         system = euler_splitting_system(bundle, aim)
     else:
         system = splitting_system(bundle)
-    types = find_splitting_types(aim, system, strict=config.strict)
-    _print_split_report(aim, system, types, config, out)
+    types = find_splitting_types(aim, system, strict=ns.strict_signs)
+
+    # find_splitting_types has checked that system.taus are Q's row walls
+    text = ns.format == "text"
+    if text:
+        print("splitting numbers:", file=out)
+    _print_rows(out, ns.format, "" if text else "degrees", system.taus, system.degrees)
+    if text:
+        print("intersection matrix:", file=out)
+    _print_rows(out, ns.format, "" if text else "q", system.taus, aim.q.entries)
+    if not types:
+        print("no splitting type", file=out)
+        return
+    if text:
+        print(f"splitting types: {len(types)}", file=out)
+    for idx, t in enumerate(types, start=1):
+        if text:
+            print(f"type {idx} (candidate {t.perm_id})", file=out)
+            _print_rows(out, ns.format, "  degrees", system.taus, t.rows)
+        for l, (col, canon, sign) in enumerate(zip(t.columns, t.canonical, t.sign_classes), start=1):
+            if text:
+                print(
+                    f"  class {l}: column " + " ".join(map(str, col))
+                    + " ; canonical " + " ".join(map(str, canon)) + f" ; sign {sign.value}",
+                    file=out,
+                )
+            else:
+                print(f"type\t{idx}\tclass\t{l}\t" + ",".join(map(str, canon)) + f"\t{sign.value}", file=out)
 
 
 @lru_cache(maxsize=None)
 def table41_rows(strict: bool = False) -> tuple[tuple[int, tuple[int, ...], SplittingType], ...]:
     """Every (blowup count, canonical weights, type) admitting a splitting type, k=1..9."""
     rows = []
-    for k in range(1, 10):
+    for k in range(1, SURFACE_ENUMERATION_CAP + 1):
         for graph in sorted(enumerate_blowups(k), key=lambda g: g.weights):
             fan = graph_to_fan(graph)
             aim = augmented_matrix(fan)
@@ -207,32 +123,53 @@ def table41_rows(strict: bool = False) -> tuple[tuple[int, tuple[int, ...], Spli
     return tuple(rows)
 
 
-def cmd_table41(config: RunConfig, out) -> None:
-    for k, weights, t in table41_rows(strict=config.strict):
-        s = len(weights)
-        reduced = [canon[: s - 2] for canon in t.canonical]
-        if config.fmt == "text":
-            print(
-                f"k={k} w=(" + ",".join(str(w) for w in weights) + ") type=("
-                + ",".join("(" + ",".join(str(x) for x in col) + ")" for col in reduced)
-                + ")",
-                file=out,
-            )
+def cmd_table41(ns: argparse.Namespace, out) -> None:
+    for k, weights, t in table41_rows(strict=ns.strict_signs):
+        w = ",".join(map(str, weights))
+        cols = [",".join(map(str, canon[: len(weights) - 2])) for canon in t.canonical]
+        if ns.format == "text":
+            print(f"k={k} w=({w}) type=(" + ",".join(f"({c})" for c in cols) + ")", file=out)
         else:
-            print(
-                f"{k}\t" + ",".join(str(w) for w in weights) + "\t"
-                + "\t".join(",".join(str(x) for x in col) for col in reduced),
-                file=out,
-            )
+            print("\t".join([str(k), w, *cols]), file=out)
 
 
-_COMMANDS = {
-    "surfaces": cmd_surfaces,
-    "q-matrix": cmd_q_matrix,
-    "tangent-split": cmd_tangent_split,
-    "bundle-split": cmd_bundle_split,
-    "table41": cmd_table41,
+_FLAGS = {
+    "--format": {"choices": ("text", "tsv"), "default": "text"},
+    "--strict-signs": {"action": "store_true"},
+    "--fan": {"help": "fan description file"},
+    "--graph": {"help": "comma-separated circular weights"},
+    "--bundle": {"required": True, "help": "bundle description file"},
+    "--k": {"type": int},
 }
+
+# subcommand, handler, the flags it reads (in help order)
+_SUBCOMMANDS = (
+    ("surfaces", cmd_surfaces, ("--format", "--k")),
+    ("q-matrix", cmd_q_matrix, ("--format", "--fan", "--graph")),
+    ("tangent-split", cmd_split, ("--format", "--strict-signs", "--fan", "--graph")),
+    ("bundle-split", cmd_split, ("--format", "--strict-signs", "--fan", "--graph", "--bundle")),
+    ("table41", cmd_table41, ("--format", "--strict-signs")),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse prints multi-line usage on error; we want one parsable line
+    def error(self, message: str) -> None:  # type: ignore[override]
+        raise ValueError(message)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="toricsplit")
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    for name, handler, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(run=handler)
+    return parser
+
+
+_PARSER = _build_parser()
 
 
 def _merge_dashed_values(argv: list[str]) -> list[str]:
@@ -254,9 +191,8 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        ns = _build_parser().parse_args(_merge_dashed_values(list(argv)))
-        config = _config(ns)
-        _COMMANDS[config.subcommand](config, sys.stdout)
+        ns = _PARSER.parse_args(_merge_dashed_values(list(argv)))
+        ns.run(ns, sys.stdout)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from math import gcd
+from typing import Iterator
 
 from .exact_linear import dot, unimodular_inverse
 
@@ -178,6 +179,14 @@ def projective_space(n: int) -> Fan:
     return make_fan(n, rays, cones)
 
 
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped line) of every line left after '#' comments and blanks."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_fan(text: str) -> Fan:
     """Parse the fan text format.
 
@@ -188,10 +197,7 @@ def parse_fan(text: str) -> Fan:
     dim: int | None = None
     rays: list[list[int]] = []
     cones: list[list[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         keyword, args = parts[0], parts[1:]
         try:

@@ -87,7 +87,11 @@ def apply_q(aim: AugmentedIntersectionMatrix, x: Sequence[int]) -> tuple[int, ..
 
 
 def sign_of_class(aim: AugmentedIntersectionMatrix, x: Sequence[int]) -> SignClass:
-    y = apply_q(aim, x)
+    return sign_of_degrees(apply_q(aim, x))
+
+
+def sign_of_degrees(y: Sequence[int]) -> SignClass:
+    """The sign class of a divisor class from its restriction degrees y = Q @ x."""
     if all(v == 0 for v in y):
         return SignClass.ZERO
     if all(v > 0 for v in y):

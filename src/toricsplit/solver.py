@@ -27,7 +27,7 @@ from itertools import permutations
 
 from .exact_linear import SolvePlan, SparseTerms
 from .fan import Fan
-from .intersection import AugmentedIntersectionMatrix, SignClass, apply_q, sign_of_class
+from .intersection import AugmentedIntersectionMatrix, SignClass, apply_q, sign_of_degrees
 from .splitting import SplittingSystem
 
 # sign classes a column can still aim for, one bit each:
@@ -170,7 +170,8 @@ def _solve_candidate(
     if any(apply_q(aim, x) != target for x, target in zip(columns, targets)):
         raise RuntimeError(f"invariant broken: integral solve of candidate {perm_id} misses Q @ x = rows")
     canonical = tuple(canonical_class_rep(col, aim.fan) for col in columns)
-    signs = tuple(sign_of_class(aim, col) for col in columns)
+    # the check above makes each target its column's degrees Q @ x
+    signs = tuple(map(sign_of_degrees, targets))
     if SignClass.MIXED in signs:
         raise RuntimeError(f"invariant broken: candidate {perm_id} solves to a class of mixed sign")
     return SplittingType(perm_id, rows, tuple(columns), canonical, signs)

@@ -4,6 +4,8 @@ Each test_criterion_N function is an all-or-nothing gate; conftest.py turns
 the six outcomes into a one-line-per-criterion summary after the run.
 """
 
+import argparse
+import hashlib
 import io
 import random
 import time
@@ -16,7 +18,7 @@ from toricsplit.bundle_data import (
     euler_splitting_system,
     tangent_bundle,
 )
-from toricsplit.cli import RunConfig, cmd_table41, table41_rows
+from toricsplit.cli import cmd_table41, table41_rows
 from toricsplit.exact_linear import IntMatrix, rat_rank, solve_integral
 from toricsplit.fan import projective_space, walls
 from toricsplit.intersection import apply_q, augmented_matrix
@@ -83,6 +85,12 @@ EXPECTED_SURFACES = [
     ),
 ]
 
+# sha256 of the stdout of `toricsplit table41` and `toricsplit table41 --format tsv`
+TABLE41_SHA256 = {
+    "text": "108fa139064df34ada07356ee20b97963096d6e1eda7803c98b12ac24162af7f",
+    "tsv": "c1966bd0d3f65ef803c5641e264579ce47f9039c9bcd2a697c7fa492c25247d9",
+}
+
 
 def _dihedral_relabelings(s):
     for t in range(s):
@@ -134,13 +142,18 @@ def test_criterion_1_tangent_splitting_surface_table():
         unmatched.remove(hits[0])
     assert unmatched == []
 
-    buffer = io.StringIO()
-    cmd_table41(RunConfig("table41", None, None, None, False, None, "text"), buffer)
-    lines = buffer.getvalue().splitlines()
+    outputs = {}
+    for fmt in ("text", "tsv"):
+        buffer = io.StringIO()
+        cmd_table41(argparse.Namespace(format=fmt, strict_signs=False), buffer)
+        outputs[fmt] = buffer.getvalue()
+    lines = outputs["text"].splitlines()
     assert len(lines) == 8
     for (k, weights, _), line in zip(rows, lines):
         head = f"k={k} w=(" + ",".join(str(w) for w in weights) + ") type=("
         assert line.startswith(head), line
+    digests = {fmt: hashlib.sha256(text.encode()).hexdigest() for fmt, text in outputs.items()}
+    assert digests == TABLE41_SHA256, digests
 
 
 def test_criterion_2_plane_rank_two_twisted_families():

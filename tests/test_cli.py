@@ -1,6 +1,10 @@
 """Command-line behavior: golden outputs, error paths, determinism."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,38 @@ type 1 (candidate 1)
   degrees tau(3): 2 1
   class 1: column 2 0 0 ; canonical 2 0 0 ; sign positive
   class 2: column 1 0 0 ; canonical 1 0 0 ; sign positive
+"""
+
+F0_TANGENT_TSV = """\
+degrees\ttau(1)\t2,0
+degrees\ttau(2)\t2,0
+degrees\ttau(3)\t2,0
+degrees\ttau(4)\t2,0
+q\ttau(1)\t0,1,0,1
+q\ttau(2)\t1,0,1,0
+q\ttau(3)\t0,1,0,1
+q\ttau(4)\t1,0,1,0
+type\t1\tclass\t1\t2,2,0,0\tpositive
+type\t1\tclass\t2\t0,0,0,0\tzero
+type\t2\tclass\t1\t0,2,0,0\tnef
+type\t2\tclass\t2\t2,0,0,0\tnef
+"""
+
+F0_EULER_TSV = """\
+degrees\ttau(1)\t2,2,0
+degrees\ttau(2)\t1,1,0
+degrees\ttau(3)\t2,2,0
+degrees\ttau(4)\t1,1,0
+q\ttau(1)\t0,1,0,1
+q\ttau(2)\t1,0,1,0
+q\ttau(3)\t0,1,0,1
+q\ttau(4)\t1,0,1,0
+type\t1\tclass\t1\t1,2,0,0\tpositive
+type\t1\tclass\t2\t1,2,0,0\tpositive
+type\t1\tclass\t3\t0,0,0,0\tzero
+type\t2\tclass\t1\t1,2,0,0\tpositive
+type\t2\tclass\t2\t0,2,0,0\tnef
+type\t2\tclass\t3\t1,0,0,0\tnef
 """
 
 
@@ -56,6 +92,14 @@ def test_tangent_split_f0_types(capsys):
     assert code == 0
     assert "splitting types: 1" in strict_out
     assert "canonical 0 2 0 0" not in strict_out
+    # the parser is shared between calls: no flag may carry over
+    code, again, _ = run(capsys, "tangent-split", "--graph", "0,0,0,0")
+    assert code == 0
+    assert "splitting types: 2" in again
+    assert again == out
+    code, tsv, err = run(capsys, "tangent-split", "--graph", "0,0,0,0", "--format", "tsv")
+    assert code == 0 and err == ""
+    assert tsv == F0_TANGENT_TSV
 
 
 def test_tangent_split_accepts_negative_leading_weight(capsys):
@@ -137,6 +181,11 @@ def test_bundle_split_euler_file(capsys, tmp_path):
     assert "tau(1): 2 2 0" in out
     assert "splitting types: 2" in out
     assert "canonical 1 2 0 0" in out
+    code, out, err = run(
+        capsys, "bundle-split", "--fan", str(fan_file), "--bundle", str(bundle), "--format", "tsv"
+    )
+    assert code == 0 and err == ""
+    assert out == F0_EULER_TSV
 
 
 def test_error_paths(capsys, tmp_path):
@@ -153,6 +202,7 @@ def test_error_paths(capsys, tmp_path):
         (("bundle-split", "--graph", "1,1,1"), "--bundle"),
         (("q-matrix", "--graph", "1,1,1", "--strict-signs"), "unrecognized arguments: --strict-signs"),
         (("tangent-split", "--graph", "1,1,1", "--k", "3"), "unrecognized arguments: --k 3"),
+        (("tangent-split", "--graph", "1,1,1", "--bundle", "x"), "unrecognized arguments: --bundle x"),
     ]
     for argv, message in cases:
         code = main(list(argv))
@@ -271,3 +321,28 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "tangent-split", "--graph", "0,0,0,0")
     _, second, _ = run(capsys, "tangent-split", "--graph", "0,0,0,0")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "graph", ["0,0,0,0", "-1,-1,-1,-1,-1,-1", "-1,-2,-2,-1,-2,-2,-1,-2,-2"]
+)
+def test_output_does_not_depend_on_hash_seed(graph):
+    # one interpreter cannot see hash randomisation: compare two fresh ones
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for seed in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        result = subprocess.run(
+            [sys.executable, "-m", "toricsplit.cli", "tangent-split", "--graph", graph, "--format", "tsv"],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0 and result.stderr == b"", result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(b"degrees\t")

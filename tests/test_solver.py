@@ -155,10 +155,28 @@ def test_check_candidate_solution_satisfies_rows(monkeypatch):
 
 
 def test_check_no_mixed_sign(monkeypatch):
-    monkeypatch.setattr(solver, "sign_of_class", lambda aim, x: SignClass.MIXED)
+    monkeypatch.setattr(solver, "sign_of_degrees", lambda y: SignClass.MIXED)
     aim, system = tangent_case(projective_space(2))
     with pytest.raises(RuntimeError, match="mixed sign"):
         find_splitting_types(aim, system)
+
+
+def test_leaf_applies_q_once_per_column(monkeypatch):
+    # the leaf's Q @ x == rows check is also what classifies each column's sign
+    calls = []
+    real = intersection.apply_q
+
+    def spy(aim, x):
+        calls.append(x)
+        return real(aim, x)
+
+    monkeypatch.setattr(intersection, "apply_q", spy)
+    monkeypatch.setattr(solver, "apply_q", spy)
+    aim, system = tangent_case(graph_to_fan(hirzebruch(0)))
+    stats = {}
+    types = find_splitting_types(aim, system, stats=stats)
+    assert len(types) == stats["leaves"] == 2
+    assert len(calls) == 2 * stats["leaves"]
 
 
 def test_check_reduced_support_is_zero(monkeypatch):
@@ -185,7 +203,7 @@ def test_exactness_checks_survive_optimize_flag():
             unimodular_inverse([[2, 1], [0, 1]])
         except ValueError:
             print("ValueError")
-        solver.sign_of_class = lambda aim, x: SignClass.MIXED
+        solver.sign_of_degrees = lambda y: SignClass.MIXED
         fan = projective_space(2)
         try:
             solver.find_splitting_types(augmented_matrix(fan), splitting_system(tangent_bundle(fan)))
