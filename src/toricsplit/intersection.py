@@ -12,7 +12,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Sequence
 
-from .exact_linear import IntMatrix, SolvePlan, SparseTerms, hnf, int_kernel, nonzero_terms
+from .exact_linear import IntMatrix, SolvePlan, SparseTerms, int_kernel, nonzero_terms
 from .fan import Fan, Wall, walls
 
 
@@ -40,8 +40,34 @@ class AugmentedIntersectionMatrix:
         return tuple(int_kernel(list(zip(*self.q.entries))))
 
     @cached_property
+    def nonzero_terms(self) -> tuple[SparseTerms, ...]:
+        """Q's rows as sparse (ray, coeff) terms: a wall relation and its two extra rays."""
+        return tuple(map(nonzero_terms, self.q.entries))
+
+    @cached_property
     def kernel_triggers(self) -> tuple[tuple[SparseTerms, ...], ...]:
-        """The left-kernel relations as sparse (wall, coeff) terms, listed under their last wall."""
+        """The left-kernel relations as sparse (wall, coeff) terms, listed under their last wall.
+
+        Q's solution lattice is checked here, once per matrix and without an
+        HNF, so a foreign matrix is rejected before any search: every solve
+        against Q must be ambiguous only up to linear equivalence.  The
+        principal columns lie in ker Q, ker Q has rank n over the rationals,
+        and the principal lattice is saturated (``fan.reduction``'s n rays
+        are a lattice basis); so ker Q is exactly the principal-divisor lattice.
+        """
+        n = self.fan.dim
+        for p in principal_columns(self.fan):
+            if any(sum(c * p[j] for j, c in terms) for terms in self.nonzero_terms):
+                raise RuntimeError(
+                    f"solution lattice is not the principal-divisor lattice: Q @ {p} != 0"
+                )
+        kernel_rank = self.q.cols - (self.q.rows - len(self.left_kernel))
+        if kernel_rank != n:
+            raise RuntimeError(
+                "solution lattice is not the principal-divisor lattice: "
+                f"ker Q has rank {kernel_rank}, not {n}"
+            )
+        self.fan.reduction  # raises unless some n rays are a lattice basis
         triggers: list[list[SparseTerms]] = [[] for _ in self.row_walls]
         for terms in map(nonzero_terms, self.left_kernel):
             triggers[terms[-1][0]].append(terms)
@@ -49,20 +75,19 @@ class AugmentedIntersectionMatrix:
 
     @cached_property
     def solve_plan(self) -> SolvePlan:
-        """The integral solve plan of Q, built once; Q's solution lattice is checked here.
+        """The integral solve plan of Q: one HNF, built at the first leaf.
 
-        Every solve against Q may be ambiguous only up to linear
-        equivalence: the plan's kernel must be the principal-divisor lattice.
+        ``kernel_triggers`` has already checked Q's solution lattice; the
+        plan checks itself against it: Q @ x = 0 solves and its integral
+        kernel has rank n.
         """
         plan = SolvePlan(self.q)
         if plan.solve((0,) * self.q.rows) is None:
             raise RuntimeError("invariant broken: Q @ x = 0 has no integral solution")
-        h_kernel = _lattice_form(plan.kernel)
-        h_principal = _lattice_form(principal_columns(self.fan))
-        if h_kernel != h_principal:
+        if len(plan.kernel) != self.fan.dim:
             raise RuntimeError(
-                "solution lattice is not the principal-divisor lattice: "
-                f"kernel HNF {h_kernel} vs principal HNF {h_principal}"
+                f"invariant broken: the plan's kernel has rank {len(plan.kernel)}, "
+                f"the principal-divisor lattice {self.fan.dim}"
             )
         return plan
 
@@ -83,7 +108,7 @@ def augmented_matrix(fan: Fan) -> AugmentedIntersectionMatrix:
 def apply_q(aim: AugmentedIntersectionMatrix, x: Sequence[int]) -> tuple[int, ...]:
     if len(x) != aim.q.cols:
         raise ValueError(f"class has {len(x)} coordinates, fan has {aim.q.cols} rays")
-    return tuple(sum(c * v for c, v in zip(row, x)) for row in aim.q.entries)
+    return tuple(sum(c * x[j] for j, c in terms) for terms in aim.nonzero_terms)
 
 
 def sign_of_class(aim: AugmentedIntersectionMatrix, x: Sequence[int]) -> SignClass:
@@ -107,9 +132,3 @@ def principal_columns(fan: Fan) -> list[tuple[int, ...]]:
     """Generators of the principal-divisor lattice: one column per dual-lattice basis vector."""
     return [tuple(ray[t] for ray in fan.rays) for t in range(fan.dim)]
 
-
-def _lattice_form(vectors) -> tuple[tuple[int, ...], ...]:
-    if not vectors:
-        return ()
-    h, _ = hnf(IntMatrix.from_rows([list(v) for v in vectors]))
-    return tuple(row for row in h.entries if any(row))

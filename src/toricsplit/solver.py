@@ -12,26 +12,28 @@ first scan over walls, pruning on three exact conditions:
 * rational consistency of every left-kernel relation of the intersection
   matrix as soon as its last supported wall is assigned.
 
-The relations are read as sparse terms from ``aim.kernel_triggers``.
-Surviving candidates are solved integrally, column by column, by
-back-substitution against the matrix's cached ``aim.solve_plan`` (one HNF
-per matrix, whose solution lattice is checked when the plan is built);
-each solution is checked against Q, reduced modulo the principal-divisor
-lattice and deduplicated.
+The relations are read as sparse terms from ``aim.kernel_triggers``, which
+also checks Q's solution lattice once per matrix, without an HNF, before
+the first search.  Surviving candidates are solved integrally, column by
+column, by back-substitution against the matrix's cached ``aim.solve_plan``
+(one HNF per matrix, built at the first leaf, so a search that reaches no
+leaf computes none); each solution is checked against Q, reduced modulo the
+principal-divisor lattice and deduplicated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Iterable
 
-from .exact_linear import SolvePlan, SparseTerms
+from .exact_linear import SparseTerms
 from .fan import Fan
 from .intersection import AugmentedIntersectionMatrix, SignClass, apply_q, sign_of_degrees
 from .splitting import SplittingSystem
 
-# sign classes a column can still aim for, one bit each:
-# nonneg 0b0001, neg 0b0010, pos 0b0100, zero 0b1000
+# sign classes a column can still aim for, one bit each, packed 4 bits per
+# column (column l at bits 4l..4l+3): nonneg 0b0001, neg 0b0010, pos 0b0100, zero 0b1000
 _DEFAULT_MODES = 0b0011
 _STRICT_MODES = 0b1110
 _ORDERING_RANK_CAP = 8  # each wall tries up to r! orderings of its row
@@ -91,30 +93,34 @@ def find_splitting_types(
     if r > _ORDERING_RANK_CAP:
         raise RuntimeError(f"bundle rank {r} exceeds the ordering rank cap {_ORDERING_RANK_CAP}")
 
-    plan = aim.solve_plan
     choices = [
-        tuple((o, tuple(map(_entry_modes, o))) for o in sorted(set(permutations(row)), reverse=True))
+        tuple(
+            (o, _packed_modes(map(_entry_modes, o)))
+            for o in sorted(set(permutations(row)), reverse=True)
+        )
         for row in degree_rows
     ]
     triggers = aim.kernel_triggers
-    start_modes = _STRICT_MODES if strict else _DEFAULT_MODES
+    start_modes = _packed_modes([_STRICT_MODES if strict else _DEFAULT_MODES] * r)
+    # an ordering is sign-feasible when every column's 4 bits stay nonzero
+    low_bits = _packed_modes([1] * r)
 
     assigned: list[tuple[int, ...]] = []
     results: dict[tuple[tuple[int, ...], ...], SplittingType] = {}
     counts = dict.fromkeys(_STAT_KEYS, 0)
 
-    def scan(i: int, col_modes: tuple[int, ...], pair_tied: tuple[bool, ...]) -> None:
+    def scan(i: int, col_modes: int, pair_tied: tuple[bool, ...]) -> None:
         if i == n_walls:
             counts["leaves"] += 1
-            solution = _solve_candidate(aim, plan, tuple(assigned), counts["leaves"])
+            solution = _solve_candidate(aim, tuple(assigned), counts["leaves"])
             if solution is None:
                 counts["failed_solves"] += 1
             elif results.setdefault(tuple(sorted(solution.canonical)), solution) is not solution:
                 counts["duplicates"] += 1
             return
         for ordering, entry_modes in choices[i]:
-            modes = tuple(m & e for m, e in zip(col_modes, entry_modes))
-            if not all(modes):
+            modes = col_modes & entry_modes
+            if (modes | modes >> 1 | modes >> 2 | modes >> 3) & low_bits != low_bits:
                 counts["sign_cuts"] += 1
                 continue
             tied = list(pair_tied)
@@ -136,7 +142,7 @@ def find_splitting_types(
                 counts["kernel_cuts"] += 1
             assigned.pop()
 
-    scan(0, tuple(start_modes for _ in range(r)), tuple(True for _ in range(r - 1)))
+    scan(0, start_modes, tuple(True for _ in range(r - 1)))
     # scan's closure holds scan itself: emptying that cell frees the search
     # state now instead of at the next cyclic garbage collection
     del scan
@@ -144,6 +150,11 @@ def find_splitting_types(
         for key, n in counts.items():
             stats[key] = stats.get(key, 0) + n
     return [results[key] for key in sorted(results)]
+
+
+def _packed_modes(modes: Iterable[int]) -> int:
+    """Per-column mode bits packed into one integer, 4 bits per column."""
+    return sum(m << 4 * l for l, m in enumerate(modes))
 
 
 def _relation_holds(terms: SparseTerms, assigned: list[tuple[int, ...]], r: int) -> bool:
@@ -155,11 +166,11 @@ def _relation_holds(terms: SparseTerms, assigned: list[tuple[int, ...]], r: int)
 
 def _solve_candidate(
     aim: AugmentedIntersectionMatrix,
-    plan: SolvePlan,
     rows: tuple[tuple[int, ...], ...],
     perm_id: int,
 ) -> SplittingType | None:
     """Solve each column of the candidate rows against Q's plan; None when one has no solution."""
+    plan = aim.solve_plan
     targets = tuple(zip(*rows))
     columns = []
     for target in targets:

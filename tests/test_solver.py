@@ -9,7 +9,7 @@ import subprocess
 import sys
 import textwrap
 import weakref
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -193,10 +193,11 @@ def test_exactness_checks_survive_optimize_flag():
         """
         from toricsplit import solver, splitting
         from toricsplit.bundle_data import tangent_bundle
-        from toricsplit.exact_linear import unimodular_inverse
+        from toricsplit.exact_linear import IntMatrix, unimodular_inverse
         from toricsplit.fan import projective_space
-        from toricsplit.intersection import SignClass, augmented_matrix
+        from toricsplit.intersection import AugmentedIntersectionMatrix, SignClass, augmented_matrix
         from toricsplit.splitting import splitting_system
+        from toricsplit.surface_graph import graph_to_fan, hirzebruch
 
         assert False, "asserts must be stripped"
         try:
@@ -209,6 +210,13 @@ def test_exactness_checks_survive_optimize_flag():
             solver.find_splitting_types(augmented_matrix(fan), splitting_system(tangent_bundle(fan)))
         except RuntimeError:
             print("RuntimeError")
+        # F_1's tangent search reaches no leaf, so only the lattice guard can see a foreign Q
+        fan = graph_to_fan(hirzebruch(1))
+        bogus = AugmentedIntersectionMatrix(fan, augmented_matrix(fan).row_walls, IntMatrix.identity(4))
+        try:
+            solver.find_splitting_types(bogus, splitting_system(tangent_bundle(fan)))
+        except RuntimeError:
+            print("RuntimeError" if "solve_plan" not in vars(bogus) else "plan built")
         splitting._h_separable = lambda t, split, k: 0  # no sections at any twist
         try:
             splitting.h0_oracle([[(1, 2), (0, 0)], [(0, 0), (1, -1)]])
@@ -222,7 +230,7 @@ def test_exactness_checks_survive_optimize_flag():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["ValueError", "RuntimeError", "RuntimeError"]
+    assert result.stdout.split() == ["ValueError", "RuntimeError", "RuntimeError", "RuntimeError"]
 
 
 def test_package_has_no_assert():
@@ -432,17 +440,94 @@ def test_hnf_count_is_fixed_per_matrix(monkeypatch):
         return hnf(a)
 
     monkeypatch.setattr(exact_linear, "hnf", spy)
-    monkeypatch.setattr(intersection, "hnf", spy)
-    aim = augmented_matrix(graph_to_fan(sorted(enumerate_blowups(3), key=lambda g: g.weights)[-1]))
+    assert not hasattr(intersection, "hnf") and not hasattr(intersection, "_lattice_form")
+    graphs = sorted(enumerate_blowups(3), key=lambda g: g.weights)
+    # a surface without a tangent splitting type whose search reaches no leaf computes no HNF
+    aim = augmented_matrix(graph_to_fan(graphs[0]))
+    stats = {}
+    assert find_splitting_types(aim, splitting_system(tangent_bundle(aim.fan)), stats=stats) == []
+    assert stats["leaves"] == 0
+    assert calls == [] and "solve_plan" not in vars(aim)
+    # once leaves arrive, one HNF of Q^T builds the plan that every later leaf reuses
+    aim = augmented_matrix(graph_to_fan(graphs[-1]))
     stats = {}
     find_splitting_types(aim, splitting_system(tangent_bundle(aim.fan)), stats=stats)
-    # one HNF of Q^T for the plan, one each for the kernel and principal lattices
-    assert len(calls) == 3
+    assert len(calls) == 1
     for system in _line_sum_systems(aim, random.Random(5), 8):
         for strict in (False, True):
             find_splitting_types(aim, system, strict=strict, stats=stats)
-    assert len(calls) == 3
+    assert len(calls) == 1
     assert stats["leaves"] > 20
+
+
+def _reference_lattice_form(vectors):
+    if not vectors:
+        return ()
+    h, _ = hnf(IntMatrix.from_rows([list(v) for v in vectors]))
+    return tuple(row for row in h.entries if any(row))
+
+
+def _reference_lattice_ok(aim):
+    """The HNF comparison of Q's integral kernel with the principal-divisor lattice."""
+    plan = SolvePlan(aim.q)
+    return _reference_lattice_form(plan.kernel) == _reference_lattice_form(
+        intersection.principal_columns(aim.fan)
+    )
+
+
+def _eager_lattice_ok(aim):
+    try:
+        aim.kernel_triggers
+    except RuntimeError as exc:
+        assert "principal-divisor lattice" in str(exc)
+        return False
+    return True
+
+
+def _foreign_matrices(q):
+    """Matrices of Q's shape: the identity, one entry off by 1, two columns swapped, a row
+    doubled, and Q's first rows zeroed, which keeps the principal columns in the kernel but
+    widens it."""
+    rows = [list(row) for row in q.entries]
+    yield "identity", [[int(i == j) for j in range(q.cols)] for i in range(q.rows)]
+    for i in range(q.rows + 1):
+        yield "zeroed", [[0] * q.cols] * i + rows[i:]
+    for i, j in product(range(q.rows), range(q.cols)):
+        for delta in (1, -1):
+            changed = [list(row) for row in rows]
+            changed[i][j] += delta
+            yield "entry", changed
+    for j, k in combinations(range(q.cols), 2):
+        order = list(range(q.cols))
+        order[j], order[k] = k, j
+        yield "swap", [[row[c] for c in order] for row in rows]
+    for i in range(q.rows):
+        yield "doubled", [[2 * v for v in row] if t == i else row for t, row in enumerate(rows)]
+
+
+def test_lattice_check_matches_hnf_reference():
+    fans = [projective_space(n) for n in range(1, 5)]
+    fans += [graph_to_fan(hirzebruch(a)) for a in range(4)]
+    for k in range(1, 4):
+        fans += [graph_to_fan(g) for g in sorted(enumerate_blowups(k), key=lambda g: g.weights)]
+    verdicts = {}
+    for fan in fans:
+        aim = augmented_matrix(fan)
+        assert _eager_lattice_ok(aim) and _reference_lattice_ok(aim)
+        for kind, rows in _foreign_matrices(aim.q):
+            foreign = AugmentedIntersectionMatrix(fan, aim.row_walls, IntMatrix.from_rows(rows))
+            verdict = _eager_lattice_ok(foreign)
+            assert verdict == _reference_lattice_ok(foreign), (fan, kind, rows)
+            verdicts.setdefault(kind, set()).add(verdict)
+    # a changed entry breaks Q @ p = 0 for some principal p, since no ray is zero; swapping
+    # two columns keeps the lattice only when a lattice automorphism swaps the two rays
+    assert verdicts == {
+        "identity": {False},
+        "zeroed": {False, True},
+        "entry": {False},
+        "swap": {False, True},
+        "doubled": {True},
+    }
 
 
 def test_solve_plan_is_collected_with_its_matrix():
