@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exact_linear import Rat, dot, rat_matmul, rat_rank
-from .fan import Fan, content_lines, walls
+from .fan import ENTRY_LENGTH_CAP, INTEGER_TOKEN, Fan, content_lines, parse_int, walls
 from .intersection import AugmentedIntersectionMatrix
 from .solver import canonical_class_rep
 from .splitting import SplittingSystem, restrict
@@ -28,8 +28,7 @@ from .splitting import SplittingSystem, restrict
 PastingMatrix = tuple[tuple[Rat, ...], ...]
 
 # the one pasting entry form ``format_bundle`` writes: p or p/q with q != 0
-_RATIONAL_ENTRY = re.compile(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?")
-_ENTRY_LENGTH_CAP = 4300  # Python's default digit limit for int(), on every version
+_RATIONAL_ENTRY = re.compile(INTEGER_TOKEN + r"(/[0-9]*[1-9][0-9]*)?")
 
 
 @dataclass(frozen=True)
@@ -322,7 +321,7 @@ def parse_bundle(text: str, fan: Fan) -> KaneyamaBundleData:
                 raise ValueError(f"line {lineno}: duplicate rank line")
             try:
                 (value,) = line.split()[1:]
-                rank = int(value)
+                rank = parse_int(value)
             except ValueError:
                 raise ValueError(f"line {lineno}: rank takes one integer") from None
             if rank < 1:
@@ -332,7 +331,7 @@ def parse_bundle(text: str, fan: Fan) -> KaneyamaBundleData:
                 raise ValueError(f"line {lineno}: weights before rank")
             try:
                 (index,) = head.split()[1:]
-                ci = int(index) - 1
+                ci = parse_int(index) - 1
             except ValueError:
                 raise ValueError(f"line {lineno}: weights needs one cone index") from None
             if not 0 <= ci < n_cones:
@@ -345,7 +344,7 @@ def parse_bundle(text: str, fan: Fan) -> KaneyamaBundleData:
                 if not (chunk.startswith("(") and chunk.endswith(")")):
                     raise ValueError(f"line {lineno}: weights must be parenthesized")
                 try:
-                    chi = tuple(int(tok) for tok in chunk[1:-1].split())
+                    chi = tuple(parse_int(tok) for tok in chunk[1:-1].split())
                 except ValueError:
                     raise ValueError(f"line {lineno}: non-integer weight coordinate") from None
                 if len(chi) != fan.dim:
@@ -359,7 +358,7 @@ def parse_bundle(text: str, fan: Fan) -> KaneyamaBundleData:
                 raise ValueError(f"line {lineno}: pasting before rank")
             try:
                 i, j = head.split()[1:]
-                c2, c1 = int(i) - 1, int(j) - 1
+                c2, c1 = parse_int(i) - 1, parse_int(j) - 1
             except ValueError:
                 raise ValueError(f"line {lineno}: pasting needs two cone indices") from None
             if not (0 <= c2 < n_cones and 0 <= c1 < n_cones) or c1 == c2:
@@ -367,7 +366,7 @@ def parse_bundle(text: str, fan: Fan) -> KaneyamaBundleData:
             if (c2, c1) in pastings:
                 raise ValueError(f"line {lineno}: duplicate pasting {c2 + 1} {c1 + 1}")
             entries = body.split()
-            if not all(len(tok) <= _ENTRY_LENGTH_CAP and _RATIONAL_ENTRY.fullmatch(tok) for tok in entries):
+            if not all(len(tok) <= ENTRY_LENGTH_CAP and _RATIONAL_ENTRY.fullmatch(tok) for tok in entries):
                 raise ValueError(f"line {lineno}: non-rational pasting entry")
             vals = [Fraction(tok) if "/" in tok else int(tok) for tok in entries]
             if len(vals) != rank * rank:
@@ -423,8 +422,8 @@ def parse_euler(text: str, fan: Fan) -> EulerBundleSpec:
         if not sep:
             raise ValueError(f"line {lineno}: summand needs 'divisor : exponents'")
         try:
-            d = [int(tok) for tok in left.split()]
-            alpha = [int(tok) for tok in right.split()]
+            d = [parse_int(tok) for tok in left.split()]
+            alpha = [parse_int(tok) for tok in right.split()]
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer summand entry") from None
         divisors.append(d)

@@ -12,7 +12,7 @@ import sys
 from functools import lru_cache
 
 from .bundle_data import EulerBundleSpec, euler_splitting_system, load_bundle, tangent_bundle
-from .fan import Fan, parse_fan, wall_label
+from .fan import Fan, parse_fan, parse_int, wall_label
 from .intersection import augmented_matrix
 from .solver import SplittingType, find_splitting_types
 from .splitting import splitting_system
@@ -28,7 +28,7 @@ def _load_fan(ns: argparse.Namespace) -> Fan:
         with open(ns.fan, encoding="utf-8") as handle:
             return parse_fan(handle.read())
     try:
-        weights = tuple(int(tok) for tok in ns.graph.split(","))
+        weights = tuple(parse_int(tok.strip()) for tok in ns.graph.split(","))
     except ValueError:
         raise ValueError(f"graph weights must be integers: {ns.graph!r}") from None
     return graph_to_fan(WeightedCircularGraph(weights))

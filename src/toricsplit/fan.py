@@ -2,12 +2,15 @@
 
 A fan is stored as an ordered ray list plus maximal cones given by ray
 index sets, with each cone's dual basis from ``make_fan``'s one inversion.
+``walls`` is the one pass over the facets: ``make_fan`` checks completeness
+and overlap through it, plus one interior point of the first cone.
 Ray and cone order is preserved from input so every downstream report is
 reproducible bit for bit.  ``walls`` caches the last fan's walls only.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
@@ -73,10 +76,9 @@ def _is_primitive(ray: tuple[int, ...]) -> bool:
 def make_fan(n: int, rays, max_cones) -> Fan:
     """Validate raw integer data into a Fan.
 
-    Raises ValueError on: non-primitive rays, duplicate rays, cones of the
-    wrong size, non-unimodular (non-smooth) cones, a facet not shared by
-    exactly two maximal cones (non-complete), or a ray lying inside a cone
-    it does not generate (overlapping cones).
+    Raises ValueError on: non-primitive or duplicate rays, no cones, cones of
+    the wrong size, non-unimodular (non-smooth) cones, a facet not shared by
+    exactly two maximal cones on opposite sides (``walls``), or overlapping cones.
     """
     if n < 1:
         raise ValueError("fan dimension must be at least 1")
@@ -102,6 +104,8 @@ def make_fan(n: int, rays, max_cones) -> Fan:
         except ValueError:
             raise ValueError(f"non-unimodular cone {tuple(cone)}") from None
         cone_tuples.append(idx)
+    if not cone_tuples:
+        raise ValueError("a fan needs at least one maximal cone")
     if len(set(cone_tuples)) != len(cone_tuples):
         raise ValueError("duplicate maximal cones")
 
@@ -109,48 +113,45 @@ def make_fan(n: int, rays, max_cones) -> Fan:
     if used != set(range(len(ray_tuples))):
         raise ValueError("every ray must generate some maximal cone")
 
-    facet_count: dict[tuple[int, ...], int] = {}
-    for idx in cone_tuples:
-        for facet in combinations(idx, n - 1):
-            facet_count[facet] = facet_count.get(facet, 0) + 1
-    for facet, count in facet_count.items():
-        if count != 2:
-            raise ValueError(
-                f"facet {facet} belongs to {count} maximal cones; a complete fan needs exactly 2"
-            )
-
-    # a foreign ray with nonnegative coordinates in a cone's basis sits inside it
-    for idx, basis_inv in zip(cone_tuples, cone_inverses):
-        for j, ray in enumerate(ray_tuples):
-            if j in idx:
-                continue
-            if all(dot(row, ray) >= 0 for row in basis_inv):
-                raise ValueError(f"overlapping cones: ray {j} lies inside cone {idx}")
-
-    return Fan(n, ray_tuples, tuple(cone_tuples), tuple(cone_inverses))
+    fan = Fan(n, ray_tuples, tuple(cone_tuples), tuple(cone_inverses))
+    walls(fan)
+    # walls has checked that every facet lies in two cones on opposite sides, so the
+    # number of cones covering a generic point does not change across a facet and is
+    # the same everywhere (Oda 1988; Ewald, GTM 168; for n = 1 there are then just two
+    # opposite rays).  A point inside cone 0 and in no other closed cone makes it 1.
+    inside = [sum(coords) for coords in zip(*fan.cone_rays(0))]
+    for idx, basis_inv in zip(cone_tuples[1:], cone_inverses[1:]):
+        if all(dot(row, inside) >= 0 for row in basis_inv):
+            raise ValueError(f"overlapping cones: cone {idx} meets the interior of cone {cone_tuples[0]}")
+    return fan
 
 
 @lru_cache(maxsize=1)
 def walls(fan: Fan) -> tuple[Wall, ...]:
     """All walls of the fan, in lexicographic order of their tau index sets.
 
-    The relation is read off v_extra2 in the dual basis of sigma1: its
-    extra1 coordinate is -1 and its tau coordinates are -a_1, ..., -a_{n-1}.
-    The cache holds one fan, as callers ask for one fan's walls in a row.
+    Every facet must lie in exactly two maximal cones, checked before any wall
+    is built.  The relation is read off v_extra2 in the dual basis of sigma1:
+    its extra1 coordinate is -1 (+1 puts both cones on one side of tau) and its
+    tau coordinates are -a_1, ..., -a_{n-1}.  The cache holds one fan, which
+    ``make_fan`` fills and its callers then read.
     """
     by_facet: dict[tuple[int, ...], list[int]] = {}
     for ci, cone in enumerate(fan.max_cones):
         for facet in combinations(cone, fan.dim - 1):
             by_facet.setdefault(facet, []).append(ci)
+    for facet, cones in by_facet.items():
+        if len(cones) != 2:
+            raise ValueError(f"facet {facet} belongs to {len(cones)} maximal cones; a complete fan needs exactly 2")
     out = []
     for tau in sorted(by_facet):
-        c1, c2 = sorted(by_facet[tau])
+        c1, c2 = by_facet[tau]
         cone1 = fan.max_cones[c1]
         (e1,) = set(cone1) - set(tau)
         (e2,) = set(fan.max_cones[c2]) - set(tau)
         coords = [dot(e, fan.rays[e2]) for e in fan.duals[c1]]
         if coords[cone1.index(e1)] != -1:
-            raise ValueError(f"wall relation for tau {tau}: rays {e1}, {e2} do not sum into its span")
+            raise ValueError(f"overlapping cones: wall relation for tau {tau}: rays {e1}, {e2} lie on one side")
         relation = tuple(-coords[cone1.index(t)] for t in tau)
         out.append(Wall(tau, c1, c2, e1, e2, relation))
     return tuple(out)
@@ -179,6 +180,21 @@ def projective_space(n: int) -> Fan:
     return make_fan(n, rays, cones)
 
 
+# integer tokens of the text formats and of --graph: ASCII digits only, since int() also
+# reads "1_0" and non-ASCII digits; ENTRY_LENGTH_CAP, Python's default int() digit limit,
+# bounds every token on every version
+INTEGER_TOKEN = r"[+-]?[0-9]+"
+ENTRY_LENGTH_CAP = 4300
+_INTEGER = re.compile(INTEGER_TOKEN)
+
+
+def parse_int(token: str) -> int:
+    """The integer an ``INTEGER_TOKEN`` spells; ValueError for any other token."""
+    if len(token) > ENTRY_LENGTH_CAP or not _INTEGER.fullmatch(token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
     """(1-based line number, stripped line) of every line left after '#' comments and blanks."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -201,7 +217,7 @@ def parse_fan(text: str) -> Fan:
         parts = line.split()
         keyword, args = parts[0], parts[1:]
         try:
-            values = [int(tok) for tok in args]
+            values = [parse_int(tok) for tok in args]
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer token in {line!r}") from None
         if keyword == "dim":

@@ -2,7 +2,19 @@
 
 import re
 
+import pytest
+
 _CRITERION_RESULTS: dict[int, bool] = {}
+
+
+@pytest.fixture(
+    params=["\u0661", "\uff11", "1_0", "1" * 4301],
+    ids=["arabic-indic-1", "fullwidth-1", "underscore", "over-length-cap"],
+)
+def int_lookalike(request):
+    """A token int() reads as an integer that the text formats and --graph refuse:
+    they read ASCII decimal digits only, at most 4300 of them."""
+    return request.param
 
 
 def pytest_runtest_logreport(report):

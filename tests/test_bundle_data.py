@@ -403,6 +403,32 @@ def test_parse_bundle_validates_conditions():
         parse_bundle(format_bundle(skewed), fan)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("rank 1", "rank {}", "line 1: rank takes one integer"),
+        ("weights 1: (1)", "weights {}: (1)", "line 2: weights needs one cone index"),
+        ("weights 1: (1)", "weights 1: ({})", "line 2: non-integer weight coordinate"),
+        ("pasting 1 2:", "pasting {} 2:", "line 4: pasting needs two cone indices"),
+    ],
+    ids=["rank", "cone-index", "weight", "pasting-index"],
+)
+def test_parse_bundle_reads_ascii_integers_only(int_lookalike, old, new, message):
+    fan = projective_space(1)
+    good = format_bundle(tangent_bundle(fan))
+    assert parse_bundle(good.replace(old, new.format("1"), 1), fan) == parse_bundle(good, fan)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_bundle(good.replace(old, new.format(int_lookalike), 1), fan)
+
+
+def test_parse_euler_reads_ascii_integers_only(int_lookalike):
+    fan = projective_space(2)
+    text = "euler\nsummand {0} 0 0 : {0} 0 0\nsummand 0 1 0 : 0 1 0\nsummand 0 0 1 : 0 0 1\n"
+    assert parse_euler(text.format("10"), fan).summand_divisors[0] == (10, 0, 0)
+    with pytest.raises(ValueError, match="^line 2: non-integer summand entry$"):
+        parse_euler(text.format(int_lookalike), fan)
+
+
 def test_parse_euler_errors():
     fan = projective_space(2)
     with pytest.raises(ValueError, match="expected 'euler'"):

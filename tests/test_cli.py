@@ -214,6 +214,13 @@ def test_error_paths(capsys, tmp_path):
         assert captured.err.count("\n") == 1
 
 
+def test_graph_weights_are_ascii_integers(capsys, int_lookalike):
+    code, out, err = run(capsys, "q-matrix", "--graph", f"1,{int_lookalike},1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: graph weights must be integers: ") and err.count("\n") == 1
+
+
 def test_invalid_bundle_file_reports_validation(capsys, tmp_path):
     cp2 = format_bundle(cp2_rank2(1, 1, 1))
     p1 = format_bundle(tangent_bundle(projective_space(1)))

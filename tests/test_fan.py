@@ -1,7 +1,9 @@
 import gc
 import weakref
+from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -9,8 +11,9 @@ import toricsplit.bundle_data as bundle_data
 import toricsplit.exact_linear as exact_linear
 import toricsplit.fan as fan_module
 import toricsplit.splitting as splitting
+import toricsplit.surface_graph as surface_graph
 from toricsplit.bundle_data import format_bundle, parse_bundle, tangent_bundle
-from toricsplit.exact_linear import unimodular_inverse
+from toricsplit.exact_linear import dot, unimodular_inverse
 from toricsplit.fan import (
     Fan,
     dual_basis,
@@ -20,7 +23,8 @@ from toricsplit.fan import (
     projective_space,
     walls,
 )
-from toricsplit.surface_graph import enumerate_blowups, graph_to_fan
+from toricsplit.intersection import augmented_matrix
+from toricsplit.surface_graph import WeightedCircularGraph, enumerate_blowups, graph_to_fan, hirzebruch
 
 CP2_RAYS = [(1, 0), (0, 1), (-1, -1)]
 CP2_CONES = [(0, 1), (1, 2), (2, 0)]
@@ -34,6 +38,38 @@ def direct_fan(dim, rays, cones):
 
 def fa_fan(a):
     return make_fan(2, [(1, 0), (0, 1), (-1, -a), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+def foreign_ray_accepts(n, rays, cones):
+    """Reference: make_fan's verdict when it counted facets itself and tested overlap
+    by every foreign ray against every cone (it accepted an empty cone list)."""
+    rays = [tuple(ray) for ray in rays]
+    cones = [tuple(sorted(cone)) for cone in cones]
+    if any(len(ray) != n or gcd(*ray) != 1 for ray in rays) or len(set(rays)) != len(rays):
+        return False
+    if any(len(set(c)) != n or len(c) != n or c[0] < 0 or c[-1] >= len(rays) for c in cones):
+        return False
+    try:
+        inverses = [unimodular_inverse(list(zip(*(rays[i] for i in c)))) for c in cones]
+    except ValueError:
+        return False
+    if len(set(cones)) != len(cones) or {i for c in cones for i in c} != set(range(len(rays))):
+        return False
+    if any(count != 2 for count in Counter(f for c in cones for f in combinations(c, n - 1)).values()):
+        return False
+    return not any(
+        j not in cone and all(dot(row, ray) >= 0 for row in inverse)
+        for cone, inverse in zip(cones, inverses)
+        for j, ray in enumerate(rays)
+    )
+
+
+def make_fan_accepts(n, rays, cones):
+    try:
+        make_fan(n, rays, cones)
+    except ValueError:
+        return False
+    return True
 
 
 def test_make_fan_cp2():
@@ -66,6 +102,68 @@ def test_make_fan_rejects_bad_data():
             [(1, 0), (0, 1), (1, 1), (0, -1)],
             [(0, 1), (1, 2), (2, 3), (0, 3)],
         )
+    # every facet appears twice and cone 0's interior lies in no other cone, yet the
+    # cones fold back at ray (-1,-1): both of its cones lie on one side of it
+    with pytest.raises(ValueError, match=r"overlapping cones: wall relation for tau \(2,\)"):
+        make_fan(2, [(1, 0), (0, 1), (-1, -1), (-2, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)])
+    # no cones: nothing to validate, and no cone 0 to take an interior point from
+    with pytest.raises(ValueError, match="at least one maximal cone"):
+        make_fan(2, [], [])
+
+
+def test_overlap_check_matches_foreign_ray_reference_on_weight_sequences(monkeypatch):
+    # every circular weight sequence with s = 3..7 and weights in [-3, 2] ([-2, 1] at s = 7);
+    # most fail graph_to_fan's closing test, the rest reach make_fan
+    reached = []
+    monkeypatch.setattr(surface_graph, "make_fan", lambda *args: reached.append(args) or make_fan(*args))
+    accepted = 0
+    for s in range(3, 8):
+        for weights in product(range(-3, 3) if s < 7 else range(-2, 2), repeat=s):
+            count = len(reached)
+            try:
+                graph_to_fan(WeightedCircularGraph(weights))
+                ok = True
+            except ValueError:
+                ok = False
+            if len(reached) > count:
+                assert ok == foreign_ray_accepts(*reached[-1]), weights
+            accepted += ok
+    assert (len(reached), accepted) == (183, 117)
+    # rays that wind twice around the origin: every facet lies in two cones on opposite
+    # sides, so only the interior point of cone 0 finds the overlap
+    with pytest.raises(ValueError, match="inconsistent weight sequence") as excinfo:
+        graph_to_fan(WeightedCircularGraph((-1, 0, 2, 2, 1, 2)))
+    assert "meets the interior of cone (0, 1)" in str(excinfo.value.__cause__)
+    assert not foreign_ray_accepts(*reached[-1])
+
+
+def test_overlap_check_matches_foreign_ray_reference_on_perturbed_projective_spaces():
+    for n in range(1, 6):
+        fan = projective_space(n)
+        rays, cones = list(fan.rays), list(fan.max_cones)
+        cases = [(rays, cones)]
+        cases += [(rays, cones[:c] + cones[c + 1 :]) for c in range(len(cones))]
+        cases += [(rays[:j] + [tuple(-x for x in rays[j])] + rays[j + 1 :], cones) for j in range(len(rays))]
+        for w in walls(fan):
+            # move each extra ray of a wall inside the cone across it, as the sum of that cone's rays
+            for moved, host in ((w.extra2, w.sigma1), (w.extra1, w.sigma2)):
+                inside = tuple(map(sum, zip(*fan.cone_rays(host))))
+                cases.append((rays[:moved] + [inside] + rays[moved + 1 :], cones))
+        verdicts = [make_fan_accepts(n, *case) for case in cases]
+        assert verdicts == [foreign_ray_accepts(n, *case) for case in cases], n
+        # every perturbation breaks the fan, so the agreement is not vacuous
+        assert verdicts == [True] + [False] * (len(cases) - 1), n
+
+
+def test_walls_are_built_once_per_fan():
+    # make_fan builds the walls while it validates; every later consumer reads the cache
+    walls.cache_clear()
+    fan = graph_to_fan(hirzebruch(2))
+    assert walls.cache_info().misses == 1
+    augmented_matrix(fan)
+    splitting.splitting_system(tangent_bundle(fan))
+    info = walls.cache_info()
+    assert info.misses == 1 and info.hits >= 2
 
 
 def test_make_fan_inverts_each_cone_once(monkeypatch):
@@ -210,6 +308,21 @@ def test_parse_rejects_malformed():
         parse_fan("dim 2\nray 1 0\nray 0 1\nray -1 -1\ncone 1 2\nray 0 -1\n")
     with pytest.raises(ValueError, match="needs 2"):
         parse_fan("dim 2\nray 1 0 0\n")
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("dim {}\nray 1\nray -1\ncone 1\ncone 2\n", 1),
+        ("dim 1\nray {}\nray -1\ncone 1\ncone 2\n", 2),
+        ("dim 1\nray 1\nray -1\ncone {}\ncone 2\n", 4),
+    ],
+    ids=["dim", "ray", "cone"],
+)
+def test_parse_fan_reads_ascii_integers_only(int_lookalike, text, lineno):
+    assert parse_fan(text.format("1")) == projective_space(1)
+    with pytest.raises(ValueError, match=f"^line {lineno}: non-integer token"):
+        parse_fan(text.format(int_lookalike))
 
 
 def test_projective_space_cp2_matches_literal():
