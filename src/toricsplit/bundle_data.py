@@ -7,9 +7,11 @@ Only the pastings into and out of the first cone's frame are stored; every
 other pasting is their product, so the cocycle condition is checked in
 ``assemble_bundle`` (given pastings factor through that frame) and by
 ``validate``'s per-cone identity check.  Net and support are checked wall by
-wall in ``splitting.restrict`` alone.  Weights are stored sorted
-lexicographically and pastings are permuted to match, so serialization is
-deterministic.
+wall in ``splitting.restrict`` alone, once per wall and bundle object: the
+restrictions are kept as ``KaneyamaBundleData.restrictions``, which
+``validate`` checks and ``splitting.splitting_system`` then reads.  Weights
+are stored sorted lexicographically and pastings are permuted to match, so
+serialization is deterministic.
 """
 
 from __future__ import annotations
@@ -17,18 +19,21 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .exact_linear import Rat, dot, rat_matmul, rat_rank
 from .fan import ENTRY_LENGTH_CAP, INTEGER_TOKEN, Fan, content_lines, parse_int, walls
 from .intersection import AugmentedIntersectionMatrix
 from .solver import canonical_class_rep
-from .splitting import SplittingSystem, restrict
+from .splitting import SplittingSystem, WallRestriction, restrict
 
 PastingMatrix = tuple[tuple[Rat, ...], ...]
 
 # the one pasting entry form ``format_bundle`` writes: p or p/q with q != 0
 _RATIONAL_ENTRY = re.compile(INTEGER_TOKEN + r"(/[0-9]*[1-9][0-9]*)?")
+# the head of a pasting line, before its ':', with its two cone indices
+_PASTING_HEAD = re.compile(rf"pasting\s+({INTEGER_TOKEN})\s+({INTEGER_TOKEN})\s*")
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,12 @@ class KaneyamaBundleData:
     def pasting(self, c2: int, c1: int) -> list[list[Rat]]:
         """Pasting matrix from cone c1's frame to cone c2's; rows index c2 weights."""
         return rat_matmul(self.from_base[c2], self.to_base[c1])
+
+    @cached_property
+    def restrictions(self) -> tuple[WallRestriction, ...]:
+        """``restrict(self, wall)`` for every wall in wall order, built once per object;
+        the first wall that fails net or support raises its ``ValueError``."""
+        return tuple(restrict(self, wall) for wall in walls(self.fan))
 
 
 def assemble_bundle(
@@ -93,7 +104,9 @@ def validate(data: KaneyamaBundleData) -> list[str]:
     """All violations of the net, cocycle, and support conditions (empty = valid).
 
     Checks shapes and, for the cocycle condition, (c, 0) @ (0, c) = I per
-    cone; net and support come from ``splitting.restrict``, one per wall.
+    cone; net and support come from ``data.restrictions``, one ``restrict``
+    per wall, and only when that fails is each wall restricted on its own,
+    to report one violation per bad wall.
     """
     fan = data.fan
     r = data.rank
@@ -122,11 +135,14 @@ def validate(data: KaneyamaBundleData) -> list[str]:
     # are closed under products, and by Cayley-Hamilton an inverse is a
     # polynomial in its matrix, so (c1, c2), the inverse by the identity
     # check above, is supported there too and passes the reverse check.
-    for wall in walls(fan):
-        try:
-            restrict(data, wall)
-        except ValueError as exc:
-            violations.append(str(exc))
+    try:
+        data.restrictions  # kept on the object for splitting_system to read
+    except ValueError:
+        for wall in walls(fan):
+            try:
+                restrict(data, wall)
+            except ValueError as exc:
+                violations.append(str(exc))
     return violations
 
 
@@ -356,11 +372,10 @@ def parse_bundle(text: str, fan: Fan) -> KaneyamaBundleData:
         elif keyword == "pasting":
             if rank is None:
                 raise ValueError(f"line {lineno}: pasting before rank")
-            try:
-                i, j = head.split()[1:]
-                c2, c1 = parse_int(i) - 1, parse_int(j) - 1
-            except ValueError:
-                raise ValueError(f"line {lineno}: pasting needs two cone indices") from None
+            indices = _PASTING_HEAD.fullmatch(head)
+            if indices is None or max(map(len, indices.groups())) > ENTRY_LENGTH_CAP:
+                raise ValueError(f"line {lineno}: pasting needs two cone indices")
+            c2, c1 = (int(tok) - 1 for tok in indices.groups())
             if not (0 <= c2 < n_cones and 0 <= c1 < n_cones) or c1 == c2:
                 raise ValueError(f"line {lineno}: invalid cone pair")
             if (c2, c1) in pastings:

@@ -48,14 +48,18 @@ def _print_rows(out, fmt: str, tag: str, taus, rows) -> None:
 def cmd_surfaces(ns: argparse.Namespace, out) -> None:
     if ns.k is None:
         raise ValueError("surfaces requires --k")
-    if not 0 <= ns.k <= SURFACE_ENUMERATION_CAP:
+    try:
+        k = parse_int(ns.k)
+    except ValueError:
+        raise ValueError(f"k must be an integer: {ns.k!r}") from None
+    if not 0 <= k <= SURFACE_ENUMERATION_CAP:
         raise ValueError(f"k must be between 0 and {SURFACE_ENUMERATION_CAP}")
-    graphs = sorted(enumerate_blowups(ns.k), key=lambda g: g.weights)
+    graphs = sorted(enumerate_blowups(k), key=lambda g: g.weights)
     if ns.format == "text":
-        print(f"surfaces with {ns.k} blowups: {len(graphs)}", file=out)
+        print(f"surfaces with {k} blowups: {len(graphs)}", file=out)
     for g in graphs:
         weights = ",".join(map(str, g.weights))
-        print(weights if ns.format == "text" else f"{ns.k}\t{weights}", file=out)
+        print(weights if ns.format == "text" else f"{k}\t{weights}", file=out)
 
 
 def cmd_q_matrix(ns: argparse.Namespace, out) -> None:
@@ -139,7 +143,7 @@ _FLAGS = {
     "--fan": {"help": "fan description file"},
     "--graph": {"help": "comma-separated circular weights"},
     "--bundle": {"required": True, "help": "bundle description file"},
-    "--k": {"type": int},
+    "--k": {"help": "number of blowups, 0 to 9"},
 }
 
 # subcommand, handler, the flags it reads (in help order)

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 Rat = int | Fraction
@@ -310,7 +311,7 @@ def unimodular_inverse(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -385,4 +386,4 @@ def rat_invert(rows: Sequence[Sequence[Rat]]) -> list[list[Fraction]]:
 def rat_matmul(a: Sequence[Sequence[Rat]], b: Sequence[Sequence[Rat]]) -> list[list[Rat]]:
     """Exact product; integer factors give integer entries."""
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]

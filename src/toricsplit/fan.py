@@ -1,9 +1,18 @@
 """Complete nonsingular fans: validation, walls, wall relations, dual bases.
 
 A fan is stored as an ordered ray list plus maximal cones given by ray
-index sets, with each cone's dual basis from ``make_fan``'s one inversion.
-``walls`` is the one pass over the facets: ``make_fan`` checks completeness
-and overlap through it, plus one interior point of the first cone.
+index sets, with each cone's dual basis.  ``make_fan`` inverts cone 0 only
+and reaches every other dual basis by flipping across walls: if
+sigma1 = tau + {e1} has dual basis e1*, t* (t in tau) and v_e2 has the
+integral coordinates c in it, then sigma2 = tau + {e2} has the dual basis
+
+    u_e2 = c[e1] * e1*,    u_t = t* - c[e1] * c[t] * e1*,
+
+which pairs to the identity against sigma2's rays exactly when c[e1] = +-1,
+so the flip is also sigma2's smoothness test (Fulton 1993, section 2.5;
+Oda 1988).  ``_facet_cones`` is the one enumeration of facets, shared by
+the walk and by ``walls``; ``make_fan`` checks completeness and overlap
+through ``walls``, plus one interior point of the first cone.
 Ray and cone order is preserved from input so every downstream report is
 reproducible bit for bit.  ``walls`` caches the last fan's walls only.
 """
@@ -77,8 +86,10 @@ def make_fan(n: int, rays, max_cones) -> Fan:
     """Validate raw integer data into a Fan.
 
     Raises ValueError on: non-primitive or duplicate rays, no cones, cones of
-    the wrong size, non-unimodular (non-smooth) cones, a facet not shared by
-    exactly two maximal cones on opposite sides (``walls``), or overlapping cones.
+    the wrong size, a facet not shared by exactly two maximal cones,
+    non-unimodular (non-smooth) cones, found by inverting cone 0 and by each
+    wall flip, cones that no walk across walls reaches, a wall whose two cones
+    lie on one side (``walls``), or overlapping cones.
     """
     if n < 1:
         raise ValueError("fan dimension must be at least 1")
@@ -91,18 +102,15 @@ def make_fan(n: int, rays, max_cones) -> Fan:
     if len(set(ray_tuples)) != len(ray_tuples):
         raise ValueError("duplicate rays")
 
+    given = []
     cone_tuples = []
-    cone_inverses = []
     for cone in max_cones:
         idx = tuple(sorted(int(i) for i in cone))
         if len(idx) != n or len(set(idx)) != n:
             raise ValueError(f"maximal cone {tuple(cone)} must consist of {n} distinct rays")
         if idx[0] < 0 or idx[-1] >= len(ray_tuples):
             raise ValueError(f"cone {tuple(cone)} references a ray that does not exist")
-        try:
-            cone_inverses.append(unimodular_inverse(list(zip(*(ray_tuples[i] for i in idx)))))
-        except ValueError:
-            raise ValueError(f"non-unimodular cone {tuple(cone)}") from None
+        given.append(tuple(cone))
         cone_tuples.append(idx)
     if not cone_tuples:
         raise ValueError("a fan needs at least one maximal cone")
@@ -113,17 +121,71 @@ def make_fan(n: int, rays, max_cones) -> Fan:
     if used != set(range(len(ray_tuples))):
         raise ValueError("every ray must generate some maximal cone")
 
-    fan = Fan(n, ray_tuples, tuple(cone_tuples), tuple(cone_inverses))
+    duals: list = [None] * len(cone_tuples)
+    try:
+        duals[0] = unimodular_inverse(list(zip(*(ray_tuples[i] for i in cone_tuples[0]))))
+    except ValueError:
+        raise ValueError(f"non-unimodular cone {given[0]}") from None
+    by_facet = _facet_cones(cone_tuples, n)
+    reached = [0]
+    for c1 in reached:  # grows as the walk crosses walls into new cones
+        cone1 = cone_tuples[c1]
+        row_of = dict(zip(cone1, duals[c1]))
+        for k, e1 in enumerate(cone1):
+            c2 = sum(by_facet[cone1[:k] + cone1[k + 1 :]]) - c1  # the other cone on that facet
+            if duals[c2] is not None:
+                continue
+            flip = _flip_dual_basis(row_of, e1, cone_tuples[c2], ray_tuples)
+            if flip is None:
+                raise ValueError(f"non-unimodular cone {given[c2]}")
+            duals[c2] = flip
+            reached.append(c2)
+    if len(reached) != len(cone_tuples):
+        c = duals.index(None)
+        raise ValueError(
+            f"overlapping cones: cone {cone_tuples[c]} is not reached from cone {cone_tuples[0]} across walls"
+        )
+
+    fan = Fan(n, ray_tuples, tuple(cone_tuples), tuple(duals))
     walls(fan)
     # walls has checked that every facet lies in two cones on opposite sides, so the
     # number of cones covering a generic point does not change across a facet and is
     # the same everywhere (Oda 1988; Ewald, GTM 168; for n = 1 there are then just two
     # opposite rays).  A point inside cone 0 and in no other closed cone makes it 1.
     inside = [sum(coords) for coords in zip(*fan.cone_rays(0))]
-    for idx, basis_inv in zip(cone_tuples[1:], cone_inverses[1:]):
+    for idx, basis_inv in zip(cone_tuples[1:], duals[1:]):
         if all(dot(row, inside) >= 0 for row in basis_inv):
             raise ValueError(f"overlapping cones: cone {idx} meets the interior of cone {cone_tuples[0]}")
     return fan
+
+
+def _flip_dual_basis(row_of, e1, cone2, rays):
+    """Dual basis of cone2 = tau + {e2}, flipped from ``row_of``, the dual row of
+    each ray of tau + {e1}; None unless c[e1] = +-1, that is unless cone2 is
+    unimodular."""
+    (e2,) = set(cone2).difference(row_of)
+    c = {t: dot(u, rays[e2]) for t, u in row_of.items()}
+    s = c[e1]
+    if s != 1 and s != -1:
+        return None
+    u_e1 = row_of[e1]
+    return tuple(
+        tuple(s * y for y in u_e1) if t == e2 else tuple(x - s * c[t] * y for x, y in zip(row_of[t], u_e1))
+        for t in cone2
+    )
+
+
+def _facet_cones(max_cones, dim: int) -> dict[tuple[int, ...], list[int]]:
+    """The maximal cones on each facet, keyed by its sorted ray indices; each
+    facet must lie in exactly two of them."""
+    by_facet: dict[tuple[int, ...], list[int]] = {}
+    for ci, cone in enumerate(max_cones):
+        for facet in combinations(cone, dim - 1):
+            by_facet.setdefault(facet, []).append(ci)
+    for facet, cones in by_facet.items():
+        if len(cones) != 2:
+            raise ValueError(f"facet {facet} belongs to {len(cones)} maximal cones; a complete fan needs exactly 2")
+    return by_facet
 
 
 @lru_cache(maxsize=1)
@@ -136,13 +198,7 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
     tau coordinates are -a_1, ..., -a_{n-1}.  The cache holds one fan, which
     ``make_fan`` fills and its callers then read.
     """
-    by_facet: dict[tuple[int, ...], list[int]] = {}
-    for ci, cone in enumerate(fan.max_cones):
-        for facet in combinations(cone, fan.dim - 1):
-            by_facet.setdefault(facet, []).append(ci)
-    for facet, cones in by_facet.items():
-        if len(cones) != 2:
-            raise ValueError(f"facet {facet} belongs to {len(cones)} maximal cones; a complete fan needs exactly 2")
+    by_facet = _facet_cones(fan.max_cones, fan.dim)
     out = []
     for tau in sorted(by_facet):
         c1, c2 = by_facet[tau]

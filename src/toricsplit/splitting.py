@@ -27,7 +27,7 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Sequence
 
 from .exact_linear import Rat, clear_denominators, dot, int_rank, rat_invert, rat_kernel, rat_rank
-from .fan import Wall, wall_label, walls
+from .fan import Wall, wall_label
 
 if TYPE_CHECKING:
     from .bundle_data import KaneyamaBundleData
@@ -45,13 +45,14 @@ class RestrictionBlock:
     ``stab_class`` is the common pairing of the block's weights against the
     wall's rays.  Chart-1 weights are stored non-increasing, chart-2 weights
     non-decreasing; ``pasting`` has chart-2 rows and chart-1 columns and is
-    the part of the full pasting surviving the limit into the wall point.
+    the part of the full pasting surviving the limit into the wall point,
+    its entries as the bundle data holds them (``int`` or ``Fraction``).
     """
 
     stab_class: tuple[int, ...]
     chart1_weights: tuple[int, ...]
     chart2_weights: tuple[int, ...]
-    pasting: tuple[tuple[Fraction, ...], ...]
+    pasting: tuple[tuple[Rat, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -128,9 +129,7 @@ def restrict(
         t2 = [dot(w2[i], v) for i in idx2]
         order1 = sorted(range(len(idx1)), key=lambda m: -t1[m])
         order2 = sorted(range(len(idx2)), key=lambda m: t2[m])
-        block_pasting = tuple(
-            tuple(Fraction(p[idx2[m2]][idx1[m1]]) for m1 in order1) for m2 in order2
-        )
+        block_pasting = tuple(tuple(p[idx2[m2]][idx1[m1]] for m1 in order1) for m2 in order2)
         blocks.append(
             RestrictionBlock(
                 key,
@@ -288,11 +287,14 @@ def _deflate(
 
 
 def splitting_system(data: "KaneyamaBundleData") -> SplittingSystem:
-    """Restrict to every wall and bootstrap blockwise; tuples sorted non-increasing."""
+    """Bootstrap each of ``data.restrictions`` blockwise; tuples sorted non-increasing.
+
+    The restrictions are built once per bundle object, so a bundle that
+    ``validate`` has checked is not restricted again here.
+    """
     taus = []
     rows = []
-    for wall in walls(data.fan):
-        restriction = restrict(data, wall)
+    for restriction in data.restrictions:
         degs: list[int] = []
         for block in restriction.blocks:
             if len(block.chart1_weights) == 1:
@@ -300,7 +302,7 @@ def splitting_system(data: "KaneyamaBundleData") -> SplittingSystem:
                 degs.append(block.chart1_weights[0] - block.chart2_weights[0])
             else:
                 degs.extend(bootstrap(block.chart1_weights, block.chart2_weights, block.pasting))
-        taus.append(wall.tau)
+        taus.append(restriction.wall.tau)
         rows.append(tuple(sorted(degs, reverse=True)))
     return SplittingSystem(tuple(taus), tuple(rows))
 

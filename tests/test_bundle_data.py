@@ -48,6 +48,18 @@ def test_validate_reports_net_violation():
     assert any("net condition" in p and "wall" in p for p in problems)
 
 
+def test_validate_reports_each_bad_wall():
+    # both walls of cone 0 fail the net condition: one message each, in wall order
+    good = tangent_bundle(projective_space(2))
+    systems = list(good.weight_systems)
+    systems[0] = ((0, 2), (2, 0))
+    bad = replace(good, weight_systems=tuple(systems))
+    assert validate(bad) == [
+        "net condition fails at wall tau (0,) between cones 0 and 1",
+        "net condition fails at wall tau (1,) between cones 0 and 2",
+    ]
+
+
 def _with_star(data, c, to_base=None, from_base=None):
     """``data`` with cone c's pastings into and out of cone 0 replaced."""
     to = list(data.to_base)

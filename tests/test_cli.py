@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import toricsplit.bundle_data as bundle_data
+import toricsplit.splitting as splitting
 from toricsplit.bundle_data import cp2_rank2, format_bundle, load_bundle, parse_bundle, tangent_bundle
 from toricsplit.cli import main
-from toricsplit.fan import format_fan, projective_space
+from toricsplit.fan import format_fan, projective_space, walls
 from toricsplit.surface_graph import graph_to_fan, hirzebruch
 
 CP2_TANGENT_REPORT = """\
@@ -165,6 +167,30 @@ def test_bundle_split_rank2_examples(capsys, tmp_path):
     assert out.endswith("no splitting type\n")
 
 
+def test_bundle_split_restricts_each_wall_once(capsys, tmp_path, monkeypatch):
+    # validate and splitting_system share the bundle's restrictions
+    restricted = []
+    restrict = splitting.restrict
+
+    def spy(data, wall, *args):
+        restricted.append(wall.tau)
+        return restrict(data, wall, *args)
+
+    for module in (bundle_data, splitting):
+        monkeypatch.setattr(module, "restrict", spy)
+    for fan, data in [
+        (projective_space(2), cp2_rank2(1, 2, 3)),
+        (graph_to_fan(hirzebruch(1)), tangent_bundle(graph_to_fan(hirzebruch(1)))),
+    ]:
+        fan_file, bundle_file = tmp_path / "x.fan", tmp_path / "x.bundle"
+        fan_file.write_text(format_fan(fan))
+        bundle_file.write_text(format_bundle(data))
+        restricted.clear()
+        code, _, _ = run(capsys, "bundle-split", "--fan", str(fan_file), "--bundle", str(bundle_file))
+        assert code == 0
+        assert restricted == [wall.tau for wall in walls(fan)]
+
+
 def test_bundle_split_euler_file(capsys, tmp_path):
     fan_file = tmp_path / "f0.fan"
     fan_file.write_text(format_fan(graph_to_fan(hirzebruch(0))))
@@ -194,6 +220,9 @@ def test_error_paths(capsys, tmp_path):
         (("surfaces", "--k", "13"), "k must be between 0 and 9"),
         (("surfaces", "--k", "10"), "k must be between 0 and 9"),
         (("surfaces", "--k", "-1"), "k must be between 0 and 9"),
+        (("surfaces", "--k", "\u0661"), "k must be an integer: '\u0661'"),
+        (("surfaces", "--k", "1_0"), "k must be an integer: '1_0'"),
+        (("surfaces", "--k", "x"), "k must be an integer: 'x'"),
         (("tangent-split",), "exactly one of"),
         (("tangent-split", "--graph", "1,1,1", "--fan", "x"), "exactly one of"),
         (("tangent-split", "--graph", "1,x,1"), "integers"),

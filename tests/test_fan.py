@@ -109,6 +109,18 @@ def test_make_fan_rejects_bad_data():
     # no cones: nothing to validate, and no cone 0 to take an interior point from
     with pytest.raises(ValueError, match="at least one maximal cone"):
         make_fan(2, [], [])
+    # cones (0,1) and (1,2) are smooth; the flip across ray 0 finds (-1,-2) with
+    # coordinate -2 at ray 1, so the cone in input order (2, 0) has determinant 2
+    with pytest.raises(ValueError, match=r"^non-unimodular cone \(2, 0\)$"):
+        make_fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (2, 0)])
+    # two disjoint copies of the plane's fan: every facet lies in two cones, but no
+    # walk across walls from cone 0 reaches the second copy
+    with pytest.raises(ValueError, match=r"^overlapping cones: cone \(3, 4\) is not reached"):
+        make_fan(
+            2,
+            CP2_RAYS + [(-1, 0), (0, -1), (1, 1)],
+            CP2_CONES + [(3, 4), (4, 5), (5, 3)],
+        )
 
 
 def test_overlap_check_matches_foreign_ray_reference_on_weight_sequences(monkeypatch):
@@ -167,8 +179,9 @@ def test_walls_are_built_once_per_fan():
 
 
 def test_make_fan_inverts_each_cone_once(monkeypatch):
-    # the inverse is the smoothness test, is reused by the overlap check, and
-    # is the dual basis every later consumer reads: none of them inverts again
+    # each cone's inverse is derived once: cone 0's by the one inversion per fan, every
+    # other one by a flip across a wall; the dual bases are what every later consumer
+    # reads, and none of them inverts again
     calls = {"unimodular_inverse": 0, "int_det": 0}
 
     def spy(name, original):
@@ -192,7 +205,7 @@ def test_make_fan_inverts_each_cone_once(monkeypatch):
     for n, rays, cones in cases:
         calls.update(unimodular_inverse=0, int_det=0)
         fan = make_fan(n, rays, cones)
-        assert calls == {"unimodular_inverse": len(cones), "int_det": 0}
+        assert calls == {"unimodular_inverse": 1, "int_det": 0}
         calls.update(unimodular_inverse=0)
         walls.cache_clear()
         ws = walls(fan)
@@ -202,6 +215,17 @@ def test_make_fan_inverts_each_cone_once(monkeypatch):
             splitting.restrict(data, wall, v_chart=fan.rays[wall.extra1])
         parse_bundle(format_bundle(data), fan)
         assert calls == {"unimodular_inverse": 0, "int_det": 0}
+
+
+def test_flipped_dual_bases_match_inverses():
+    # the wall flips reach the inverse of every cone's ray matrix, on every surface
+    # with k <= 9 blowups and on projective spaces up to dimension 5
+    fans = [projective_space(n) for n in range(1, 6)]
+    fans += [graph_to_fan(g) for k in range(10) for g in enumerate_blowups(k)]
+    assert len(fans) == 5 + 6501
+    for fan in fans:
+        for ci in range(len(fan.max_cones)):
+            assert fan.duals[ci] == unimodular_inverse(list(zip(*fan.cone_rays(ci)))), (fan, ci)
 
 
 def test_walls_cache_keeps_no_earlier_fan():
