@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .exact_linear import Rat, dot, rat_matmul, rat_rank
 from .fan import ENTRY_LENGTH_CAP, INTEGER_TOKEN, Fan, content_lines, parse_int, walls
-from .intersection import AugmentedIntersectionMatrix
+from .intersection import AugmentedIntersectionMatrix, apply_q
 from .solver import canonical_class_rep
 from .splitting import SplittingSystem, WallRestriction, restrict
 
@@ -264,9 +264,9 @@ def euler_splitting_system(
         raise ValueError("intersection matrix belongs to a different fan")
     taus = []
     rows = []
+    summand_degrees = [apply_q(aim, d) for d in spec.summand_divisors]
     for wi, wall in enumerate(aim.row_walls):
-        q_row = aim.q.entries[wi]
-        degs = [dot(q_row, d) for d in spec.summand_divisors]
+        degs = [by_wall[wi] for by_wall in summand_degrees]
         tau = set(wall.tau)
         kinds = []
         for alpha in spec.section_exponents:

@@ -10,7 +10,8 @@ Two independent routes are provided on purpose:
 
 * ``bootstrap`` implements weight bootstrapping: scan strata of the
   one-variable pasting for a vector spanning a maximal-degree line
-  subbundle, record its degree, deflate, repeat.
+  subbundle, record its degree, deflate, repeat, all on integers: a
+  pasting row is a chart-2 frame vector, so no row scale changes a degree.
 * ``h0_oracle`` counts twisted global sections of a monomial transition
   matrix by exact linear algebra and reads the degrees off the jumps.
 
@@ -23,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, lcm
+from math import gcd
 from typing import TYPE_CHECKING, Sequence
 
-from .exact_linear import Rat, clear_denominators, dot, int_rank, rat_invert, rat_kernel, rat_rank
+from .exact_linear import Rat, clear_denominators, dot, int_kernel, int_rank, rat_invert
 from .fan import Wall, wall_label
 
 if TYPE_CHECKING:
@@ -153,7 +154,9 @@ def bootstrap(
     supported on the chart-1 weight blocks up to i, with image supported on
     chart-2 blocks up to j, spans a line subbundle of degree
     chart1[i] - chart2[j]; the scan finds a maximal-degree one through rank
-    tests, splits it off by an integral basis change, and recurses.
+    tests, splits it off by an integral basis change, and recurses.  A row
+    is a chart-2 frame vector, and a nonzero scale changes no rank, kernel
+    or degree, so rows are cleared of denominators once and stay integral.
     """
     w1 = list(chart1_weights)
     w2 = list(chart2_weights)
@@ -164,8 +167,8 @@ def bootstrap(
         raise ValueError("chart-1 weights must be non-increasing")
     if any(w2[k] > w2[k + 1] for k in range(r - 1)):
         raise ValueError("chart-2 weights must be non-decreasing")
-    a = [[Fraction(x) for x in row] for row in pasting]
-    if rat_rank(a) < r:
+    a = clear_denominators(pasting)
+    if int_rank(a) < r:
         raise ValueError("singular pasting")
 
     degrees: list[int] = []
@@ -188,8 +191,8 @@ def _weight_blocks(values: list[int]) -> list[list[int]]:
 
 
 def _top_stratum(
-    w1: list[int], w2: list[int], a: list[list[Fraction]]
-) -> tuple[list[int], list[int], list[Fraction]]:
+    w1: list[int], w2: list[int], a: list[list[int]]
+) -> tuple[list[int], list[int], list[int]]:
     """Locate a maximal-degree non-empty stratum and return a witness vector."""
     col_blocks = _weight_blocks(w1)
     row_blocks = _weight_blocks(w2)
@@ -204,7 +207,7 @@ def _top_stratum(
         if (k, l) not in rank_memo:
             rows = [ri for blk in row_blocks[k - 1 :] for ri in blk]
             cols = [ci for blk in col_blocks[:l] for ci in blk]
-            rank_memo[(k, l)] = rat_rank([[a[ri][ci] for ci in cols] for ri in rows])
+            rank_memo[(k, l)] = int_rank([[a[ri][ci] for ci in cols] for ri in rows])
         return rank_memo[(k, l)]
 
     candidates = [
@@ -222,19 +225,17 @@ def _top_stratum(
         cols = [ci for blk in col_blocks[:i] for ci in blk]
         deep_rows = [ri for blk in row_blocks[j:] for ri in blk]
         if deep_rows:
-            basis = rat_kernel([[a[ri][ci] for ci in cols] for ri in deep_rows])
+            basis = int_kernel([[a[ri][ci] for ci in cols] for ri in deep_rows])
         else:
-            basis = [[Fraction(1 if m == n else 0) for n in range(len(cols))] for m in range(len(cols))]
+            basis = [tuple(int(m == n) for n in range(len(cols))) for m in range(len(cols))]
         block_i_local = range(len(cols) - n_i, len(cols))
         j_rows = row_blocks[j - 1]
 
-        def in_block_i(vec: list[Fraction]) -> bool:
+        def in_block_i(vec: Sequence[int]) -> bool:
             return any(vec[m] != 0 for m in block_i_local)
 
-        def hits_row_block(vec: list[Fraction]) -> bool:
-            return any(
-                sum(a[ri][cols[m]] * vec[m] for m in range(len(cols))) != 0 for ri in j_rows
-            )
+        def hits_row_block(vec: Sequence[int]) -> bool:
+            return any(sum(a[ri][ci] * x for ci, x in zip(cols, vec)) != 0 for ri in j_rows)
 
         v1 = next((vec for vec in basis if in_block_i(vec)), None)
         v2 = next((vec for vec in basis if hits_row_block(vec)), None)
@@ -245,41 +246,34 @@ def _top_stratum(
         elif in_block_i(v2):
             local = v2
         else:
+            # v1 alone meets block i and v2 alone hits row block j, whatever their scales
             local = [x + y for x, y in zip(v1, v2)]
-        full = [Fraction(0)] * len(w1)
+        full = [0] * len(w1)
         for m, ci in enumerate(cols):
             full[ci] = local[m]
-        return col_blocks[i - 1], j_rows, _integerize(full)
+        return col_blocks[i - 1], j_rows, full
     raise RuntimeError("no stratum found for an invertible pasting")
 
 
-def _integerize(vec: list[Fraction]) -> list[Fraction]:
-    denom = lcm(*[f.denominator for f in vec])
-    ints = [int(f * denom) for f in vec]
-    g = gcd(*ints)
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 1)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return [Fraction(x) for x in ints]
-
-
 def _deflate(
-    a: list[list[Fraction]], w1: list[int], w2: list[int], v: list[Fraction], j_rows: list[int]
+    a: list[list[int]], w1: list[int], w2: list[int], v: list[int], j_rows: list[int]
 ) -> None:
-    """Split off the line spanned by ``v``: basis changes, then drop one row and column."""
-    size = len(w1)
-    k_col = max(m for m in range(size) if v[m] != 0)
-    u = [sum(a[ri][m] * v[m] for m in range(size)) for ri in range(size)]
-    for ri in range(size):
-        a[ri][k_col] = u[ri]
-    l_row = next(ri for ri in j_rows if u[ri] != 0)
-    for cj in range(size):
-        y = a[l_row][cj] / u[l_row]
-        for ri in range(size):
-            a[ri][cj] = y if ri == l_row else a[ri][cj] - u[ri] * y
-    del a[l_row]
+    """Split off the line spanned by ``v`` and drop one row and one column.
+
+    With u = a @ v and l the first row of ``j_rows`` with u[l] != 0, each
+    other row becomes (u[l]*row - u[i]*row_l) / gcd, rational elimination
+    up to a row scale; column k, the last that ``v`` meets, is then zero
+    off row l.  The scale of ``v`` cancels.
+    """
+    k_col = max(m for m, x in enumerate(v) if x)
+    u = [dot(row, v) for row in a]
+    l_row = next(ri for ri in j_rows if u[ri])
+    u_l = u.pop(l_row)
+    row_l = a.pop(l_row)
+    for ri, u_i in enumerate(u):
+        row = [u_l * x - u_i * y for x, y in zip(a[ri], row_l)]
+        g = gcd(*row)
+        a[ri] = [x // g for x in row]
     for row in a:
         del row[k_col]
     del w1[k_col]

@@ -222,6 +222,11 @@ def test_exactness_checks_survive_optimize_flag():
             splitting.h0_oracle([[(1, 2), (0, 0)], [(0, 0), (1, -1)]])
         except RuntimeError:
             print("RuntimeError")
+        splitting.int_kernel = lambda rows: []  # the top stratum loses its witness
+        try:
+            splitting.bootstrap((1, 0), (0, 1), [[1, 1], [0, 1]])
+        except RuntimeError as exc:
+            print("RuntimeError" if "no witness vector" in str(exc) else exc)
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -230,7 +235,7 @@ def test_exactness_checks_survive_optimize_flag():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["ValueError", "RuntimeError", "RuntimeError", "RuntimeError"]
+    assert result.stdout.split() == ["ValueError"] + ["RuntimeError"] * 4
 
 
 def test_package_has_no_assert():

@@ -189,7 +189,7 @@ def _random_rational_invertible(rng, r):
 
 
 def test_bootstrap_agrees_with_oracle():
-    # the two routes share no code beyond rational rank/kernel/inverse
+    # the two routes share no code beyond exact_linear's rank/kernel/inverse
     rng = random.Random(20260814)
     for case in range(800):
         # the first 500 pastings are integral, the rest have denominators 2..5
@@ -200,6 +200,30 @@ def test_bootstrap_agrees_with_oracle():
         degrees = bootstrap(w1, w2, a)
         assert sum(degrees) == sum(w1) - sum(w2)
         assert degrees == h0_oracle(transition_from_block(w1, w2, a))
+
+
+def _weights_with_repeat(rng, r):
+    # r - 1 draws plus a copy of one of them, so some weight repeats
+    drawn = [rng.randint(-3, 3) for _ in range(r - 1)]
+    return drawn + [rng.choice(drawn)]
+
+
+def test_deep_bootstrap_agrees_with_oracle_and_ignores_row_scales():
+    # rank 4-6 blocks deflate three to five times; bootstrap clears each
+    # pasting row of denominators and rescales rows as it deflates, which
+    # is sound only if a nonzero rational row scale changes no degree
+    rng = random.Random(20261018)
+    for _ in range(120):
+        r = rng.randint(4, 6)
+        w1 = sorted(_weights_with_repeat(rng, r), reverse=True)
+        w2 = sorted(_weights_with_repeat(rng, r))
+        a = _random_rational_invertible(rng, r)
+        degrees = bootstrap(w1, w2, a)
+        assert degrees == h0_oracle(transition_from_block(w1, w2, a))
+        for row in range(r):
+            scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5))
+            scaled = [[x * scale for x in a[i]] if i == row else a[i] for i in range(r)]
+            assert bootstrap(w1, w2, scaled) == degrees
 
 
 # ------------------------------------------------------------- restriction
