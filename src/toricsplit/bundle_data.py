@@ -253,10 +253,10 @@ def euler_splitting_system(
 ) -> SplittingSystem:
     """Wall-by-wall degrees of the quotient bundle.
 
-    On each wall the summand sections restrict, by support of their
-    monomials, to zero, a nonzero constant, or a power of one of the two
-    wall coordinates.  A constant trivializes its summand: drop it.  With
-    exactly one power of each wall coordinate and nothing else nonzero,
+    A section vanishes on a wall when its monomial meets tau; otherwise it
+    restricts to a constant or to a power of the wall coordinates it
+    contains.  The first constant trivializes its summand: drop it.  Else,
+    with exactly one power of each wall coordinate and nothing else nonzero,
     those two summands merge into one of the summed degree.  Anything else
     is out of scope.
     """
@@ -265,37 +265,22 @@ def euler_splitting_system(
     taus = []
     rows = []
     summand_degrees = [apply_q(aim, d) for d in spec.summand_divisors]
+    supports = [{t for t, e in enumerate(alpha) if e > 0} for alpha in spec.section_exponents]
     for wi, wall in enumerate(aim.row_walls):
         degs = [by_wall[wi] for by_wall in summand_degrees]
-        tau = set(wall.tau)
-        kinds = []
-        for alpha in spec.section_exponents:
-            support = {t for t, e in enumerate(alpha) if e > 0}
-            if support & tau:
-                kinds.append("zero")
-            elif not support & {wall.extra1, wall.extra2}:
-                kinds.append("constant")
-            elif wall.extra2 not in support:
-                kinds.append("power1")
-            elif wall.extra1 not in support:
-                kinds.append("power2")
-            else:
-                kinds.append("mixed")
-        if "constant" in kinds:
-            drop = kinds.index("constant")
-            if degs[drop] != 0:
+        extras = {wall.extra1, wall.extra2}
+        live = [(i, s & extras) for i, s in enumerate(supports) if s.isdisjoint(wall.tau)]
+        constant = next((i for i, coords in live if not coords), None)
+        if constant is not None:
+            if degs[constant] != 0:
                 raise RuntimeError("a summand with a constant section has nonzero wall degree")
-            remaining = [m for i, m in enumerate(degs) if i != drop]
+            remaining = degs[:constant] + degs[constant + 1 :]
+        # no set is empty here, so two whose symmetric difference is the pair are one power of each
+        elif len(live) == 2 and live[0][1] ^ live[1][1] == extras:
+            (i, _), (j, _) = live
+            remaining = [degs[i] + degs[j]] + [m for t, m in enumerate(degs) if t not in (i, j)]
         else:
-            first = [i for i, k in enumerate(kinds) if k == "power1"]
-            second = [i for i, k in enumerate(kinds) if k == "power2"]
-            if len(first) == 1 and len(second) == 1 and "mixed" not in kinds:
-                i, j2 = first[0], second[0]
-                remaining = [degs[i] + degs[j2]] + [
-                    m for t, m in enumerate(degs) if t not in (i, j2)
-                ]
-            else:
-                raise ValueError("η restriction not in scope")
+            raise ValueError("η restriction not in scope")
         taus.append(wall.tau)
         rows.append(tuple(sorted(remaining, reverse=True)))
     return SplittingSystem(tuple(taus), tuple(rows))

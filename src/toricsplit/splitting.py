@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import groupby, permutations
 from math import gcd
 from typing import TYPE_CHECKING, Sequence
 
@@ -92,53 +92,49 @@ def restrict(
     ``v_chart`` selects the one-parameter subgroup measuring chart weights;
     any lattice point pairing to 1 against the wall conormal of the first
     chart is valid, and the default is the first chart's extra ray.  The
-    resulting degrees are independent of the choice.
+    resulting degrees are independent of the choice.  Each weight's key (its
+    pairings with tau's rays) and chart weight are computed once, each chart
+    is sorted once, and the blocks are the aligned runs of equal keys.
     """
     fan = data.fan
     c1, c2 = wall.sigma1, wall.sigma2
     if v_chart is None:
         v = fan.rays[wall.extra1]
     else:
-        v = tuple(int(x) for x in v_chart)
+        v = tuple(v_chart)
+        if len(v) != fan.dim or not all(isinstance(x, int) for x in v):
+            raise ValueError(f"v_chart {v} is not {fan.dim} integers")
         conormal = fan.duals[c1][fan.max_cones[c1].index(wall.extra1)]
         if dot(conormal, v) != 1:
             raise ValueError(f"v_chart {v} does not pair to 1 against the wall conormal")
 
-    w1 = data.weight_systems[c1]
-    w2 = data.weight_systems[c2]
     p = data.pasting(c2, c1)
     tau_rays = [fan.rays[t] for t in wall.tau]
-    key1 = [tuple(dot(chi, vt) for vt in tau_rays) for chi in w1]
-    key2 = [tuple(dot(chi, vt) for vt in tau_rays) for chi in w2]
-    if sorted(key1) != sorted(key2):
+    chart1, chart2 = (
+        [(tuple(dot(chi, t) for t in tau_rays), dot(chi, v), i) for i, chi in enumerate(ws)]
+        for ws in (data.weight_systems[c1], data.weight_systems[c2])
+    )
+    # chart 1 by key then weight descending, chart 2 ascending; stable, so ties keep stored order
+    sorted1 = sorted(chart1, key=lambda e: (e[0], -e[1]))
+    sorted2 = sorted(chart2, key=lambda e: (e[0], e[1]))
+    if [e[0] for e in sorted1] != [e[0] for e in sorted2]:
         raise ValueError(f"net condition fails at wall tau {wall.tau} between cones {c1} and {c2}")
 
     # entries joining different isotypic classes must vanish in the limit
     # into the wall point; the support condition makes the exponent positive
-    for i2, k2 in enumerate(key2):
-        for i1, k1 in enumerate(key1):
-            if k1 != k2 and p[i2][i1] != 0 and any(b - a < 0 for a, b in zip(k1, k2)):
+    for k2, _, i2 in chart2:
+        for (k1, _, i1), entry in zip(chart1, p[i2]):
+            if entry != 0 and k1 != k2 and any(b < a for a, b in zip(k1, k2)):
                 raise ValueError(
                     f"support fails for pasting ({c2},{c1}) entry ({i2},{i1}) at wall tau {wall.tau}"
                 )
 
     blocks = []
-    for key in sorted(set(key1)):
-        idx1 = [i for i, k in enumerate(key1) if k == key]
-        idx2 = [i for i, k in enumerate(key2) if k == key]
-        t1 = [dot(w1[i], v) for i in idx1]
-        t2 = [dot(w2[i], v) for i in idx2]
-        order1 = sorted(range(len(idx1)), key=lambda m: -t1[m])
-        order2 = sorted(range(len(idx2)), key=lambda m: t2[m])
-        block_pasting = tuple(tuple(p[idx2[m2]][idx1[m1]] for m1 in order1) for m2 in order2)
-        blocks.append(
-            RestrictionBlock(
-                key,
-                tuple(t1[m] for m in order1),
-                tuple(t2[m] for m in order2),
-                block_pasting,
-            )
-        )
+    for key, run in groupby(zip(sorted1, sorted2), key=lambda pair: pair[0][0]):
+        run1, run2 = zip(*run)
+        _, t1, idx1 = zip(*run1)
+        _, t2, idx2 = zip(*run2)
+        blocks.append(RestrictionBlock(key, t1, t2, tuple(tuple(p[i2][i1] for i1 in idx1) for i2 in idx2)))
     return WallRestriction(wall, v, tuple(blocks))
 
 
@@ -163,6 +159,8 @@ def bootstrap(
     r = len(w1)
     if len(w2) != r or len(pasting) != r or any(len(row) != r for row in pasting):
         raise ValueError("block shape mismatch")
+    if not all(isinstance(x, int) for x in w1 + w2):
+        raise ValueError("chart weights must be integers")
     if any(w1[k] < w1[k + 1] for k in range(r - 1)):
         raise ValueError("chart-1 weights must be non-increasing")
     if any(w2[k] > w2[k + 1] for k in range(r - 1)):
@@ -382,9 +380,11 @@ def _clear_rows(transition: Sequence[Sequence[tuple[Rat, int]]]) -> IntMonomialM
     polynomial nor the exponent of det T, so h(k) and the degrees stay those
     of the transition, and every rank below is taken over the integers.
     """
+    if not all(isinstance(e, int) for row in transition for _, e in row):
+        raise ValueError("transition exponents must be integers")
     coeffs = clear_denominators([[c for c, _ in row] for row in transition])
     return tuple(
-        tuple((c, int(e)) for c, (_, e) in zip(crow, row)) for crow, row in zip(coeffs, transition)
+        tuple((c, e) for c, (_, e) in zip(crow, row)) for crow, row in zip(coeffs, transition)
     )
 
 

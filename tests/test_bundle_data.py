@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -19,10 +20,10 @@ from toricsplit.bundle_data import (
     tangent_bundle,
     validate,
 )
-from toricsplit.exact_linear import dot, rat_matmul
+from toricsplit.exact_linear import dot
 from toricsplit.fan import projective_space, walls
-from toricsplit.intersection import augmented_matrix
-from toricsplit.splitting import splitting_system
+from toricsplit.intersection import apply_q, augmented_matrix
+from toricsplit.splitting import SplittingSystem, splitting_system
 from toricsplit.surface_graph import enumerate_blowups, graph_to_fan, hirzebruch
 
 
@@ -117,80 +118,12 @@ def _reference_wall_fails(data, wall):
     return False
 
 
-def _frame_change(rng, r):
-    """A random invertible r x r matrix and its inverse: a product of scalings, shears and swaps."""
-    g = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
-    g_inv = [row[:] for row in g]
-    for _ in range(rng.randint(1, 3)):
-        kind = rng.choice(("scale", "shear", "swap"))
-        i, j = rng.sample(range(r), 2) if r > 1 else (0, 0)
-        if kind == "scale":
-            t = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
-            step = [[t if (a == b == i) else Fraction(int(a == b)) for b in range(r)] for a in range(r)]
-            back = [[1 / t if (a == b == i) else Fraction(int(a == b)) for b in range(r)] for a in range(r)]
-        elif kind == "shear" and i != j:
-            t = Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2))
-            step = [[Fraction(int(a == b)) + (t if (a, b) == (i, j) else 0) for b in range(r)] for a in range(r)]
-            back = [[Fraction(int(a == b)) - (t if (a, b) == (i, j) else 0) for b in range(r)] for a in range(r)]
-        else:
-            swap = {i: j, j: i}
-            step = back = [[Fraction(int(swap.get(a, a) == b)) for b in range(r)] for a in range(r)]
-        g = rat_matmul(g, step)
-        g_inv = rat_matmul(back, g_inv)
-    return g, g_inv
-
-
-def _perturbed(rng, data):
-    """``data`` with random frame changes at star cones and, sometimes, altered weights.
-
-    A frame change of cone c multiplies (0, c) by G on the right and (c, 0)
-    by G^-1 on the left, so the per-cone identity check still passes.  A
-    relabelling of a cone's weights with the matching permutation, and a
-    twist of every weight by one character, keep the bundle valid.
-    """
-    weights = [list(ws) for ws in data.weight_systems]
-    to, back = list(data.to_base), list(data.from_base)
-    r, n_cones, dim = data.rank, len(weights), data.fan.dim
-    for _ in range(rng.randint(1, 2)):
-        c = rng.randrange(1, n_cones)
-        if rng.random() < 0.3 and r > 1:
-            order = rng.sample(range(r), r)  # new weight k is old weight order[k]
-            g = [[Fraction(int(order[k] == i)) for k in range(r)] for i in range(r)]
-            g_inv = [list(col) for col in zip(*g)]
-            weights[c] = [weights[c][order[k]] for k in range(r)]
-        else:
-            g, g_inv = _frame_change(rng, r)
-        to[c] = tuple(map(tuple, rat_matmul(to[c], g)))
-        back[c] = tuple(map(tuple, rat_matmul(g_inv, back[c])))
-    roll = rng.random()
-    if roll < 0.15:
-        twist = [rng.randint(-2, 2) for _ in range(dim)]
-        weights = [[tuple(x + t for x, t in zip(chi, twist)) for chi in ws] for ws in weights]
-    elif roll < 0.3:
-        c, k, axis = rng.randrange(n_cones), rng.randrange(r), rng.randrange(dim)
-        chi = list(weights[c][k])
-        chi[axis] += rng.choice((-1, 1))
-        weights[c][k] = tuple(chi)
-    return replace(
-        data,
-        weight_systems=tuple(tuple(ws) for ws in weights),
-        to_base=tuple(to),
-        from_base=tuple(back),
-    )
-
-
-def test_validate_matches_two_direction_wall_reference():
+def test_validate_matches_two_direction_wall_reference(perturbed_bundles):
     # restrict checks support in one direction only; on every perturbed
     # bundle it must fail exactly the walls the two-direction loop fails
-    fans = [projective_space(2), projective_space(3)]
-    fans += [graph_to_fan(g) for k in range(3) for g in enumerate_blowups(k)]
-    bases = [tangent_bundle(fan) for fan in fans]
-    bases += [cp2_rank2(a, b, c) for a, b, c in [(1, 1, 1), (1, 2, 3), (2, 2, 1), (3, 1, 2)]]
-    rng = random.Random(20261018)
     valid = 0
     failing_walls = 0
-    for case in range(2400):
-        data = _perturbed(rng, bases[case % len(bases)])
+    for case, data in enumerate(perturbed_bundles):
         expected = [wall for wall in walls(data.fan) if _reference_wall_fails(data, wall)]
         problems = validate(data)
         assert len(problems) == len(expected), (case, problems)
@@ -314,6 +247,109 @@ def test_euler_out_of_scope_restriction():
     spec = make_euler_spec(fan, [(1, 1, 0), (0, 0, 1)], [(1, 1, 0), (0, 0, 1)])
     with pytest.raises(ValueError, match="not in scope"):
         euler_splitting_system(spec, augmented_matrix(fan))
+
+
+def _reference_kinds(spec, wall):
+    """How each section restricts to the curve of ``wall``, as ``euler_splitting_system`` once named it."""
+    tau = set(wall.tau)
+    kinds = []
+    for alpha in spec.section_exponents:
+        support = {t for t, e in enumerate(alpha) if e > 0}
+        if support & tau:
+            kinds.append("zero")
+        elif not support & {wall.extra1, wall.extra2}:
+            kinds.append("constant")
+        elif wall.extra2 not in support:
+            kinds.append("power1")
+        elif wall.extra1 not in support:
+            kinds.append("power2")
+        else:
+            kinds.append("mixed")
+    return kinds
+
+
+def _reference_euler_system(spec, aim):
+    """``euler_splitting_system`` as it was before its single-pass rewrite: string kinds, supports per wall."""
+    if aim.fan != spec.fan:
+        raise ValueError("intersection matrix belongs to a different fan")
+    taus = []
+    rows = []
+    summand_degrees = [apply_q(aim, d) for d in spec.summand_divisors]
+    for wi, wall in enumerate(aim.row_walls):
+        degs = [by_wall[wi] for by_wall in summand_degrees]
+        kinds = _reference_kinds(spec, wall)
+        if "constant" in kinds:
+            drop = kinds.index("constant")
+            if degs[drop] != 0:
+                raise RuntimeError("a summand with a constant section has nonzero wall degree")
+            remaining = [m for i, m in enumerate(degs) if i != drop]
+        else:
+            first = [i for i, k in enumerate(kinds) if k == "power1"]
+            second = [i for i, k in enumerate(kinds) if k == "power2"]
+            if len(first) == 1 and len(second) == 1 and "mixed" not in kinds:
+                i, j2 = first[0], second[0]
+                remaining = [degs[i] + degs[j2]] + [
+                    m for t, m in enumerate(degs) if t not in (i, j2)
+                ]
+            else:
+                raise ValueError("η restriction not in scope")
+        taus.append(wall.tau)
+        rows.append(tuple(sorted(remaining, reverse=True)))
+    return SplittingSystem(tuple(taus), tuple(rows))
+
+
+def _euler_outcome(system_of, spec, aim):
+    try:
+        return system_of(spec, aim)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _branch(kinds):
+    """Which rule of the scope decides a wall with these section kinds."""
+    if "constant" in kinds:
+        return "constant"
+    if "mixed" in kinds:
+        return "mixed"
+    if kinds.count("power1") == kinds.count("power2") == 1:
+        return "merge"
+    return "powers of one coordinate" if max(kinds.count("power1"), kinds.count("power2")) > 1 else "too few"
+
+
+def test_euler_system_matches_reference_on_projective_spaces():
+    for n in (2, 3, 4):
+        fan = projective_space(n)
+        aim = augmented_matrix(fan)
+        for mults in product(range(3), repeat=n + 1):
+            spec = euler_monomial_spec(fan, mults)
+            want = _euler_outcome(_reference_euler_system, spec, aim)
+            assert _euler_outcome(euler_splitting_system, spec, aim) == want, (n, mults)
+
+
+def test_euler_system_matches_reference_on_surfaces():
+    # d = alpha + div(chi^m) makes z^alpha a section of O(d) whatever alpha is
+    fans = [graph_to_fan(g) for k in range(4) for g in enumerate_blowups(k)]
+    rng = random.Random(20261019)
+    branches = set()
+    for case in range(600):
+        fan = fans[case % len(fans)]
+        aim = augmented_matrix(fan)
+        exponents = [
+            [rng.choice((0, 0, 0, 1, 2)) for _ in fan.rays] for _ in range(rng.randint(2, 4))
+        ]
+        divisors = []
+        for alpha in exponents:
+            m = [rng.randint(-2, 2) for _ in range(fan.dim)]
+            divisors.append([a + dot(m, ray) for a, ray in zip(alpha, fan.rays)])
+        spec = make_euler_spec(fan, divisors, exponents)
+        want = _euler_outcome(_reference_euler_system, spec, aim)
+        assert _euler_outcome(euler_splitting_system, spec, aim) == want, (case, spec)
+        for wall in aim.row_walls:  # the walls the rewrite reaches: up to the first out of scope
+            branch = _branch(_reference_kinds(spec, wall))
+            branches.add(branch)
+            if branch not in ("constant", "merge"):
+                break
+    assert {"constant", "merge", "mixed", "powers of one coordinate", "too few"} <= branches, branches
 
 
 def test_euler_spec_checks_section_class():

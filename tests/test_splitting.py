@@ -3,16 +3,19 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from toricsplit.bundle_data import KaneyamaBundleData, cp2_rank2, tangent_bundle
-from toricsplit.exact_linear import rat_rank
+from toricsplit.bundle_data import KaneyamaBundleData, assemble_bundle, cp2_rank2, tangent_bundle
+from toricsplit.exact_linear import dot, rat_rank
 from toricsplit.fan import projective_space, walls
 from toricsplit.intersection import augmented_matrix
 from toricsplit.splitting import (
     _DETERMINANT_RANK_CAP,
+    RestrictionBlock,
     SplittingSystem,
+    WallRestriction,
     _clear_rows,
     _h_separable,
     _h_truncated,
@@ -62,6 +65,14 @@ def test_oracle_rejects_non_monomial_determinant():
     t = mono([[(1, 2), (1, 0)], [(1, 0), (1, -1)]])
     with pytest.raises(ValueError, match="not a monomial"):
         h0_oracle(t)
+
+
+def test_oracle_rejects_non_integer_exponents():
+    for exponent in (1.5, Fraction(3, 2), "2"):
+        with pytest.raises(ValueError, match="^transition exponents must be integers$"):
+            h0_oracle([[(1, exponent)]])
+        with pytest.raises(ValueError, match="^transition exponents must be integers$"):
+            h0_oracle([[(1, 0), (0, 0)], [(0, 0), (1, exponent)]])
 
 
 def test_oracle_rejects_non_square():
@@ -163,6 +174,14 @@ def test_bootstrap_rejects_unsorted_weights():
         bootstrap((0, 1), (0, 1), [[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="chart-2"):
         bootstrap((1, 0), (1, 0), [[1, 0], [0, 1]])
+
+
+def test_bootstrap_rejects_non_integer_weights():
+    for weight in (1.5, Fraction(3, 2), "2"):
+        with pytest.raises(ValueError, match="^chart weights must be integers$"):
+            bootstrap([weight], [0], [[1]])
+        with pytest.raises(ValueError, match="^chart weights must be integers$"):
+            bootstrap([0], [weight], [[1]])
 
 
 def test_bootstrap_rejects_shape_mismatch():
@@ -269,6 +288,15 @@ def test_restrict_rejects_bad_v_chart():
     wall = walls(fan)[0]
     with pytest.raises(ValueError, match="pair to 1"):
         restrict(data, wall, fan.rays[wall.tau[0]])
+    # the pairing alone would ignore a third coordinate, and int() would truncate 0.5
+    for v_chart in ((0, 1, 7), (0.5, 1)):
+        with pytest.raises(ValueError, match=r"^v_chart .* is not 2 integers$"):
+            restrict(data, wall, v_chart)
+    # one coordinate would pair against the conormal's first entry alone
+    conormals = {w: fan.duals[w.sigma1][fan.max_cones[w.sigma1].index(w.extra1)] for w in walls(fan)}
+    first_entry_one = next(w for w, conormal in conormals.items() if conormal[0] == 1)
+    with pytest.raises(ValueError, match=r"^v_chart \(1,\) is not 2 integers$"):
+        restrict(data, first_entry_one, (1,))
 
 
 def test_restrict_rejects_net_violation():
@@ -286,6 +314,127 @@ def test_restrict_rejects_support_violation():
     data = replace(good, to_base=(ones,) * 3, from_base=(ones,) * 3)
     with pytest.raises(ValueError, match="support fails"):
         restrict(data, walls(fan)[0])
+
+
+def _reference_restrict(data, wall, v_chart=None):
+    """``restrict`` as it was before its single-pass rewrite: per-key index lists and sorts."""
+    fan = data.fan
+    c1, c2 = wall.sigma1, wall.sigma2
+    if v_chart is None:
+        v = fan.rays[wall.extra1]
+    else:
+        v = tuple(int(x) for x in v_chart)
+        conormal = fan.duals[c1][fan.max_cones[c1].index(wall.extra1)]
+        if dot(conormal, v) != 1:
+            raise ValueError(f"v_chart {v} does not pair to 1 against the wall conormal")
+
+    w1 = data.weight_systems[c1]
+    w2 = data.weight_systems[c2]
+    p = data.pasting(c2, c1)
+    tau_rays = [fan.rays[t] for t in wall.tau]
+    key1 = [tuple(dot(chi, vt) for vt in tau_rays) for chi in w1]
+    key2 = [tuple(dot(chi, vt) for vt in tau_rays) for chi in w2]
+    if sorted(key1) != sorted(key2):
+        raise ValueError(f"net condition fails at wall tau {wall.tau} between cones {c1} and {c2}")
+
+    for i2, k2 in enumerate(key2):
+        for i1, k1 in enumerate(key1):
+            if k1 != k2 and p[i2][i1] != 0 and any(b - a < 0 for a, b in zip(k1, k2)):
+                raise ValueError(
+                    f"support fails for pasting ({c2},{c1}) entry ({i2},{i1}) at wall tau {wall.tau}"
+                )
+
+    blocks = []
+    for key in sorted(set(key1)):
+        idx1 = [i for i, k in enumerate(key1) if k == key]
+        idx2 = [i for i, k in enumerate(key2) if k == key]
+        t1 = [dot(w1[i], v) for i in idx1]
+        t2 = [dot(w2[i], v) for i in idx2]
+        order1 = sorted(range(len(idx1)), key=lambda m: -t1[m])
+        order2 = sorted(range(len(idx2)), key=lambda m: t2[m])
+        block_pasting = tuple(tuple(p[idx2[m2]][idx1[m1]] for m1 in order1) for m2 in order2)
+        blocks.append(
+            RestrictionBlock(
+                key,
+                tuple(t1[m] for m in order1),
+                tuple(t2[m] for m in order2),
+                block_pasting,
+            )
+        )
+    return WallRestriction(wall, v, tuple(blocks))
+
+
+def _restrict_outcome(restrict_fn, data, wall, v_chart=None):
+    try:
+        return restrict_fn(data, wall, v_chart)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_restrict_matches_reference(data, shift=False):
+    """Equal restrictions wall by wall, at the default ``v_chart`` and, with ``shift``, moved along tau."""
+    fan = data.fan
+    for wall in walls(fan):
+        base = fan.rays[wall.extra1]
+        v_charts = [None]
+        if shift:
+            v_charts += [
+                tuple(b + m * x for b, x in zip(base, fan.rays[t])) for t in wall.tau for m in (-2, 1, 3)
+            ]
+        for v_chart in v_charts:
+            assert restrict(data, wall, v_chart) == _reference_restrict(data, wall, v_chart), (wall, v_chart)
+
+
+def test_restrict_matches_reference_on_tangent_bundles():
+    fans = [projective_space(n) for n in range(1, 6)]
+    fans += [graph_to_fan(g) for k in range(5) for g in enumerate_blowups(k)]
+    assert walls(fans[0])[0].tau == ()
+    for fan in fans:
+        _assert_restrict_matches_reference(tangent_bundle(fan))
+
+
+def test_restrict_matches_reference_on_cp2_rank2():
+    for a, b, c in product(range(1, 5), repeat=3):
+        _assert_restrict_matches_reference(cp2_rank2(a, b, c), shift=True)
+
+
+def _line_sum(fan, divisors):
+    """The sum of O(D) over ray-coefficient vectors D: on cone c the weight of O(D)
+    pairs to -D_i with each ray i of c, and every pasting is the identity."""
+    weights = [
+        [tuple(-sum(d[i] * e[x] for i, e in zip(cone, duals)) for x in range(fan.dim)) for d in divisors]
+        for cone, duals in zip(fan.max_cones, fan.duals)
+    ]
+    ident = [[int(i == j) for j in range(len(divisors))] for i in range(len(divisors))]
+    star = range(1, len(fan.max_cones))
+    return assemble_bundle(fan, weights, {**{(0, c): ident for c in star}, **{(c, 0): ident for c in star}})
+
+
+def test_restrict_matches_reference_on_line_sums():
+    # summands whose divisors agree on tau share a block with distinct or tied chart weights
+    fans = [projective_space(2), projective_space(3)]
+    fans += [graph_to_fan(g) for k in range(3) for g in enumerate_blowups(k)]
+    rng = random.Random(20261020)
+    spread = tied = 0
+    for case in range(120):
+        fan = fans[case % len(fans)]
+        divisors = [[rng.randint(-1, 1) for _ in fan.rays] for _ in range(rng.randint(2, 4))]
+        data = _line_sum(fan, divisors)
+        _assert_restrict_matches_reference(data, shift=True)
+        for block in (b for r in data.restrictions for b in r.blocks if len(b.chart1_weights) > 1):
+            spread += len(set(block.chart1_weights)) > 1
+            tied += len(set(block.chart1_weights)) < len(block.chart1_weights)
+    assert spread > 50 and tied > 50, (spread, tied)
+
+
+def test_restrict_matches_reference_on_perturbed_bundles(perturbed_bundles):
+    failures = 0
+    for case, data in enumerate(perturbed_bundles):
+        for wall in walls(data.fan):
+            want = _restrict_outcome(_reference_restrict, data, wall)
+            assert _restrict_outcome(restrict, data, wall) == want, (case, wall)
+            failures += isinstance(want, str)
+    assert failures > 1000, failures
 
 
 # --------------------------------------------------------- whole-fan systems
