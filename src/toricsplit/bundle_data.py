@@ -65,8 +65,9 @@ def assemble_bundle(
 ) -> KaneyamaBundleData:
     """Sort each weight system lexicographically and permute pastings to match.
 
-    Stores the pastings (0, c) and (c, 0); each other pair given must equal
-    the product through cone 0, or a ``ValueError`` names the three cones.
+    Stores the pastings (0, c) and (c, 0), which must all be given, each
+    rank x rank between cones of the fan; each other pair given must equal
+    the product through cone 0.  Each fault is a named ``ValueError``.
     """
     n_cones = len(fan.max_cones)
     if len(weight_systems) != n_cones:
@@ -81,12 +82,21 @@ def assemble_bundle(
         perms.append(tagged)
         sorted_systems.append(tuple(tuple(int(x) for x in ws[i]) for i in tagged))
 
+    for (c2, c1), raw in pasting_map.items():
+        if not (0 <= c2 < n_cones and 0 <= c1 < n_cones):
+            raise ValueError(f"pasting ({c2},{c1}) names a cone out of range")
+        if len(raw) != rank or any(len(row) != rank for row in raw):
+            raise ValueError(f"pasting ({c2},{c1}) is not {rank}x{rank}")
+    star = range(1, n_cones)
+    missing = [pair for c in star for pair in ((0, c), (c, 0)) if pair not in pasting_map]
+    if missing:
+        raise ValueError("pasting ({},{}) is missing".format(*missing[0]))
+
     def permuted(c2: int, c1: int) -> list[list[Rat]]:
         raw = pasting_map[(c2, c1)]
         return [[raw[i][j] for j in perms[c1]] for i in perms[c2]]
 
     identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
-    star = range(1, n_cones)
     data = KaneyamaBundleData(
         fan,
         rank,

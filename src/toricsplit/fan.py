@@ -279,8 +279,6 @@ def parse_fan(text: str) -> Fan:
         if keyword == "dim":
             if dim is not None:
                 raise ValueError(f"line {lineno}: duplicate dim line")
-            if rays or cones:
-                raise ValueError(f"line {lineno}: dim must come first")
             if len(values) != 1 or values[0] < 1:
                 raise ValueError(f"line {lineno}: dim takes one positive integer")
             dim = values[0]

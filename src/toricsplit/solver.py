@@ -7,8 +7,8 @@ enumerates the admissible row permutations of the degree system as a depth
 first scan over walls, pruning on three exact conditions:
 
 * column sign feasibility (a column that has seen both signs is dead),
-* lexicographic non-increase of adjacent columns (removes column-order
-  duplicates),
+* lexicographic non-increase of adjacent columns (so each leaf's columns
+  are sorted, and no two leaves give the same type),
 * rational consistency of every left-kernel relation of the intersection
   matrix as soon as its last supported wall is assigned.
 
@@ -18,7 +18,7 @@ the first search.  Surviving candidates are solved integrally, column by
 column, by back-substitution against the matrix's cached ``aim.solve_plan``
 (one HNF per matrix, built at the first leaf, so a search that reaches no
 leaf computes none); each solution is checked against Q, reduced modulo the
-principal-divisor lattice and deduplicated.
+principal-divisor lattice and keyed by its sorted classes.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .splitting import SplittingSystem
 _DEFAULT_MODES = 0b0011
 _STRICT_MODES = 0b1110
 _ORDERING_RANK_CAP = 8  # each wall tries up to r! orderings of its row
-_STAT_KEYS = ("leaves", "failed_solves", "duplicates", "sign_cuts", "lex_cuts", "kernel_cuts")
+_STAT_KEYS = ("leaves", "failed_solves", "sign_cuts", "lex_cuts", "kernel_cuts")
 
 
 def _entry_modes(entry: int) -> int:
@@ -76,10 +76,10 @@ def find_splitting_types(
 
     When ``stats`` is a dict, the search adds its counts to it: ``leaves``
     (candidates reached), ``failed_solves`` (leaves with no integral
-    solution), ``duplicates`` (solutions equal to an earlier one up to
-    linear equivalence and column order) and the orderings cut by
-    ``sign_cuts``, ``lex_cuts`` and ``kernel_cuts``.  The result has
-    ``leaves - failed_solves - duplicates`` types.
+    solution) and the orderings cut by ``sign_cuts``, ``lex_cuts`` and
+    ``kernel_cuts``.  The result has ``leaves - failed_solves`` types: a
+    leaf's columns are sorted, so a type's classes fix their degree columns
+    and with them the leaf, and a repeated type raises ``RuntimeError``.
     """
     if tuple(w.tau for w in aim.row_walls) != system.taus:
         raise ValueError("system walls do not match the intersection matrix")
@@ -116,7 +116,7 @@ def find_splitting_types(
             if solution is None:
                 counts["failed_solves"] += 1
             elif results.setdefault(tuple(sorted(solution.canonical)), solution) is not solution:
-                counts["duplicates"] += 1
+                raise RuntimeError(f"invariant broken: candidate {solution.perm_id} repeats an earlier type")
             return
         for ordering, entry_modes in choices[i]:
             modes = col_modes & entry_modes

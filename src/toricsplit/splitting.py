@@ -171,91 +171,55 @@ def bootstrap(
 
     degrees: list[int] = []
     while len(w1) > 1:
-        i_cols, j_rows, v = _top_stratum(w1, w2, a)
-        degrees.append(w1[i_cols[0]] - w2[j_rows[0]])
+        degree, v, j_rows = _top_stratum(w1, w2, a)
+        degrees.append(degree)
         _deflate(a, w1, w2, v, j_rows)
     degrees.extend(x - y for x, y in zip(w1, w2))
     return tuple(sorted(degrees, reverse=True))
 
 
-def _weight_blocks(values: list[int]) -> list[list[int]]:
-    blocks: list[list[int]] = []
-    for idx, val in enumerate(values):
-        if blocks and values[blocks[-1][0]] == val:
-            blocks[-1].append(idx)
-        else:
-            blocks.append([idx])
-    return blocks
+def _top_stratum(w1: list[int], w2: list[int], a: list[list[int]]) -> tuple[int, list[int], range]:
+    """The degree, witness vector and row block of a maximal-degree non-empty stratum.
 
+    Column blocks are runs of equal chart-1 weights, row blocks of chart-2
+    weights.  Stratum (i, j) has degree w1 on block i minus w2 on block j,
+    and is non-empty when some vector on the columns up to block i meets
+    block i and dies on the rows past row block j.  Strata are tried by
+    degree, highest first.  The witness, the first kernel vector of those
+    rows that meets block i, hits row block j: otherwise its image, not zero
+    as ``a`` stays invertible, ends in a row block j' < j, so it witnesses
+    (i, j'), which has strictly higher degree (w2 rises from block to block)
+    and was tried first.
+    """
+    # where each block starts, then the length: block b is starts[b]:starts[b + 1]
+    col_starts, row_starts = (
+        [k for k in range(len(w)) if k == 0 or w[k] != w[k - 1]] + [len(w)] for w in (w1, w2)
+    )
 
-def _top_stratum(
-    w1: list[int], w2: list[int], a: list[list[int]]
-) -> tuple[list[int], list[int], list[int]]:
-    """Locate a maximal-degree non-empty stratum and return a witness vector."""
-    col_blocks = _weight_blocks(w1)
-    row_blocks = _weight_blocks(w2)
-    nb_rows = len(row_blocks)
-
-    rank_memo: dict[tuple[int, int], int] = {}
-
-    def rank_b(k: int, l: int) -> int:
-        # rows in row blocks k.. , columns in col blocks ..l (1-based block indices)
-        if l == 0 or k == nb_rows + 1:
-            return 0
-        if (k, l) not in rank_memo:
-            rows = [ri for blk in row_blocks[k - 1 :] for ri in blk]
-            cols = [ci for blk in col_blocks[:l] for ci in blk]
-            rank_memo[(k, l)] = int_rank([[a[ri][ci] for ci in cols] for ri in rows])
-        return rank_memo[(k, l)]
-
-    candidates = [
-        (i, j)
-        for i in range(1, len(col_blocks) + 1)
-        for j in range(1, nb_rows + 1)
-    ]
-    candidates.sort(key=lambda ij: (-(w1[col_blocks[ij[0] - 1][0]] - w2[row_blocks[ij[1] - 1][0]]), ij))
-    for i, j in candidates:
-        n_i = len(col_blocks[i - 1])
-        if rank_b(j + 1, i) - rank_b(j + 1, i - 1) >= n_i:
+    # highest degree first, ties in (i, j) order
+    strata = sorted(
+        (w2[row_starts[j]] - w1[col_starts[i]], i, j)
+        for i in range(len(col_starts) - 1)
+        for j in range(len(row_starts) - 1)
+    )
+    for minus_degree, i, j in strata:
+        lo, hi, deep = col_starts[i], col_starts[i + 1], row_starts[j + 1]
+        deep_rows = [row[:hi] for row in a[deep:]]
+        # empty when block i's columns raise the rank of the deep rows by their number
+        if int_rank(deep_rows) - int_rank([row[:lo] for row in deep_rows]) == hi - lo:
             continue
-        if rank_b(j, i) <= rank_b(j + 1, i):
-            continue
-        cols = [ci for blk in col_blocks[:i] for ci in blk]
-        deep_rows = [ri for blk in row_blocks[j:] for ri in blk]
-        if deep_rows:
-            basis = int_kernel([[a[ri][ci] for ci in cols] for ri in deep_rows])
-        else:
-            basis = [tuple(int(m == n) for n in range(len(cols))) for m in range(len(cols))]
-        block_i_local = range(len(cols) - n_i, len(cols))
-        j_rows = row_blocks[j - 1]
-
-        def in_block_i(vec: Sequence[int]) -> bool:
-            return any(vec[m] != 0 for m in block_i_local)
-
-        def hits_row_block(vec: Sequence[int]) -> bool:
-            return any(sum(a[ri][ci] * x for ci, x in zip(cols, vec)) != 0 for ri in j_rows)
-
-        v1 = next((vec for vec in basis if in_block_i(vec)), None)
-        v2 = next((vec for vec in basis if hits_row_block(vec)), None)
-        if v1 is None or v2 is None:
+        basis = int_kernel(deep_rows) if deep_rows else [tuple(int(m == lo) for m in range(hi))]
+        # with no kernel vector meeting block i the witness is zero and hits no row
+        local = next((vec for vec in basis if any(vec[lo:])), ())
+        v = [*local, *[0] * (len(w1) - len(local))]
+        j_rows = range(row_starts[j], deep)
+        if not any(dot(a[ri], v) for ri in j_rows):
             raise RuntimeError("a nonempty stratum has no witness vector")
-        if hits_row_block(v1):
-            local = v1
-        elif in_block_i(v2):
-            local = v2
-        else:
-            # v1 alone meets block i and v2 alone hits row block j, whatever their scales
-            local = [x + y for x, y in zip(v1, v2)]
-        full = [0] * len(w1)
-        for m, ci in enumerate(cols):
-            full[ci] = local[m]
-        return col_blocks[i - 1], j_rows, full
+        return -minus_degree, v, j_rows
     raise RuntimeError("no stratum found for an invertible pasting")
 
 
-def _deflate(
-    a: list[list[int]], w1: list[int], w2: list[int], v: list[int], j_rows: list[int]
-) -> None:
+def _deflate(a: list[list[int]], w1: list[int], w2: list[int], v: list[int], j_rows: range) -> None:
     """Split off the line spanned by ``v`` and drop one row and one column.
 
     With u = a @ v and l the first row of ``j_rows`` with u[l] != 0, each
@@ -394,43 +358,35 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
 
 
 def _separate_exponents(t: IntMonomialMatrix) -> tuple[list[int], list[int]] | None:
-    """Solve exponent(i, j) = u_i + t_j over the nonzero entries, if possible."""
+    """Solve exponent(i, j) = u_i + t_j over the nonzero entries, if possible.
+
+    One walk over 2r nodes, rows 0..r-1 then columns: a nonzero entry (i, j)
+    joins i and r + j, whose values must sum to the entry's exponent.
+    Every row starts a walk; only a zero column would stay without a value,
+    and ``h0_oracle`` rejects its zero determinant first.
+    """
     r = len(t)
-    u: list[int | None] = [None] * r
-    tt: list[int | None] = [None] * r
+    value: list[int | None] = [None] * (2 * r)
     for start in range(r):
-        if u[start] is not None:
+        if value[start] is not None:
             continue
-        u[start] = 0
-        queue = [("row", start)]
-        while queue:
-            kind, idx = queue.pop()
-            if kind == "row":
-                for j in range(r):
-                    c, e = t[idx][j]
-                    if c == 0:
-                        continue
-                    val = e - u[idx]
-                    if tt[j] is None:
-                        tt[j] = val
-                        queue.append(("col", j))
-                    elif tt[j] != val:
-                        return None
-            else:
-                for i in range(r):
-                    c, e = t[i][idx]
-                    if c == 0:
-                        continue
-                    val = e - tt[idx]
-                    if u[i] is None:
-                        u[i] = val
-                        queue.append(("row", i))
-                    elif u[i] != val:
-                        return None
-    if any(x is None for x in u) or any(x is None for x in tt):
-        # a zero row or column; the determinant check rejects it first
-        return None
-    return u, tt  # type: ignore[return-value]
+        value[start] = 0
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            for m in range(r):
+                i, j = (node, m) if node < r else (m, node - r)
+                c, e = t[i][j]
+                if c == 0:
+                    continue
+                other = r + j if node < r else i
+                val = e - value[node]
+                if value[other] is None:
+                    value[other] = val
+                    stack.append(other)
+                elif value[other] != val:
+                    return None
+    return value[:r], value[r:]  # type: ignore[return-value]
 
 
 def _h_separable(t: IntMonomialMatrix, split: tuple[list[int], list[int]], k: int) -> int:
@@ -446,9 +402,7 @@ def _h_separable(t: IntMonomialMatrix, split: tuple[list[int], list[int]], k: in
     m_lo = min(min(tj), k - max(u)) - 1
     total = 0
     for m in range(m_lo, max(tj) + 1):
-        cols = [j for j in range(r) if m <= tj[j]]
-        if not cols:
-            continue
+        cols = [j for j in range(r) if m <= tj[j]]  # nonempty, as m <= max(tj)
         rows = [i for i in range(r) if u[i] < k - m]
         contribution = len(cols) - int_rank([[coeff[i][j] for j in cols] for i in rows])
         if m == m_lo and contribution:

@@ -4,12 +4,14 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
 from toricsplit.bundle_data import cp2_rank2, tangent_bundle
-from toricsplit.exact_linear import rat_matmul
+from toricsplit.exact_linear import IntMatrix, rat_matmul, solve_integral
 from toricsplit.fan import projective_space
+from toricsplit.solver import canonical_class_rep
 from toricsplit.surface_graph import enumerate_blowups, graph_to_fan
 
 _CRITERION_RESULTS: dict[int, bool] = {}
@@ -46,6 +48,12 @@ def _frame_change(rng, r):
         g = rat_matmul(g, step)
         g_inv = rat_matmul(back, g_inv)
     return g, g_inv
+
+
+@pytest.fixture(scope="session")
+def frame_change():
+    """``_frame_change(rng, r)``: a random product of scalings, shears and swaps, and its inverse."""
+    return _frame_change
 
 
 def _perturbed(rng, data):
@@ -96,6 +104,39 @@ def perturbed_bundles():
     bases += [cp2_rank2(a, b, c) for a, b, c in [(1, 1, 1), (1, 2, 3), (2, 2, 1), (3, 1, 2)]]
     rng = random.Random(20261018)
     return tuple(_perturbed(rng, bases[case % len(bases)]) for case in range(2400))
+
+
+def _sign_admissible(column, strict):
+    if strict:
+        return (
+            all(v > 0 for v in column)
+            or all(v == 0 for v in column)
+            or all(v < 0 for v in column)
+        )
+    return all(v >= 0 for v in column) or all(v < 0 for v in column)
+
+
+def _brute_force_keys(aim, system, strict):
+    keys = set()
+    for choice in product(*[sorted(set(permutations(row))) for row in system.degrees]):
+        rhs = IntMatrix.from_rows([list(row) for row in choice])
+        if not all(_sign_admissible(rhs.column(l), strict) for l in range(rhs.cols)):
+            continue
+        solved = solve_integral(aim.q, rhs)
+        if solved is None:
+            continue
+        x, _ = solved
+        keys.add(
+            tuple(sorted(canonical_class_rep(x.column(l), aim.fan) for l in range(x.cols)))
+        )
+    return keys
+
+
+@pytest.fixture(scope="session")
+def brute_force_keys():
+    """The splitting types of a system by brute force, as sorted canonical class tuples:
+    every ordering of every wall tuple, sign-filtered, solved with ``solve_integral``."""
+    return _brute_force_keys
 
 
 def pytest_runtest_logreport(report):

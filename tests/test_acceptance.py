@@ -19,7 +19,7 @@ from toricsplit.bundle_data import (
     tangent_bundle,
 )
 from toricsplit.cli import cmd_table41, table41_rows
-from toricsplit.exact_linear import IntMatrix, rat_rank, solve_integral
+from toricsplit.exact_linear import rat_rank
 from toricsplit.fan import projective_space, walls
 from toricsplit.intersection import apply_q, augmented_matrix
 from toricsplit.solver import canonical_class_rep, find_splitting_types
@@ -204,7 +204,7 @@ def test_criterion_4_rational_ruled_tangent():
         assert strict_keys == {((0, 0, 0, 0), (2, 2, 0, 0))}
 
 
-def test_criterion_5_euler_quotient_classification():
+def test_criterion_5_euler_quotient_classification(brute_force_keys):
     # quotients of monomial section sums over projective spaces
     for n in (2, 3, 4):
         fan = projective_space(n)
@@ -252,7 +252,7 @@ def test_criterion_5_euler_quotient_classification():
                 for reference in expected:
                     _check_reference_type(aim, reference, rows, context)
                 assert found == expected, context
-                assert found == _brute_force_keys(aim, system, strict), context
+                assert found == brute_force_keys(aim, system, strict), context
                 if a == 0 and strict and (m[0] == m[2] or m[1] == m[3]):
                     assert len(found) == 1, context
                 if a == 0 and strict and m[0] == m[2] and m[1] == m[3]:
@@ -306,33 +306,7 @@ def _wall_degrees(data, wall, v_chart):
     return tuple(sorted(degs, reverse=True))
 
 
-def _sign_admissible(column, strict):
-    if strict:
-        return (
-            all(v > 0 for v in column)
-            or all(v == 0 for v in column)
-            or all(v < 0 for v in column)
-        )
-    return all(v >= 0 for v in column) or all(v < 0 for v in column)
-
-
-def _brute_force_keys(aim, system, strict):
-    keys = set()
-    for choice in product(*[sorted(set(permutations(row))) for row in system.degrees]):
-        rhs = IntMatrix.from_rows([list(row) for row in choice])
-        if not all(_sign_admissible(rhs.column(l), strict) for l in range(rhs.cols)):
-            continue
-        solved = solve_integral(aim.q, rhs)
-        if solved is None:
-            continue
-        x, _ = solved
-        keys.add(
-            tuple(sorted(canonical_class_rep(x.column(l), aim.fan) for l in range(x.cols)))
-        )
-    return keys
-
-
-def test_criterion_6_property_suite():
+def test_criterion_6_property_suite(brute_force_keys):
     # (i) circular weights of an s-ray surface sum to 12 - 3s
     for k in range(10):
         for graph in enumerate_blowups(k):
@@ -450,4 +424,4 @@ def test_criterion_6_property_suite():
                     tuple(sorted(t.canonical))
                     for t in find_splitting_types(aim, system, strict=strict)
                 }
-                assert got == _brute_force_keys(aim, system, strict)
+                assert got == brute_force_keys(aim, system, strict)

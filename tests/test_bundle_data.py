@@ -1,6 +1,7 @@
 """Bundle data validation, example constructions, and the text formats."""
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -8,6 +9,7 @@ from itertools import product
 import pytest
 
 from toricsplit.bundle_data import (
+    assemble_bundle,
     cp2_rank2,
     euler_monomial_spec,
     euler_splitting_system,
@@ -38,6 +40,23 @@ def test_assemble_sorts_weight_systems():
     data = tangent_bundle(projective_space(3))
     for ws in data.weight_systems:
         assert list(ws) == sorted(ws)
+
+
+def test_assemble_rejects_bad_pastings():
+    data = cp2_rank2(1, 1, 1)
+    pastings = {(c2, c1): data.pasting(c2, c1) for c2 in range(3) for c1 in range(3) if c1 != c2}
+    assert assemble_bundle(data.fan, data.weight_systems, pastings) == data
+    cases = [
+        ({k: v for k, v in pastings.items() if k != (0, 2)}, "pasting (0,2) is missing"),
+        ({k: v for k, v in pastings.items() if k != (1, 0)}, "pasting (1,0) is missing"),
+        ({**pastings, (2, 1): [pastings[2, 1][0], pastings[2, 1][1][:1]]}, "pasting (2,1) is not 2x2"),
+        # every pasting with an extra column and row: these used to be truncated silently
+        ({k: [[*row, 0] for row in v] + [[0, 0, 1]] for k, v in pastings.items()}, "pasting (0,1) is not 2x2"),
+        ({**pastings, (3, 0): pastings[1, 0]}, "pasting (3,0) names a cone out of range"),
+    ]
+    for pasting_map, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            assemble_bundle(data.fan, data.weight_systems, pasting_map)
 
 
 def test_validate_reports_net_violation():

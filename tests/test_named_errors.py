@@ -1,0 +1,137 @@
+"""Every bad input below fails with its own named, one-line error, matched exactly."""
+
+import re
+from dataclasses import replace
+
+import pytest
+
+from toricsplit.bundle_data import format_bundle, parse_bundle, parse_euler, tangent_bundle, validate
+from toricsplit.fan import format_fan, make_fan, parse_fan, projective_space
+from toricsplit.intersection import augmented_matrix
+from toricsplit.solver import find_splitting_types
+from toricsplit.splitting import SplittingSystem
+
+P1 = projective_space(1)
+P2 = projective_space(2)
+P2_RAYS = [(1, 0), (0, 1), (-1, -1)]
+P2_FAN = format_fan(P2)  # dim 2, three rays, cones 1 2 / 1 3 / 2 3
+P1_BUNDLE = format_bundle(tangent_bundle(P1))  # rank 1, weights 1: (1), weights 2: (-1), two pastings
+
+
+def _edit(text, old, new):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+def _mixed_lengths():
+    aim = augmented_matrix(P2)
+    taus = tuple(w.tau for w in aim.row_walls)
+    return find_splitting_types(aim, SplittingSystem(taus, ((1, 0),) + ((1,),) * (len(taus) - 1)))
+
+
+CASES = {
+    # make_fan and projective_space
+    "fan-dim-0": (lambda: make_fan(0, [], []), "fan dimension must be at least 1"),
+    "fan-ray-length": (
+        lambda: make_fan(2, [(1, 0), (0, 1, 0), (-1, -1)], [(0, 1), (0, 2), (1, 2)]),
+        "ray (0, 1, 0) does not have 2 coordinates",
+    ),
+    "fan-repeated-ray": (
+        lambda: make_fan(2, P2_RAYS, [(0, 0), (0, 2), (1, 2)]),
+        "maximal cone (0, 0) must consist of 2 distinct rays",
+    ),
+    "fan-ray-index": (
+        lambda: make_fan(2, P2_RAYS, [(0, 1), (0, 3), (1, 2)]),
+        "cone (0, 3) references a ray that does not exist",
+    ),
+    "fan-duplicate-cones": (
+        lambda: make_fan(2, P2_RAYS, [(0, 1), (1, 0), (0, 2), (1, 2)]),
+        "duplicate maximal cones",
+    ),
+    "projective-space-0": (lambda: projective_space(0), "projective space needs dimension at least 1"),
+    # parse_fan
+    "fan-duplicate-dim": (lambda: parse_fan(_edit(P2_FAN, "ray", "dim 2\nray")), "line 2: duplicate dim line"),
+    "fan-dim-not-first": (lambda: parse_fan("ray 1 0\n" + P2_FAN), "line 1: ray before dim"),
+    "fan-dim-value": (lambda: parse_fan(_edit(P2_FAN, "dim 2", "dim 0")), "line 1: dim takes one positive integer"),
+    "fan-dim-arity": (lambda: parse_fan(_edit(P2_FAN, "dim 2", "dim 2 2")), "line 1: dim takes one positive integer"),
+    "fan-cone-before-dim": (lambda: parse_fan("cone 1 2\n" + P2_FAN), "line 1: cone before dim"),
+    "fan-cone-arity": (lambda: parse_fan(_edit(P2_FAN, "cone 1 2", "cone 1 2 3")), "line 5: cone needs 2 ray indices"),
+    "fan-missing-dim": (lambda: parse_fan("# no content\n"), "missing dim line"),
+    "fan-missing-cones": (lambda: parse_fan("dim 2\nray 1 0\n"), "missing cone lines"),
+    # parse_bundle
+    "bundle-duplicate-rank": (
+        lambda: parse_bundle(_edit(P1_BUNDLE, "weights 1", "rank 1\nweights 1"), P1),
+        "line 2: duplicate rank line",
+    ),
+    "bundle-duplicate-weights": (
+        lambda: parse_bundle(_edit(P1_BUNDLE, "weights 2: (-1)", "weights 1: (1)"), P1),
+        "line 3: duplicate weights for cone 1",
+    ),
+    "bundle-unparenthesized": (
+        lambda: parse_bundle(_edit(P1_BUNDLE, "(1)", "1"), P1),
+        "line 2: weights must be parenthesized",
+    ),
+    "bundle-weight-length": (
+        lambda: parse_bundle(_edit(P1_BUNDLE, "(1)", "(1 0)"), P1),
+        "line 2: weight needs 1 coordinates",
+    ),
+    "bundle-weight-count": (
+        lambda: parse_bundle(_edit(P1_BUNDLE, "(1)", "(1);(1)"), P1),
+        "line 2: expected 1 weights",
+    ),
+    "bundle-pasting-before-rank": (
+        lambda: parse_bundle("pasting 1 2: 1\n" + P1_BUNDLE, P1),
+        "line 1: pasting before rank",
+    ),
+    "bundle-duplicate-pasting": (
+        lambda: parse_bundle(_edit(P1_BUNDLE, "pasting 2 1", "pasting 1 2"), P1),
+        "line 5: duplicate pasting 1 2",
+    ),
+    "bundle-entry-count": (
+        lambda: parse_bundle(_edit(P1_BUNDLE, "pasting 1 2: -1", "pasting 1 2: -1 0"), P1),
+        "line 4: expected 1 entries",
+    ),
+    "bundle-missing-rank": (lambda: parse_bundle("# no content\n", P1), "missing rank line"),
+    # parse_euler
+    "euler-missing-header": (lambda: parse_euler("# no content\n", P2), "missing 'euler' header"),
+    # the search and its input
+    "search-mixed-lengths": (_mixed_lengths, "wall tuples have mixed lengths"),
+    "system-tuple-per-wall": (
+        lambda: SplittingSystem(((0,), (1,)), ((1, 0),)),
+        "one degree tuple per wall required",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_bad_input_raises_its_named_error(case):
+    call, message = CASES[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def _weight_length(data):
+    systems = list(data.weight_systems)
+    systems[1] = (systems[1][0], systems[1][1] + (0,))
+    return replace(data, weight_systems=tuple(systems))
+
+
+def _pasting_shape(data):
+    from_base = list(data.from_base)
+    from_base[1] = ((1,),)
+    return replace(data, from_base=tuple(from_base))
+
+
+VALIDATE_CASES = {
+    "count": (lambda d: replace(d, to_base=d.to_base[:-1]), "weight system or pasting count does not match the fan"),
+    "weight-shape": (_weight_length, "weight system of cone 1 has the wrong shape"),
+    "pasting-shape": (_pasting_shape, "pasting (1,0) or (0,1) has the wrong shape"),
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDATE_CASES))
+def test_validate_names_each_shape_fault(case):
+    damage, message = VALIDATE_CASES[case]
+    data = tangent_bundle(P2)
+    assert validate(data) == []
+    assert validate(damage(data)) == [message]

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import textwrap
 import weakref
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -161,6 +161,15 @@ def test_check_no_mixed_sign(monkeypatch):
         find_splitting_types(aim, system)
 
 
+def test_check_no_repeated_type(monkeypatch):
+    # F_0's tangent system has two types; reduced to zero classes they would coincide
+    aim, system = tangent_case(graph_to_fan(hirzebruch(0)))
+    assert len(find_splitting_types(aim, system)) == 2
+    monkeypatch.setattr(solver, "canonical_class_rep", lambda x, fan: (0,) * len(x))
+    with pytest.raises(RuntimeError, match="^invariant broken: candidate 2 repeats an earlier type$"):
+        find_splitting_types(aim, system)
+
+
 def test_leaf_applies_q_once_per_column(monkeypatch):
     # the leaf's Q @ x == rows check is also what classifies each column's sign
     calls = []
@@ -204,6 +213,7 @@ def test_exactness_checks_survive_optimize_flag():
             unimodular_inverse([[2, 1], [0, 1]])
         except ValueError:
             print("ValueError")
+        sign_of_degrees = solver.sign_of_degrees
         solver.sign_of_degrees = lambda y: SignClass.MIXED
         fan = projective_space(2)
         try:
@@ -227,6 +237,19 @@ def test_exactness_checks_survive_optimize_flag():
             splitting.bootstrap((1, 0), (0, 1), [[1, 1], [0, 1]])
         except RuntimeError as exc:
             print("RuntimeError" if "no witness vector" in str(exc) else exc)
+        # the last unit vector is no kernel vector of row 1, and it misses row block 0
+        splitting.int_kernel = lambda rows: [(0,) * (len(rows[0]) - 1) + (1,)]
+        try:
+            splitting.bootstrap((0, 0), (0, 1), [[1, 0], [0, 1]])
+        except RuntimeError as exc:
+            print("RuntimeError" if "no witness vector" in str(exc) else exc)
+        solver.sign_of_degrees = sign_of_degrees
+        solver.canonical_class_rep = lambda x, fan: (0,) * len(x)  # F_0's two types look alike
+        fan = graph_to_fan(hirzebruch(0))
+        try:
+            solver.find_splitting_types(augmented_matrix(fan), splitting_system(tangent_bundle(fan)))
+        except RuntimeError as exc:
+            print("RuntimeError" if "repeats an earlier type" in str(exc) else exc)
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -235,7 +258,7 @@ def test_exactness_checks_survive_optimize_flag():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["ValueError"] + ["RuntimeError"] * 4
+    assert result.stdout.split() == ["ValueError"] + ["RuntimeError"] * 6
 
 
 def test_package_has_no_assert():
@@ -556,10 +579,9 @@ def test_stats_reconcile_with_types():
             for strict in (False, True):
                 stats = {}
                 types = find_splitting_types(aim, system, strict=strict, stats=stats)
-                assert set(stats) == {
-                    "leaves", "failed_solves", "duplicates", "sign_cuts", "lex_cuts", "kernel_cuts"
-                }
-                assert len(types) == stats["leaves"] - stats["failed_solves"] - stats["duplicates"]
+                assert set(stats) == {"leaves", "failed_solves", "sign_cuts", "lex_cuts", "kernel_cuts"}
+                # a leaf's columns are sorted, so no two leaves give the same type
+                assert len(types) == stats["leaves"] - stats["failed_solves"]
                 assert all(t.perm_id <= stats["leaves"] for t in types)
                 again = dict(stats)
                 find_splitting_types(aim, system, strict=strict, stats=again)
@@ -594,35 +616,7 @@ def test_stats_count_line_sum_search_leaves(monkeypatch):
 # ------------------------------------------------------- brute-force oracle
 
 
-def _sign_ok(column, strict):
-    if strict:
-        return (
-            all(v > 0 for v in column)
-            or all(v == 0 for v in column)
-            or all(v < 0 for v in column)
-        )
-    return all(v >= 0 for v in column) or all(v < 0 for v in column)
-
-
-def _brute_force_keys(aim, system, strict):
-    keys = set()
-    for choice in product(*[sorted(set(permutations(row))) for row in system.degrees]):
-        rhs = IntMatrix.from_rows([list(row) for row in choice])
-        if not all(_sign_ok(rhs.column(l), strict) for l in range(rhs.cols)):
-            continue
-        solved = solve_integral(aim.q, rhs)
-        if solved is None:
-            continue
-        x, _ = solved
-        keys.add(
-            tuple(
-                sorted(canonical_class_rep(x.column(l), aim.fan) for l in range(x.cols))
-            )
-        )
-    return keys
-
-
-def test_pruned_search_matches_brute_force():
+def test_pruned_search_matches_brute_force(brute_force_keys):
     rng = random.Random(4821)
     fans = [
         projective_space(2),
@@ -644,4 +638,4 @@ def test_pruned_search_matches_brute_force():
         for system in systems:
             for strict in (False, True):
                 got = canonical_keys(find_splitting_types(aim, system, strict=strict))
-                assert got == _brute_force_keys(aim, system, strict)
+                assert got == brute_force_keys(aim, system, strict)

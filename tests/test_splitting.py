@@ -7,8 +7,9 @@ from itertools import product
 
 import pytest
 
+from toricsplit import splitting
 from toricsplit.bundle_data import KaneyamaBundleData, assemble_bundle, cp2_rank2, tangent_bundle
-from toricsplit.exact_linear import dot, rat_rank
+from toricsplit.exact_linear import dot, rat_matmul, rat_rank
 from toricsplit.fan import projective_space, walls
 from toricsplit.intersection import augmented_matrix
 from toricsplit.splitting import (
@@ -243,6 +244,34 @@ def test_deep_bootstrap_agrees_with_oracle_and_ignores_row_scales():
             scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5))
             scaled = [[x * scale for x in a[i]] if i == row else a[i] for i in range(r)]
             assert bootstrap(w1, w2, scaled) == degrees
+
+
+def test_structured_bootstrap_agrees_with_oracle(frame_change):
+    # the other oracle tests draw dense pastings; products of a few scalings
+    # (by fractions too), shears and swaps are sparse and near a permutation,
+    # and three weight values per chart tie blocks in both charts
+    rng = random.Random(20261019)
+    ties = 0
+    for case in range(420):
+        r = case % 6 + 1
+        w1 = sorted((rng.randint(0, 2) for _ in range(r)), reverse=True)
+        w2 = sorted(rng.randint(0, 2) for _ in range(r))
+        a = rat_matmul(frame_change(rng, r)[0], frame_change(rng, r)[0])
+        degrees = bootstrap(w1, w2, a)
+        assert degrees == h0_oracle(transition_from_block(w1, w2, a)), (w1, w2, a)
+        ties += len(set(w1)) < r and len(set(w2)) < r
+    assert ties > 200
+
+
+def test_check_witness_hits_its_row_block(monkeypatch):
+    assert bootstrap((0, 0), (0, 1), [[1, 0], [0, 1]]) == (0, -1)
+    # the last unit vector is no kernel vector of row 1, and it misses row block 0
+    monkeypatch.setattr(splitting, "int_kernel", lambda rows: [(0,) * (len(rows[0]) - 1) + (1,)])
+    with pytest.raises(RuntimeError, match="^a nonempty stratum has no witness vector$"):
+        bootstrap((0, 0), (0, 1), [[1, 0], [0, 1]])
+    monkeypatch.setattr(splitting, "int_kernel", lambda rows: [])
+    with pytest.raises(RuntimeError, match="^a nonempty stratum has no witness vector$"):
+        bootstrap((1, 0), (0, 1), [[1, 1], [0, 1]])
 
 
 # ------------------------------------------------------------- restriction
