@@ -65,9 +65,10 @@ def assemble_bundle(
 ) -> KaneyamaBundleData:
     """Sort each weight system lexicographically and permute pastings to match.
 
-    Stores the pastings (0, c) and (c, 0), which must all be given, each
-    rank x rank between cones of the fan; each other pair given must equal
-    the product through cone 0.  Each fault is a named ``ValueError``.
+    Each weight must be ``fan.dim`` integers.  Stores the pastings (0, c)
+    and (c, 0), which must all be given, each rank x rank between cones of
+    the fan; each other pair given must equal the product through cone 0.
+    Each fault is a named ``ValueError``.
     """
     n_cones = len(fan.max_cones)
     if len(weight_systems) != n_cones:
@@ -78,9 +79,12 @@ def assemble_bundle(
     for ws in weight_systems:
         if len(ws) != rank:
             raise ValueError("all weight systems must have the same rank")
+        for chi in ws:
+            if len(chi) != fan.dim or not all(isinstance(x, int) for x in chi):
+                raise ValueError(f"weight {tuple(chi)} is not {fan.dim} integers")
         tagged = sorted(range(rank), key=lambda i: tuple(ws[i]))
         perms.append(tagged)
-        sorted_systems.append(tuple(tuple(int(x) for x in ws[i]) for i in tagged))
+        sorted_systems.append(tuple(tuple(ws[i]) for i in tagged))
 
     for (c2, c1), raw in pasting_map.items():
         if not (0 <= c2 < n_cones and 0 <= c1 < n_cones):
@@ -229,9 +233,13 @@ def make_euler_spec(
     for d in divisors:
         if len(d) != j:
             raise ValueError(f"divisor {tuple(d)} needs {j} ray coefficients")
+        if not all(isinstance(x, int) for x in d):
+            raise ValueError(f"divisor {tuple(d)} has a non-integer coefficient")
     for alpha in exponents:
         if len(alpha) != j:
             raise ValueError(f"exponent vector {tuple(alpha)} needs {j} entries")
+        if not all(isinstance(e, int) for e in alpha):
+            raise ValueError(f"exponent vector {tuple(alpha)} has a non-integer entry")
         if any(e < 0 for e in alpha):
             raise ValueError(f"exponent vector {tuple(alpha)} must be nonnegative")
     for d, alpha in zip(divisors, exponents):
@@ -242,8 +250,8 @@ def make_euler_spec(
             )
     return EulerBundleSpec(
         fan,
-        tuple(tuple(int(x) for x in d) for d in divisors),
-        tuple(tuple(int(e) for e in alpha) for alpha in exponents),
+        tuple(tuple(d) for d in divisors),
+        tuple(tuple(alpha) for alpha in exponents),
     )
 
 

@@ -85,7 +85,8 @@ def _is_primitive(ray: tuple[int, ...]) -> bool:
 def make_fan(n: int, rays, max_cones) -> Fan:
     """Validate raw integer data into a Fan.
 
-    Raises ValueError on: non-primitive or duplicate rays, no cones, cones of
+    Raises ValueError on: non-integer ray coordinates or ray indices (never
+    truncated), non-primitive or duplicate rays, no cones, cones of
     the wrong size, a facet not shared by exactly two maximal cones,
     non-unimodular (non-smooth) cones, found by inverting cone 0 and by each
     wall flip, cones that no walk across walls reaches, a wall whose two cones
@@ -93,8 +94,10 @@ def make_fan(n: int, rays, max_cones) -> Fan:
     """
     if n < 1:
         raise ValueError("fan dimension must be at least 1")
-    ray_tuples = tuple(tuple(int(x) for x in ray) for ray in rays)
+    ray_tuples = tuple(tuple(ray) for ray in rays)
     for ray in ray_tuples:
+        if not all(isinstance(x, int) for x in ray):
+            raise ValueError(f"ray {ray} has a non-integer coordinate")
         if len(ray) != n:
             raise ValueError(f"ray {ray} does not have {n} coordinates")
         if not _is_primitive(ray):
@@ -105,7 +108,9 @@ def make_fan(n: int, rays, max_cones) -> Fan:
     given = []
     cone_tuples = []
     for cone in max_cones:
-        idx = tuple(sorted(int(i) for i in cone))
+        if not all(isinstance(i, int) for i in cone):
+            raise ValueError(f"cone {tuple(cone)} has a non-integer ray index")
+        idx = tuple(sorted(cone))
         if len(idx) != n or len(set(idx)) != n:
             raise ValueError(f"maximal cone {tuple(cone)} must consist of {n} distinct rays")
         if idx[0] < 0 or idx[-1] >= len(ray_tuples):

@@ -149,10 +149,10 @@ def bootstrap(
     and the constant pasting (chart-2 rows, chart-1 columns).  A vector
     supported on the chart-1 weight blocks up to i, with image supported on
     chart-2 blocks up to j, spans a line subbundle of degree
-    chart1[i] - chart2[j]; the scan finds a maximal-degree one through rank
-    tests, splits it off by an integral basis change, and recurses.  A row
-    is a chart-2 frame vector, and a nonzero scale changes no rank, kernel
-    or degree, so rows are cleared of denominators once and stay integral.
+    chart1[i] - chart2[j]; the scan reads a maximal-degree one off one
+    kernel per row block, splits it off by an integral basis change, and
+    recurses.  A row is a chart-2 frame vector, and a nonzero scale changes
+    no rank, kernel or degree, so rows are cleared of denominators once.
     """
     w1 = list(chart1_weights)
     w2 = list(chart2_weights)
@@ -178,23 +178,26 @@ def bootstrap(
     return tuple(sorted(degrees, reverse=True))
 
 
-def _top_stratum(w1: list[int], w2: list[int], a: list[list[int]]) -> tuple[int, list[int], range]:
+def _top_stratum(w1: list[int], w2: list[int], a: list[list[int]]) -> tuple[int, tuple[int, ...], range]:
     """The degree, witness vector and row block of a maximal-degree non-empty stratum.
 
     Column blocks are runs of equal chart-1 weights, row blocks of chart-2
     weights.  Stratum (i, j) has degree w1 on block i minus w2 on block j,
-    and is non-empty when some vector on the columns up to block i meets
-    block i and dies on the rows past row block j.  Strata are tried by
-    degree, highest first.  The witness, the first kernel vector of those
-    rows that meets block i, hits row block j: otherwise its image, not zero
-    as ``a`` stays invertible, ends in a row block j' < j, so it witnesses
-    (i, j'), which has strictly higher degree (w2 rises from block to block)
-    and was tried first.
+    and is non-empty when some vector ending in column block i dies on the
+    rows past row block j.  Elimination runs left to right, so the reduced
+    form of those rows, cut to the columns up to block i, is theirs cut: the
+    stratum is non-empty exactly when one of their free columns lies in
+    block i, and the kernel vector of the first is the witness.  Strata are
+    tried by degree, highest first.  The witness hits row block j: otherwise
+    its image, not zero as ``a`` stays invertible, ends in a row block j' < j,
+    so it witnesses (i, j'), tried first for its higher degree (w2 rises).
     """
     # where each block starts, then the length: block b is starts[b]:starts[b + 1]
     col_starts, row_starts = (
         [k for k in range(len(w)) if k == 0 or w[k] != w[k - 1]] + [len(w)] for w in (w1, w2)
     )
+    # the kernel of the rows past each row block; past the last one no row is left, so every column is free
+    kernels = [int_kernel(a[deep:] or [[0] * len(w1)]) for deep in row_starts[1:]]
 
     # highest degree first, ties in (i, j) order
     strata = sorted(
@@ -203,23 +206,19 @@ def _top_stratum(w1: list[int], w2: list[int], a: list[list[int]]) -> tuple[int,
         for j in range(len(row_starts) - 1)
     )
     for minus_degree, i, j in strata:
-        lo, hi, deep = col_starts[i], col_starts[i + 1], row_starts[j + 1]
-        deep_rows = [row[:hi] for row in a[deep:]]
-        # empty when block i's columns raise the rank of the deep rows by their number
-        if int_rank(deep_rows) - int_rank([row[:lo] for row in deep_rows]) == hi - lo:
+        lo, hi = col_starts[i], col_starts[i + 1]
+        # the vector of free column f ends at f: it ends in block i when it meets block i and nothing past it
+        v = next((vec for vec in kernels[j] if any(vec[lo:hi]) and not any(vec[hi:])), None)
+        if v is None:
             continue
-        basis = int_kernel(deep_rows) if deep_rows else [tuple(int(m == lo) for m in range(hi))]
-        # with no kernel vector meeting block i the witness is zero and hits no row
-        local = next((vec for vec in basis if any(vec[lo:])), ())
-        v = [*local, *[0] * (len(w1) - len(local))]
-        j_rows = range(row_starts[j], deep)
+        j_rows = range(row_starts[j], row_starts[j + 1])
         if not any(dot(a[ri], v) for ri in j_rows):
             raise RuntimeError("a nonempty stratum has no witness vector")
         return -minus_degree, v, j_rows
     raise RuntimeError("no stratum found for an invertible pasting")
 
 
-def _deflate(a: list[list[int]], w1: list[int], w2: list[int], v: list[int], j_rows: range) -> None:
+def _deflate(a: list[list[int]], w1: list[int], w2: list[int], v: tuple[int, ...], j_rows: range) -> None:
     """Split off the line spanned by ``v`` and drop one row and one column.
 
     With u = a @ v and l the first row of ``j_rows`` with u[l] != 0, each
@@ -321,9 +320,8 @@ def h0_oracle(transition: Sequence[Sequence[tuple[Rat, int]]]) -> tuple[int, ...
     exps = [e for row in t for c, e in row if c != 0]
     lo, hi = min(exps), max(exps)
     split = _separate_exponents(t)
-    h = {}
-    for k in range(lo, hi + 3):
-        h[k] = _h_separable(t, split, k) if split else _h_truncated(t, k, det_exp)
+    twists = range(lo, hi + 3)
+    h = _h_separable(t, split, twists) if split else {k: _h_truncated(t, k, det_exp) for k in twists}
     degrees: list[int] = []
     for d in range(hi, lo - 1, -1):
         mult = h[d] - 2 * h[d + 1] + h[d + 2]
@@ -389,26 +387,33 @@ def _separate_exponents(t: IntMonomialMatrix) -> tuple[list[int], list[int]] | N
     return value[:r], value[r:]  # type: ignore[return-value]
 
 
-def _h_separable(t: IntMonomialMatrix, split: tuple[list[int], list[int]], k: int) -> int:
-    """Exact h(k): levels decouple into constant rank computations.
+def _h_separable(t: IntMonomialMatrix, split: tuple[list[int], list[int]], twists: range) -> dict[int, int]:
+    """Exact h(k) for every twist k: levels decouple into constant rank computations.
 
     Writing s_j as a series in z**(m - t_j) for m <= t_j, the coefficient
     constraints at level m involve rows i with u_i < k - m only; each level
     contributes (number of active columns) - rank of the active submatrix.
+    Sorting rows by u up and columns by t down makes every active submatrix
+    a pair of prefixes, so one (r+1)**2 rank table serves every (k, m).
     """
     u, tj = split
     r = len(t)
-    coeff = [[t[i][j][0] for j in range(r)] for i in range(r)]
-    m_lo = min(min(tj), k - max(u)) - 1
-    total = 0
-    for m in range(m_lo, max(tj) + 1):
-        cols = [j for j in range(r) if m <= tj[j]]  # nonempty, as m <= max(tj)
-        rows = [i for i in range(r) if u[i] < k - m]
-        contribution = len(cols) - int_rank([[coeff[i][j] for j in cols] for i in rows])
-        if m == m_lo and contribution:
-            raise RuntimeError("sections below the lowest exponent level")
-        total += contribution
-    return total
+    cols = sorted(range(r), key=lambda j: -tj[j])
+    coeff = [[t[i][j][0] for j in cols] for i in sorted(range(r), key=lambda i: u[i])]
+    # rank[a][b]: the rank of the first a rows of coeff on its first b columns
+    rank = [[int_rank([row[:b] for row in coeff[:a]]) for b in range(r + 1)] for a in range(r + 1)]
+    h = {}
+    for k in twists:
+        m_lo = min(min(tj), k - max(u)) - 1
+        total = 0
+        for m in range(m_lo, max(tj) + 1):
+            n_cols = sum(x >= m for x in tj)  # nonzero, as m <= max(tj)
+            contribution = n_cols - rank[sum(x < k - m for x in u)][n_cols]
+            if m == m_lo and contribution:
+                raise RuntimeError("sections below the lowest exponent level")
+            total += contribution
+        h[k] = total
+    return h
 
 
 _DETERMINANT_RANK_CAP = 8  # the determinant sums over all r! permutations

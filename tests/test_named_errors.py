@@ -5,7 +5,17 @@ from dataclasses import replace
 
 import pytest
 
-from toricsplit.bundle_data import format_bundle, parse_bundle, parse_euler, tangent_bundle, validate
+from fractions import Fraction
+
+from toricsplit.bundle_data import (
+    assemble_bundle,
+    format_bundle,
+    make_euler_spec,
+    parse_bundle,
+    parse_euler,
+    tangent_bundle,
+    validate,
+)
 from toricsplit.fan import format_fan, make_fan, parse_fan, projective_space
 from toricsplit.intersection import augmented_matrix
 from toricsplit.solver import find_splitting_types
@@ -21,6 +31,15 @@ P1_BUNDLE = format_bundle(tangent_bundle(P1))  # rank 1, weights 1: (1), weights
 def _edit(text, old, new):
     assert old in text
     return text.replace(old, new, 1)
+
+
+def _p2_tangent_with_weight(chi):
+    # P2's tangent data with cone 0's first weight replaced by ``chi``
+    data = tangent_bundle(P2)
+    weights = [list(ws) for ws in data.weight_systems]
+    weights[0][0] = chi
+    pastings = {**{(0, c): data.to_base[c] for c in (1, 2)}, **{(c, 0): data.from_base[c] for c in (1, 2)}}
+    return assemble_bundle(P2, weights, pastings)
 
 
 def _mixed_lengths():
@@ -48,7 +67,30 @@ CASES = {
         lambda: make_fan(2, P2_RAYS, [(0, 1), (1, 0), (0, 2), (1, 2)]),
         "duplicate maximal cones",
     ),
+    "fan-ray-non-integer": (
+        lambda: make_fan(2, [(1.9, 0), (0, 1), (-1, -1)], [(0, 1), (0, 2), (1, 2)]),
+        "ray (1.9, 0) has a non-integer coordinate",
+    ),
+    "fan-cone-non-integer": (
+        lambda: make_fan(2, P2_RAYS, [(0.7, 1), (0, 2), (1, 2)]),
+        "cone (0.7, 1) has a non-integer ray index",
+    ),
     "projective-space-0": (lambda: projective_space(0), "projective space needs dimension at least 1"),
+    # assemble_bundle and make_euler_spec
+    "bundle-weight-fraction": (
+        lambda: _p2_tangent_with_weight((Fraction(3, 2), 0)),
+        "weight (Fraction(3, 2), 0) is not 2 integers",
+    ),
+    "bundle-weight-long": (lambda: _p2_tangent_with_weight((1, 0, 5)), "weight (1, 0, 5) is not 2 integers"),
+    "bundle-weight-short": (lambda: _p2_tangent_with_weight((1,)), "weight (1,) is not 2 integers"),
+    "euler-exponent-non-integer": (
+        lambda: make_euler_spec(P2, [(1, 0, 0), (0, 1, 0)], [(1.5, 0, 0), (0, 1, 0)]),
+        "exponent vector (1.5, 0, 0) has a non-integer entry",
+    ),
+    "euler-divisor-non-integer": (
+        lambda: make_euler_spec(P2, [(1, 0, 0), (0, Fraction(1), 0)], [(1, 0, 0), (0, 1, 0)]),
+        "divisor (0, Fraction(1, 1), 0) has a non-integer coefficient",
+    ),
     # parse_fan
     "fan-duplicate-dim": (lambda: parse_fan(_edit(P2_FAN, "ray", "dim 2\nray")), "line 2: duplicate dim line"),
     "fan-dim-not-first": (lambda: parse_fan("ray 1 0\n" + P2_FAN), "line 1: ray before dim"),

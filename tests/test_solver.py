@@ -227,16 +227,16 @@ def test_exactness_checks_survive_optimize_flag():
             solver.find_splitting_types(bogus, splitting_system(tangent_bundle(fan)))
         except RuntimeError:
             print("RuntimeError" if "solve_plan" not in vars(bogus) else "plan built")
-        splitting._h_separable = lambda t, split, k: 0  # no sections at any twist
+        splitting._h_separable = lambda t, split, twists: dict.fromkeys(twists, 0)  # no sections at any twist
         try:
             splitting.h0_oracle([[(1, 2), (0, 0)], [(0, 0), (1, -1)]])
         except RuntimeError:
             print("RuntimeError")
-        splitting.int_kernel = lambda rows: []  # the top stratum loses its witness
+        splitting.int_kernel = lambda rows: []  # every stratum looks empty
         try:
             splitting.bootstrap((1, 0), (0, 1), [[1, 1], [0, 1]])
         except RuntimeError as exc:
-            print("RuntimeError" if "no witness vector" in str(exc) else exc)
+            print("RuntimeError" if "no stratum found" in str(exc) else exc)
         # the last unit vector is no kernel vector of row 1, and it misses row block 0
         splitting.int_kernel = lambda rows: [(0,) * (len(rows[0]) - 1) + (1,)]
         try:

@@ -9,7 +9,7 @@ import pytest
 
 from toricsplit import splitting
 from toricsplit.bundle_data import KaneyamaBundleData, assemble_bundle, cp2_rank2, tangent_bundle
-from toricsplit.exact_linear import dot, rat_matmul, rat_rank
+from toricsplit.exact_linear import clear_denominators, dot, int_kernel, int_rank, rat_matmul, rat_rank
 from toricsplit.fan import projective_space, walls
 from toricsplit.intersection import augmented_matrix
 from toricsplit.splitting import (
@@ -132,8 +132,52 @@ def test_truncated_matches_separable_path():
         det_exp = sum(w1) - sum(w2)
         exps = [e for row in t for c, e in row if c != 0]
         lo, hi = min(exps), max(exps)
+        h = _h_separable(t, split, range(lo, hi + 3))
+        assert list(h) == list(range(lo, hi + 3))
         for k in {lo, (lo + hi) // 2, hi, hi + 2}:
-            assert _h_separable(t, split, k) == _h_truncated(t, k, det_exp)
+            assert h[k] == _h_truncated(t, k, det_exp)
+
+
+def _old_h_separable(t, split, k):
+    # the reference: h(k) for one twist, every level's active submatrix ranked afresh
+    u, tj = split
+    r = len(t)
+    m_lo = min(min(tj), k - max(u)) - 1
+    total = 0
+    for m in range(m_lo, max(tj) + 1):
+        cols = [j for j in range(r) if m <= tj[j]]
+        rows = [i for i in range(r) if u[i] < k - m]
+        total += len(cols) - int_rank([[t[i][j][0] for j in cols] for i in rows])
+    return total
+
+
+def _sparse_invertible(rng, r):
+    # about half the entries zero, the rest small integers or fractions
+    while True:
+        a = [
+            [rng.choice((0, 0, 0, rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 3))))
+             for _ in range(r)]
+            for _ in range(r)
+        ]
+        if rat_rank(a) == r:
+            return a
+
+
+def test_separable_table_matches_per_twist_ranks():
+    # tied weights tie u and t, so active rows and columns change by several at a level
+    rng = random.Random(20261020)
+    ties = 0
+    for _ in range(150):
+        r = rng.randint(2, 5)
+        w1 = sorted(_weights_with_repeat(rng, r), reverse=True)
+        w2 = sorted(_weights_with_repeat(rng, r))
+        t = _clear_rows(transition_from_block(w1, w2, _sparse_invertible(rng, r)))
+        split = _separate_exponents(t)
+        exps = [e for row in t for c, e in row if c != 0]
+        twists = range(min(exps), max(exps) + 3)
+        assert _h_separable(t, split, twists) == {k: _old_h_separable(t, split, k) for k in twists}
+        ties += len(set(split[0])) < r and len(set(split[1])) < r
+    assert ties > 120
 
 
 # ---------------------------------------------------------------- bootstrap
@@ -263,14 +307,79 @@ def test_structured_bootstrap_agrees_with_oracle(frame_change):
     assert ties > 200
 
 
+def _old_top_stratum(w1, w2, a):
+    # the reference: per stratum, two ranks and a kernel of the deep rows cut to its columns
+    col_starts, row_starts = (
+        [k for k in range(len(w)) if k == 0 or w[k] != w[k - 1]] + [len(w)] for w in (w1, w2)
+    )
+    strata = sorted(
+        (w2[row_starts[j]] - w1[col_starts[i]], i, j)
+        for i in range(len(col_starts) - 1)
+        for j in range(len(row_starts) - 1)
+    )
+    for minus_degree, i, j in strata:
+        lo, hi, deep = col_starts[i], col_starts[i + 1], row_starts[j + 1]
+        deep_rows = [row[:hi] for row in a[deep:]]
+        if int_rank(deep_rows) - int_rank([row[:lo] for row in deep_rows]) == hi - lo:
+            continue
+        basis = int_kernel(deep_rows) if deep_rows else [tuple(int(m == lo) for m in range(hi))]
+        local = next(vec for vec in basis if any(vec[lo:]))
+        return -minus_degree, (*local, *[0] * (len(w1) - len(local))), range(row_starts[j], deep)
+    raise AssertionError("no stratum")
+
+
+def test_top_stratum_matches_per_stratum_ranks(frame_change):
+    # witness for witness through whole deflations; ties join rows and columns into
+    # blocks, and sparse pastings leave many strata empty
+    rng = random.Random(20261021)
+    steps = 0
+    for case in range(240):
+        r = case % 5 + 2
+        w1 = sorted(_weights_with_repeat(rng, r), reverse=True)
+        w2 = sorted(_weights_with_repeat(rng, r))
+        pasting = frame_change(rng, r)[0] if case % 2 else _sparse_invertible(rng, r)
+        a = clear_denominators(pasting)
+        while len(w1) > 1:
+            found = splitting._top_stratum(w1, w2, a)
+            assert found == _old_top_stratum(w1, w2, a)
+            splitting._deflate(a, w1, w2, *found[1:])
+            steps += 1
+    assert steps == sum(case % 5 + 1 for case in range(240))
+
+
+def test_each_row_block_is_eliminated_once(monkeypatch):
+    # one kernel per row block and no rank in the stratum scan; one rank per
+    # (row prefix, column prefix) of a separable transition in the oracle
+    kernels, ranks = [], []
+    monkeypatch.setattr(splitting, "int_kernel", lambda rows, real=int_kernel: kernels.append(rows) or real(rows))
+    monkeypatch.setattr(splitting, "int_rank", lambda rows, real=int_rank: ranks.append(rows) or real(rows))
+    rng = random.Random(20261022)
+    for case in range(60):
+        r = case % 4 + 2
+        w1 = sorted((rng.randint(-4, 4) for _ in range(r)), reverse=True)
+        w2 = sorted(rng.randint(-4, 4) for _ in range(r))
+        pasting = _random_invertible(rng, r)
+        a, v1, v2 = clear_denominators(pasting), list(w1), list(w2)
+        while len(v1) > 1:
+            kernels.clear()
+            ranks.clear()
+            found = splitting._top_stratum(v1, v2, a)
+            assert len(kernels) <= len(set(v2)) and ranks == []
+            splitting._deflate(a, v1, v2, *found[1:])
+        ranks.clear()
+        h0_oracle(transition_from_block(w1, w2, pasting))
+        assert len(ranks) <= (r + 1) ** 2
+
+
 def test_check_witness_hits_its_row_block(monkeypatch):
     assert bootstrap((0, 0), (0, 1), [[1, 0], [0, 1]]) == (0, -1)
     # the last unit vector is no kernel vector of row 1, and it misses row block 0
     monkeypatch.setattr(splitting, "int_kernel", lambda rows: [(0,) * (len(rows[0]) - 1) + (1,)])
     with pytest.raises(RuntimeError, match="^a nonempty stratum has no witness vector$"):
         bootstrap((0, 0), (0, 1), [[1, 0], [0, 1]])
+    # with no kernel vector every stratum looks empty
     monkeypatch.setattr(splitting, "int_kernel", lambda rows: [])
-    with pytest.raises(RuntimeError, match="^a nonempty stratum has no witness vector$"):
+    with pytest.raises(RuntimeError, match="^no stratum found for an invertible pasting$"):
         bootstrap((1, 0), (0, 1), [[1, 1], [0, 1]])
 
 
