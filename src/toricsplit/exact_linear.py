@@ -268,6 +268,11 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_int_rref(rows)[1])
 
 
+def int_pivots(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Pivot columns, ascending; elimination runs left to right, so the rank on columns < b counts the pivots < b."""
+    return _int_rref(rows)[1]
+
+
 def int_kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Integral basis of the right null space, one primitive vector per free column.
 

@@ -6,7 +6,8 @@ restricting everywhere non-negatively or everywhere negatively.  The search
 enumerates the admissible row permutations of the degree system as a depth
 first scan over walls, pruning on three exact conditions:
 
-* column sign feasibility (a column that has seen both signs is dead),
+* one sign class per column, fixed by the first wall: whether its entries
+  are negative (their sign under the strict rule),
 * lexicographic non-increase of adjacent columns (so each leaf's columns
   are sorted, and no two leaves give the same type),
 * rational consistency of every left-kernel relation of the intersection
@@ -25,26 +26,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable
 
 from .exact_linear import SparseTerms
 from .fan import Fan
 from .intersection import AugmentedIntersectionMatrix, SignClass, apply_q, sign_of_degrees
 from .splitting import SplittingSystem
 
-# sign classes a column can still aim for, one bit each, packed 4 bits per
-# column (column l at bits 4l..4l+3): nonneg 0b0001, neg 0b0010, pos 0b0100, zero 0b1000
-_DEFAULT_MODES = 0b0011
-_STRICT_MODES = 0b1110
 _ORDERING_RANK_CAP = 8  # each wall tries up to r! orderings of its row
 _STAT_KEYS = ("leaves", "failed_solves", "sign_cuts", "lex_cuts", "kernel_cuts")
 
 
-def _entry_modes(entry: int) -> int:
-    """The sign classes an entry is compatible with."""
-    if entry > 0:
-        return 0b0101
-    return 0b1001 if entry == 0 else 0b0010
+def _default_class(entry: int) -> bool:
+    """An entry's sign class under the default rule: whether it is negative."""
+    return entry < 0
+
+
+def _strict_class(entry: int) -> int:
+    """An entry's sign class under the strict rule: its sign."""
+    return (entry > 0) - (entry < 0)
 
 
 @dataclass(frozen=True)
@@ -93,34 +92,28 @@ def find_splitting_types(
     if r > _ORDERING_RANK_CAP:
         raise RuntimeError(f"bundle rank {r} exceeds the ordering rank cap {_ORDERING_RANK_CAP}")
 
+    sign_class = _strict_class if strict else _default_class
     choices = [
-        tuple(
-            (o, _packed_modes(map(_entry_modes, o)))
-            for o in sorted(set(permutations(row)), reverse=True)
-        )
+        tuple((o, tuple(map(sign_class, o))) for o in sorted(set(permutations(row)), reverse=True))
         for row in degree_rows
     ]
     triggers = aim.kernel_triggers
-    start_modes = _packed_modes([_STRICT_MODES if strict else _DEFAULT_MODES] * r)
-    # an ordering is sign-feasible when every column's 4 bits stay nonzero
-    low_bits = _packed_modes([1] * r)
 
     assigned: list[tuple[int, ...]] = []
     results: dict[tuple[tuple[int, ...], ...], SplittingType] = {}
     counts = dict.fromkeys(_STAT_KEYS, 0)
 
-    def scan(i: int, col_modes: int, pair_tied: tuple[bool, ...]) -> None:
+    def scan(i: int, col_classes: tuple[int, ...] | None, pair_tied: tuple[bool, ...]) -> None:
         if i == n_walls:
             counts["leaves"] += 1
-            solution = _solve_candidate(aim, tuple(assigned), counts["leaves"])
+            solution = _solve_candidate(aim, tuple(assigned), counts["leaves"], strict)
             if solution is None:
                 counts["failed_solves"] += 1
             elif results.setdefault(tuple(sorted(solution.canonical)), solution) is not solution:
                 raise RuntimeError(f"invariant broken: candidate {solution.perm_id} repeats an earlier type")
             return
-        for ordering, entry_modes in choices[i]:
-            modes = col_modes & entry_modes
-            if (modes | modes >> 1 | modes >> 2 | modes >> 3) & low_bits != low_bits:
+        for ordering, classes in choices[i]:
+            if col_classes is not None and classes != col_classes:
                 counts["sign_cuts"] += 1
                 continue
             tied = list(pair_tied)
@@ -137,12 +130,12 @@ def find_splitting_types(
                 continue
             assigned.append(ordering)
             if all(_relation_holds(terms, assigned, r) for terms in triggers[i]):
-                scan(i + 1, modes, tuple(tied))
+                scan(i + 1, classes, tuple(tied))
             else:
                 counts["kernel_cuts"] += 1
             assigned.pop()
 
-    scan(0, start_modes, tuple(True for _ in range(r - 1)))
+    scan(0, None, tuple(True for _ in range(r - 1)))
     # scan's closure holds scan itself: emptying that cell frees the search
     # state now instead of at the next cyclic garbage collection
     del scan
@@ -150,11 +143,6 @@ def find_splitting_types(
         for key, n in counts.items():
             stats[key] = stats.get(key, 0) + n
     return [results[key] for key in sorted(results)]
-
-
-def _packed_modes(modes: Iterable[int]) -> int:
-    """Per-column mode bits packed into one integer, 4 bits per column."""
-    return sum(m << 4 * l for l, m in enumerate(modes))
 
 
 def _relation_holds(terms: SparseTerms, assigned: list[tuple[int, ...]], r: int) -> bool:
@@ -168,6 +156,7 @@ def _solve_candidate(
     aim: AugmentedIntersectionMatrix,
     rows: tuple[tuple[int, ...], ...],
     perm_id: int,
+    strict: bool,
 ) -> SplittingType | None:
     """Solve each column of the candidate rows against Q's plan; None when one has no solution."""
     plan = aim.solve_plan
@@ -185,6 +174,8 @@ def _solve_candidate(
     signs = tuple(map(sign_of_degrees, targets))
     if SignClass.MIXED in signs:
         raise RuntimeError(f"invariant broken: candidate {perm_id} solves to a class of mixed sign")
+    if strict and SignClass.NEF in signs:
+        raise RuntimeError(f"invariant broken: candidate {perm_id} solves to a nef class under the strict rule")
     return SplittingType(perm_id, rows, tuple(columns), canonical, signs)
 
 

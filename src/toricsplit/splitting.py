@@ -27,7 +27,7 @@ from itertools import groupby, permutations
 from math import gcd
 from typing import TYPE_CHECKING, Sequence
 
-from .exact_linear import Rat, clear_denominators, dot, int_kernel, int_rank, rat_invert
+from .exact_linear import Rat, clear_denominators, dot, int_kernel, int_pivots, int_rank, rat_invert
 from .fan import Wall, wall_label
 
 if TYPE_CHECKING:
@@ -394,14 +394,16 @@ def _h_separable(t: IntMonomialMatrix, split: tuple[list[int], list[int]], twist
     constraints at level m involve rows i with u_i < k - m only; each level
     contributes (number of active columns) - rank of the active submatrix.
     Sorting rows by u up and columns by t down makes every active submatrix
-    a pair of prefixes, so one (r+1)**2 rank table serves every (k, m).
+    a pair of prefixes, so one (r+1)**2 rank table serves every (k, m), and
+    one elimination per row prefix fills it.
     """
     u, tj = split
     r = len(t)
     cols = sorted(range(r), key=lambda j: -tj[j])
     coeff = [[t[i][j][0] for j in cols] for i in sorted(range(r), key=lambda i: u[i])]
     # rank[a][b]: the rank of the first a rows of coeff on its first b columns
-    rank = [[int_rank([row[:b] for row in coeff[:a]]) for b in range(r + 1)] for a in range(r + 1)]
+    prefix_pivots = [[]] + [int_pivots(coeff[:a]) for a in range(1, r + 1)]
+    rank = [[sum(p < b for p in pivots) for b in range(r + 1)] for pivots in prefix_pivots]
     h = {}
     for k in twists:
         m_lo = min(min(tj), k - max(u)) - 1

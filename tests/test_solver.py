@@ -9,7 +9,7 @@ import subprocess
 import sys
 import textwrap
 import weakref
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -161,6 +161,18 @@ def test_check_no_mixed_sign(monkeypatch):
         find_splitting_types(aim, system)
 
 
+def test_check_no_nef_class_under_strict_rule(monkeypatch):
+    # with the default classes the strict search admits F_0's type of two nef columns
+    aim, system = tangent_case(graph_to_fan(hirzebruch(0)))
+    nef = next(t for t in find_splitting_types(aim, system) if SignClass.ZERO not in t.sign_classes)
+    assert nef.sign_classes == (SignClass.NEF, SignClass.NEF)
+    assert sorted(nef.canonical) == [(0, 2, 0, 0), (2, 0, 0, 0)]
+    monkeypatch.setattr(solver, "_strict_class", solver._default_class)
+    message = f"^invariant broken: candidate {nef.perm_id} solves to a nef class under the strict rule$"
+    with pytest.raises(RuntimeError, match=message):
+        find_splitting_types(aim, system, strict=True)
+
+
 def test_check_no_repeated_type(monkeypatch):
     # F_0's tangent system has two types; reduced to zero classes they would coincide
     aim, system = tangent_case(graph_to_fan(hirzebruch(0)))
@@ -244,8 +256,15 @@ def test_exactness_checks_survive_optimize_flag():
         except RuntimeError as exc:
             print("RuntimeError" if "no witness vector" in str(exc) else exc)
         solver.sign_of_degrees = sign_of_degrees
-        solver.canonical_class_rep = lambda x, fan: (0,) * len(x)  # F_0's two types look alike
         fan = graph_to_fan(hirzebruch(0))
+        strict_class = solver._strict_class
+        solver._strict_class = solver._default_class  # the strict search admits F_0's two nef columns
+        try:
+            solver.find_splitting_types(augmented_matrix(fan), splitting_system(tangent_bundle(fan)), strict=True)
+        except RuntimeError as exc:
+            print("RuntimeError" if "nef class under the strict rule" in str(exc) else exc)
+        solver._strict_class = strict_class
+        solver.canonical_class_rep = lambda x, fan: (0,) * len(x)  # F_0's two types look alike
         try:
             solver.find_splitting_types(augmented_matrix(fan), splitting_system(tangent_bundle(fan)))
         except RuntimeError as exc:
@@ -258,7 +277,7 @@ def test_exactness_checks_survive_optimize_flag():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["ValueError"] + ["RuntimeError"] * 6
+    assert result.stdout.split() == ["ValueError"] + ["RuntimeError"] * 7
 
 
 def test_package_has_no_assert():
@@ -610,7 +629,60 @@ def test_stats_count_line_sum_search_leaves(monkeypatch):
     stats = {}
     for _, _, aim, system, strict, _ in items:
         find_splitting_types(aim, system, strict=strict, stats=stats)
-    assert stats["leaves"] == 6585
+    assert stats == {
+        "leaves": 6585,
+        "failed_solves": 0,
+        "sign_cuts": 231947,
+        "lex_cuts": 28954,
+        "kernel_cuts": 40056,
+    }
+
+
+# ------------------------------------------------- packed sign modes reference
+
+# the earlier sign rule, kept as the reference: the classes a column can still
+# aim for, one bit each, packed 4 bits per column (column l at bits 4l..4l+3):
+# nonneg 0b0001, neg 0b0010, pos 0b0100, zero 0b1000
+_REFERENCE_DEFAULT_MODES = 0b0011
+_REFERENCE_STRICT_MODES = 0b1110
+
+
+def _reference_packed(modes):
+    return sum(m << 4 * l for l, m in enumerate(modes))
+
+
+def _reference_entry_modes(entry):
+    if entry > 0:
+        return 0b0101
+    return 0b1001 if entry == 0 else 0b0010
+
+
+def test_sign_classes_match_packed_mode_reference():
+    # walk every reachable (column state, ordering) pair of seeded systems with
+    # the packed reference and the class rule side by side
+    rng = random.Random(20261019)
+    verdicts = {True: 0, False: 0}
+    for strict in (False, True):
+        sign_class = solver._strict_class if strict else solver._default_class
+        start = _REFERENCE_STRICT_MODES if strict else _REFERENCE_DEFAULT_MODES
+        for case in range(60):
+            r = case % 5 + 1
+            rows = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(3)]
+            low_bits = _reference_packed([1] * r)
+            states = {(_reference_packed([start] * r), None)}
+            for row in rows:
+                reached = set()
+                for packed, col_classes in states:
+                    for ordering in set(permutations(row)):
+                        modes = packed & _reference_packed(map(_reference_entry_modes, ordering))
+                        feasible = (modes | modes >> 1 | modes >> 2 | modes >> 3) & low_bits == low_bits
+                        classes = tuple(map(sign_class, ordering))
+                        assert feasible == (col_classes is None or classes == col_classes), (strict, rows, ordering)
+                        verdicts[feasible] += 1
+                        if feasible:
+                            reached.add((modes, classes))
+                states = reached
+    assert min(verdicts.values()) > 1000
 
 
 # ------------------------------------------------------- brute-force oracle

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from toricsplit import splitting
+from toricsplit import exact_linear, splitting
 from toricsplit.bundle_data import KaneyamaBundleData, assemble_bundle, cp2_rank2, tangent_bundle
 from toricsplit.exact_linear import clear_denominators, dot, int_kernel, int_rank, rat_matmul, rat_rank
 from toricsplit.fan import projective_space, walls
@@ -348,11 +348,13 @@ def test_top_stratum_matches_per_stratum_ranks(frame_change):
 
 
 def test_each_row_block_is_eliminated_once(monkeypatch):
-    # one kernel per row block and no rank in the stratum scan; one rank per
-    # (row prefix, column prefix) of a separable transition in the oracle
-    kernels, ranks = [], []
+    # one kernel per row block and no rank in the stratum scan; one elimination
+    # per non-empty row prefix of a separable transition in the oracle
+    kernels, ranks, eliminations = [], [], []
     monkeypatch.setattr(splitting, "int_kernel", lambda rows, real=int_kernel: kernels.append(rows) or real(rows))
     monkeypatch.setattr(splitting, "int_rank", lambda rows, real=int_rank: ranks.append(rows) or real(rows))
+    real_rref = exact_linear._int_rref
+    monkeypatch.setattr(exact_linear, "_int_rref", lambda rows: eliminations.append(rows) or real_rref(rows))
     rng = random.Random(20261022)
     for case in range(60):
         r = case % 4 + 2
@@ -366,9 +368,10 @@ def test_each_row_block_is_eliminated_once(monkeypatch):
             found = splitting._top_stratum(v1, v2, a)
             assert len(kernels) <= len(set(v2)) and ranks == []
             splitting._deflate(a, v1, v2, *found[1:])
-        ranks.clear()
-        h0_oracle(transition_from_block(w1, w2, pasting))
-        assert len(ranks) <= (r + 1) ** 2
+        transition = transition_from_block(w1, w2, pasting)
+        eliminations.clear()
+        h0_oracle(transition)
+        assert len(eliminations) <= r + 1
 
 
 def test_check_witness_hits_its_row_block(monkeypatch):
