@@ -22,7 +22,8 @@ reduced form.  So ``rat_rank``, ``rat_kernel`` and ``rat_invert`` read
 their exact ``Fraction`` answers off integer rows, ``int_kernel`` returns
 ``rat_kernel``'s basis with each vector scaled by the lcm of its
 denominators, and ``unimodular_inverse`` reads the inverse off the reduced
-``[A | I]``.
+``[A | I]``.  ``int_row_relations`` is the one elimination kept in row
+order: it reads the left null space as relations ending at their rows.
 """
 
 from __future__ import annotations
@@ -296,6 +297,44 @@ def int_kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
             vec[p] = -m[t][f] * scale // m[t][p]
         basis.append(tuple(vec))
     return basis
+
+
+def int_row_relations(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Integral basis of the left null space {y : y @ rows == 0}, in row order.
+
+    Each row is reduced fraction-free against the independent rows before
+    it, carrying its combination of the rows; each reduced row is zero at
+    the pivots of those before it, so one pass in row order clears every
+    pivot.  A row that reduces to zero gives the relation ending at it,
+    primitive and positive there.  That relation lies on its row and the
+    independent rows before it, so it is ``int_kernel``'s vector of the
+    transpose's free column, and the relations ending at rows <= i span
+    those among rows 0..i.
+    """
+    n = len(rows)
+    echelon: list[tuple[int, list[int], list[int]]] = []  # (pivot, reduced row, combination)
+    relations = []
+    for i, row in enumerate(rows):
+        v = list(row)
+        comb = [0] * n
+        comb[i] = 1
+        for p, reduced, used in echelon:
+            f = v[p]
+            if f:
+                s = reduced[p]
+                v = [s * x - f * y for x, y in zip(v, reduced)]
+                comb = [s * x - f * y for x, y in zip(comb, used)]
+                g = gcd(*v, *comb)
+                if g > 1:
+                    v = [x // g for x in v]
+                    comb = [x // g for x in comb]
+        p = next((c for c, x in enumerate(v) if x), None)
+        if p is None:
+            g = gcd(*comb) if comb[i] > 0 else -gcd(*comb)
+            relations.append(tuple(x // g for x in comb))
+        else:
+            echelon.append((p, v, comb))
+    return relations
 
 
 def unimodular_inverse(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

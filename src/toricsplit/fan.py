@@ -26,7 +26,7 @@ from itertools import chain, combinations
 from math import gcd
 from typing import Iterator
 
-from .exact_linear import dot, unimodular_inverse
+from .exact_linear import SparseTerms, dot, unimodular_inverse
 
 
 @dataclass(frozen=True)
@@ -42,19 +42,28 @@ class Fan:
         return tuple(self.rays[j] for j in self.max_cones[cone_index])
 
     @cached_property
-    def reduction(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """Ray subset whose class coordinates are reduced to zero, and its inverse.
+    def reduction(self) -> tuple[tuple[int, ...], tuple[SparseTerms, ...]]:
+        """Ray subset whose class coordinates are reduced to zero, and each ray's terms on it.
 
         The subset is the last ``dim`` rays when they form a lattice basis,
-        otherwise the lexicographically first subset that does.  The inverse
-        is that of the matrix whose rows are the subset's rays.
+        otherwise the lexicographically first subset that does.  Ray k's
+        terms are the sparse (support ray, coefficient) pairs of
+        ``rays[k] @ inverse``, the inverse being that of the matrix whose
+        rows are the subset's rays: a class x reduces to
+        x[k] - sum(c * x[s] for s, c in terms[k]).
         """
         j, n = len(self.rays), self.dim
         for support in chain([tuple(range(j - n, j))], combinations(range(j), n)):
             try:
-                return support, unimodular_inverse([self.rays[k] for k in support])
+                inverse = unimodular_inverse([self.rays[k] for k in support])
             except ValueError:
                 continue
+            columns = tuple(zip(*inverse))
+            terms = tuple(
+                tuple((s, c) for s, col in zip(support, columns) if (c := dot(ray, col)))
+                for ray in self.rays
+            )
+            return support, terms
         raise RuntimeError("invariant broken: no ray subset is a lattice basis")
 
 

@@ -12,7 +12,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Sequence
 
-from .exact_linear import IntMatrix, SolvePlan, SparseTerms, int_kernel, nonzero_terms
+from .exact_linear import IntMatrix, SolvePlan, SparseTerms, int_row_relations, nonzero_terms
 from .fan import Fan, Wall, walls
 
 
@@ -32,12 +32,14 @@ class AugmentedIntersectionMatrix:
 
     @cached_property
     def left_kernel(self) -> tuple[tuple[int, ...], ...]:
-        """Basis of {y : y @ Q = 0}: the integral RREF kernel of Q^T.
+        """Basis of {y : y @ Q = 0}: the relations among Q's rows, in wall order.
 
-        Every vector ends at its own free wall, so the basis stays in
-        echelon form by last nonzero entry.
+        One fraction-free elimination of Q's rows in wall order: a row that
+        reduces to zero against the walls before it gives the relation ending
+        at its own wall.  The basis is in echelon form by last nonzero entry,
+        the integral RREF kernel of Q^T.
         """
-        return tuple(int_kernel(list(zip(*self.q.entries))))
+        return tuple(int_row_relations(self.q.entries))
 
     @cached_property
     def nonzero_terms(self) -> tuple[SparseTerms, ...]:
@@ -48,12 +50,18 @@ class AugmentedIntersectionMatrix:
     def kernel_triggers(self) -> tuple[tuple[SparseTerms, ...], ...]:
         """The left-kernel relations as sparse (wall, coeff) terms, listed under their last wall.
 
+        A wall's triggers are the relations among Q's rows that its row
+        completes, so the relations checked by wall i span every relation
+        among the rows of walls 0..i.
+
         Q's solution lattice is checked here, once per matrix and without an
         HNF, so a foreign matrix is rejected before any search: every solve
         against Q must be ambiguous only up to linear equivalence.  The
-        principal columns lie in ker Q, ker Q has rank n over the rationals,
-        and the principal lattice is saturated (``fan.reduction``'s n rays
-        are a lattice basis); so ker Q is exactly the principal-divisor lattice.
+        principal columns lie in ker Q, ker Q has rank n over the rationals
+        (Q's rank is its number of walls less the number of relations, so
+        the whole elimination runs here, eagerly), and the principal
+        lattice is saturated (``fan.reduction``'s n rays are a lattice
+        basis); so ker Q is exactly the principal-divisor lattice.
         """
         n = self.fan.dim
         for p in principal_columns(self.fan):

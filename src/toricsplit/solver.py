@@ -4,7 +4,9 @@ A splitting type is a tuple of divisor classes whose restriction degrees
 reproduce a given system on every invariant curve, with each class
 restricting everywhere non-negatively or everywhere negatively.  The search
 enumerates the admissible row permutations of the degree system as a depth
-first scan over walls, pruning on three exact conditions:
+first scan over walls.  A row's orderings, each with its column classes,
+are built when the scan first reaches that row, once per distinct row of
+the system.  The scan prunes on three exact conditions:
 
 * one sign class per column, fixed by the first wall: whether its entries
   are negative (their sign under the strict rule),
@@ -18,8 +20,11 @@ also checks Q's solution lattice once per matrix, without an HNF, before
 the first search.  Surviving candidates are solved integrally, column by
 column, by back-substitution against the matrix's cached ``aim.solve_plan``
 (one HNF per matrix, built at the first leaf, so a search that reaches no
-leaf computes none); each solution is checked against Q, reduced modulo the
-principal-divisor lattice and keyed by its sorted classes.
+leaf computes none).  Leaves share many degree columns, so each search
+keeps a memo of the columns it has met: a column is solved, checked against
+Q, reduced modulo the principal-divisor lattice and signed the first time,
+and the memo dies with the search.  Every leaf checks the sign rule on its
+columns and is keyed by its sorted classes.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from .splitting import SplittingSystem
 
 _ORDERING_RANK_CAP = 8  # each wall tries up to r! orderings of its row
 _STAT_KEYS = ("leaves", "failed_solves", "sign_cuts", "lex_cuts", "kernel_cuts")
+# a solved degree column: its ray coefficients, their reduction and its sign class
+_SolvedColumn = tuple[tuple[int, ...], tuple[int, ...], SignClass]
 
 
 def _default_class(entry: int) -> bool:
@@ -93,12 +100,12 @@ def find_splitting_types(
         raise RuntimeError(f"bundle rank {r} exceeds the ordering rank cap {_ORDERING_RANK_CAP}")
 
     sign_class = _strict_class if strict else _default_class
-    choices = [
-        tuple((o, tuple(map(sign_class, o))) for o in sorted(set(permutations(row)), reverse=True))
-        for row in degree_rows
-    ]
     triggers = aim.kernel_triggers
 
+    # each row's (ordering, classes) pairs, built when the scan first reaches the row
+    choices: dict[tuple[int, ...], tuple] = {}
+    # each degree column met at a leaf: its solution, reduction and sign, or None
+    solved: dict[tuple[int, ...], _SolvedColumn | None] = {}
     assigned: list[tuple[int, ...]] = []
     results: dict[tuple[tuple[int, ...], ...], SplittingType] = {}
     counts = dict.fromkeys(_STAT_KEYS, 0)
@@ -106,13 +113,19 @@ def find_splitting_types(
     def scan(i: int, col_classes: tuple[int, ...] | None, pair_tied: tuple[bool, ...]) -> None:
         if i == n_walls:
             counts["leaves"] += 1
-            solution = _solve_candidate(aim, tuple(assigned), counts["leaves"], strict)
+            solution = _solve_candidate(aim, tuple(assigned), counts["leaves"], strict, solved)
             if solution is None:
                 counts["failed_solves"] += 1
             elif results.setdefault(tuple(sorted(solution.canonical)), solution) is not solution:
                 raise RuntimeError(f"invariant broken: candidate {solution.perm_id} repeats an earlier type")
             return
-        for ordering, classes in choices[i]:
+        row = degree_rows[i]
+        orderings = choices.get(row)
+        if orderings is None:
+            orderings = choices[row] = tuple(
+                (o, tuple(map(sign_class, o))) for o in sorted(set(permutations(row)), reverse=True)
+            )
+        for ordering, classes in orderings:
             if col_classes is not None and classes != col_classes:
                 counts["sign_cuts"] += 1
                 continue
@@ -157,44 +170,55 @@ def _solve_candidate(
     rows: tuple[tuple[int, ...], ...],
     perm_id: int,
     strict: bool,
+    solved: dict[tuple[int, ...], _SolvedColumn | None],
 ) -> SplittingType | None:
-    """Solve each column of the candidate rows against Q's plan; None when one has no solution."""
-    plan = aim.solve_plan
-    targets = tuple(zip(*rows))
-    columns = []
-    for target in targets:
-        x = plan.solve(target)
-        if x is None:
+    """Solve each column of the candidate rows; None when one has no solution.
+
+    ``solved`` is the search's memo of the columns met so far: a column is
+    solved, checked against Q and reduced the first time it is met, and the
+    sign rule is checked on every leaf.
+    """
+    entries = []
+    for target in zip(*rows):
+        if target not in solved:
+            solved[target] = _solve_column(aim, target, perm_id)
+        entry = solved[target]
+        if entry is None:
             return None
-        columns.append(x)
-    if any(apply_q(aim, x) != target for x, target in zip(columns, targets)):
-        raise RuntimeError(f"invariant broken: integral solve of candidate {perm_id} misses Q @ x = rows")
-    canonical = tuple(canonical_class_rep(col, aim.fan) for col in columns)
-    # the check above makes each target its column's degrees Q @ x
-    signs = tuple(map(sign_of_degrees, targets))
+        entries.append(entry)
+    signs = tuple(sign for _, _, sign in entries)
     if SignClass.MIXED in signs:
         raise RuntimeError(f"invariant broken: candidate {perm_id} solves to a class of mixed sign")
     if strict and SignClass.NEF in signs:
         raise RuntimeError(f"invariant broken: candidate {perm_id} solves to a nef class under the strict rule")
-    return SplittingType(perm_id, rows, tuple(columns), canonical, signs)
+    return SplittingType(
+        perm_id, rows, tuple(x for x, _, _ in entries), tuple(c for _, c, _ in entries), signs
+    )
+
+
+def _solve_column(
+    aim: AugmentedIntersectionMatrix, target: tuple[int, ...], perm_id: int
+) -> _SolvedColumn | None:
+    """One degree column solved against Q's plan, checked, reduced and signed; None without a solution."""
+    x = aim.solve_plan.solve(target)
+    if x is None:
+        return None
+    if apply_q(aim, x) != target:
+        raise RuntimeError(f"invariant broken: integral solve of candidate {perm_id} misses Q @ x = rows")
+    # the check above makes the target the column's degrees Q @ x
+    return x, canonical_class_rep(x, aim.fan), sign_of_degrees(target)
 
 
 def canonical_class_rep(x, fan: Fan) -> tuple[int, ...]:
     """Reduce a ray-coefficient vector modulo the principal-divisor lattice.
 
-    The coordinates of the fixed unimodular ray subset ``fan.reduction``
-    are driven to zero.
+    The coordinates of the fixed unimodular ray subset of ``fan.reduction``
+    are driven to zero, in one pass over its per-ray terms.
     """
-    j = len(fan.rays)
-    if len(x) != j:
-        raise ValueError(f"class vector needs {j} entries")
-    support, inv = fan.reduction
-    coeffs = [
-        sum(inv[t][m] * x[support[m]] for m in range(fan.dim)) for t in range(fan.dim)
-    ]
-    reduced = tuple(
-        x[k] - sum(fan.rays[k][t] * coeffs[t] for t in range(fan.dim)) for k in range(j)
-    )
+    if len(x) != len(fan.rays):
+        raise ValueError(f"class vector needs {len(fan.rays)} entries")
+    support, terms = fan.reduction
+    reduced = tuple(v - sum(c * x[s] for s, c in t) for v, t in zip(x, terms))
     if any(reduced[k] for k in support):
         raise RuntimeError(f"invariant broken: reduced class {reduced} is nonzero on the support {support}")
     return reduced

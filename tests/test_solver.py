@@ -9,14 +9,15 @@ import subprocess
 import sys
 import textwrap
 import weakref
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from toricsplit import exact_linear, intersection, solver
 from toricsplit.bundle_data import cp2_rank2, tangent_bundle
-from toricsplit.exact_linear import IntMatrix, SolvePlan, hnf, rat_rank, solve_integral
+from toricsplit.exact_linear import IntMatrix, SolvePlan, hnf, rat_rank, solve_integral, unimodular_inverse
 from toricsplit.fan import make_fan, projective_space, walls
 from toricsplit.intersection import AugmentedIntersectionMatrix, SignClass, augmented_matrix
 from toricsplit.solver import SplittingType, canonical_class_rep, find_splitting_types
@@ -124,6 +125,25 @@ def test_ordering_rank_cap_stops_before_any_permutation(monkeypatch):
         find_splitting_types(aim, system)
 
 
+def test_orderings_are_built_once_per_distinct_row_reached(monkeypatch):
+    built = []
+
+    def spy(row):
+        built.append(row)
+        return permutations(row)
+
+    monkeypatch.setattr(solver, "permutations", spy)
+    aim = augmented_matrix(projective_space(2))
+    taus = tuple(w.tau for w in aim.row_walls)
+    # every wall of P^2's tangent system has the row (2, 1)
+    assert len(find_splitting_types(aim, splitting_system(tangent_bundle(aim.fan)))) == 1
+    assert built == [(2, 1)]
+    # no ordering of (2, -1) repeats the classes (2, 0) fixed, so the scan never reaches (3, 3)
+    built.clear()
+    assert find_splitting_types(aim, SplittingSystem(taus, ((2, 0), (2, -1), (3, 3)))) == []
+    assert built == [(2, 0), (2, -1)]
+
+
 def test_kernel_guard_trips_on_foreign_matrix():
     fan = projective_space(2)
     aim, system = tangent_case(fan)
@@ -149,9 +169,31 @@ def test_check_candidate_solution_satisfies_rows(monkeypatch):
         return (x[0] + 1,) + x[1:]
 
     monkeypatch.setattr(exact_linear.SolvePlan, "solve", off_by_one)
-    aim, system = tangent_case(projective_space(2))
-    with pytest.raises(RuntimeError, match="misses Q @ x = rows"):
-        find_splitting_types(aim, system)
+    # F_0's tangent search has two leaves: the first one already checks its columns
+    for fan in (projective_space(2), graph_to_fan(hirzebruch(0))):
+        aim, system = tangent_case(fan)
+        with pytest.raises(RuntimeError, match="^invariant broken: integral solve of candidate 1 misses Q @ x = rows$"):
+            find_splitting_types(aim, system)
+
+
+def test_sign_checks_run_on_memo_served_columns(monkeypatch):
+    # a leaf whose second column has no solution leaves its first column in the
+    # memo unchecked; a later leaf served that column from the memo must raise
+    aim = augmented_matrix(projective_space(2))
+    signed = []
+    for sign, strict, message in [
+        (SignClass.MIXED, False, "^invariant broken: candidate 2 solves to a class of mixed sign$"),
+        (SignClass.NEF, True, "^invariant broken: candidate 2 solves to a nef class under the strict rule$"),
+    ]:
+        monkeypatch.setattr(solver, "sign_of_degrees", lambda y, sign=sign: signed.append(y) or sign)
+        signed.clear()
+        memo = {}
+        # P^2's degree columns are constant: (1, 0, 0) has no solution
+        assert solver._solve_candidate(aim, ((1, 1), (1, 0), (1, 0)), 1, strict, memo) is None
+        assert set(memo) == {(1, 1, 1), (1, 0, 0)} and memo[(1, 0, 0)] is None
+        with pytest.raises(RuntimeError, match=message):
+            solver._solve_candidate(aim, ((1, 1), (1, 1), (1, 1)), 2, strict, memo)
+        assert signed == [(1, 1, 1)]
 
 
 def test_check_no_mixed_sign(monkeypatch):
@@ -183,30 +225,61 @@ def test_check_no_repeated_type(monkeypatch):
 
 
 def test_leaf_applies_q_once_per_column(monkeypatch):
-    # the leaf's Q @ x == rows check is also what classifies each column's sign
-    calls = []
-    real = intersection.apply_q
+    # each distinct degree column of a search is solved and checked against Q
+    # once; its Q @ x == rows check is also what classifies its sign
+    solves, products = [], []
+    real_solve, real_apply_q = exact_linear.SolvePlan.solve, intersection.apply_q
 
-    def spy(aim, x):
-        calls.append(x)
-        return real(aim, x)
+    def solve_spy(plan, c):
+        solves.append(c)
+        return real_solve(plan, c)
 
-    monkeypatch.setattr(intersection, "apply_q", spy)
-    monkeypatch.setattr(solver, "apply_q", spy)
-    aim, system = tangent_case(graph_to_fan(hirzebruch(0)))
-    stats = {}
-    types = find_splitting_types(aim, system, stats=stats)
-    assert len(types) == stats["leaves"] == 2
-    assert len(calls) == 2 * stats["leaves"]
+    def apply_q_spy(aim, x):
+        products.append(x)
+        return real_apply_q(aim, x)
+
+    aim = augmented_matrix(graph_to_fan(sorted(enumerate_blowups(4), key=lambda g: g.weights)[-1]))
+    aim.solve_plan  # its own homogeneous solve is not a column's
+    monkeypatch.setattr(exact_linear.SolvePlan, "solve", solve_spy)
+    monkeypatch.setattr(intersection, "apply_q", apply_q_spy)
+    monkeypatch.setattr(solver, "apply_q", apply_q_spy)
+    systems = [splitting_system(tangent_bundle(aim.fan)), *_line_sum_systems(aim, random.Random(3), 12)]
+    repeats = 0
+    for system in systems:
+        for strict in (False, True):
+            solves.clear()
+            products.clear()
+            stats = {}
+            types = find_splitting_types(aim, system, strict=strict, stats=stats)
+            assert stats["failed_solves"] == 0
+            columns = [col for t in types for col in zip(*t.rows)]
+            assert sorted(solves) == sorted(set(columns))
+            assert len(products) == len(solves)
+            repeats += len(columns) - len(solves)
+    assert repeats > 40
+
+
+def test_rank_zero_system_has_one_empty_type():
+    # every wall tuple empty: one leaf, whose type has no classes
+    aim = augmented_matrix(projective_space(2))
+    system = SplittingSystem(tuple(w.tau for w in aim.row_walls), ((),) * 3)
+    for strict in (False, True):
+        stats = {}
+        types = find_splitting_types(aim, system, strict=strict, stats=stats)
+        assert types == [SplittingType(1, ((),) * 3, (), (), ())]
+        assert stats == {"leaves": 1, "failed_solves": 0, "sign_cuts": 0, "lex_cuts": 0, "kernel_cuts": 0}
 
 
 def test_check_reduced_support_is_zero(monkeypatch):
     fan = projective_space(2)
-    support, inv = fan.reduction
-    monkeypatch.setitem(fan.__dict__, "reduction", (support, tuple((0,) * len(row) for row in inv)))
+    support, terms = fan.reduction
+    assert all(terms[s] == ((s, 1),) for s in support)
+    monkeypatch.setitem(fan.__dict__, "reduction", (support, tuple(() for _ in terms)))
     x = tuple(int(k == support[0]) for k in range(len(fan.rays)))
-    with pytest.raises(RuntimeError, match="nonzero on the support"):
-        canonical_class_rep(x, fan)
+    # checked on every call, not once per fan
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="nonzero on the support"):
+            canonical_class_rep(x, fan)
 
 
 def test_exactness_checks_survive_optimize_flag():
@@ -299,13 +372,13 @@ def test_package_has_no_assert():
 
 def test_left_kernel_is_built_once_per_matrix(monkeypatch):
     calls = []
-    real = intersection.int_kernel
+    real = intersection.int_row_relations
 
     def spy(rows):
         calls.append(rows)
         return real(rows)
 
-    monkeypatch.setattr(intersection, "int_kernel", spy)
+    monkeypatch.setattr(intersection, "int_row_relations", spy)
     aim, system = tangent_case(graph_to_fan(hirzebruch(1)))
     find_splitting_types(aim, system)
     find_splitting_types(aim, system, strict=True)
@@ -373,6 +446,31 @@ def test_reduction_support_falls_back_lexicographically():
     for x in [(1, 2, 3, 4), (0, 0, 1, 0)]:
         reduced = canonical_class_rep(x, fan)
         assert reduced[0] == 0 and reduced[2] == 0
+
+
+def _reference_class_rep(x, fan):
+    """The earlier two-step reduction: the support's coordinates through the
+    inverse of its rays, then every ray's pairing with them."""
+    j, n = len(fan.rays), fan.dim
+    for support in chain([tuple(range(j - n, j))], combinations(range(j), n)):
+        try:
+            inv = unimodular_inverse([fan.rays[k] for k in support])
+            break
+        except ValueError:
+            continue
+    coeffs = [sum(inv[t][m] * x[support[m]] for m in range(n)) for t in range(n)]
+    return tuple(x[k] - sum(fan.rays[k][t] * coeffs[t] for t in range(n)) for k in range(j))
+
+
+def test_class_rep_matches_two_step_reference():
+    rng = random.Random(61)
+    # the last fan's last two rays are opposite, so its support is not the last rays
+    fans = _lattice_fans() + [make_fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 2), (1, 2), (1, 3), (0, 3)])]
+    for fan in fans:
+        for _ in range(40):
+            x = tuple(rng.randint(-6, 6) for _ in fan.rays)
+            assert canonical_class_rep(x, fan) == _reference_class_rep(x, fan), (fan, x)
+    assert fans[-1].reduction[0] == (0, 2)
 
 
 def test_class_vector_length_checked():
@@ -552,13 +650,18 @@ def _foreign_matrices(q):
         yield "doubled", [[2 * v for v in row] if t == i else row for t, row in enumerate(rows)]
 
 
-def test_lattice_check_matches_hnf_reference():
+def _lattice_fans():
+    """P^1..P^4, F_0..F_3 and every blowup with at most three blowups."""
     fans = [projective_space(n) for n in range(1, 5)]
     fans += [graph_to_fan(hirzebruch(a)) for a in range(4)]
     for k in range(1, 4):
         fans += [graph_to_fan(g) for g in sorted(enumerate_blowups(k), key=lambda g: g.weights)]
+    return fans
+
+
+def test_lattice_check_matches_hnf_reference():
     verdicts = {}
-    for fan in fans:
+    for fan in _lattice_fans():
         aim = augmented_matrix(fan)
         assert _eager_lattice_ok(aim) and _reference_lattice_ok(aim)
         for kind, rows in _foreign_matrices(aim.q):
@@ -575,6 +678,30 @@ def test_lattice_check_matches_hnf_reference():
         "swap": {False, True},
         "doubled": {True},
     }
+
+
+def test_wall_order_relations_span_the_rref_kernel():
+    # for each wall i, the relations ending at walls <= i span what the
+    # integral RREF kernel of Q^T spans there, with one relation per dependent wall
+    checked = 0
+    for fan in _lattice_fans():
+        aim = augmented_matrix(fan)
+        matrices = [aim.q.entries] + [rows for _, rows in _foreign_matrices(aim.q)]
+        for rows in matrices:
+            q = IntMatrix.from_rows(rows)
+            relations = AugmentedIntersectionMatrix(fan, aim.row_walls, q).left_kernel
+            reference = exact_linear.int_kernel(list(zip(*q.entries)))
+            ends = [max(w for w, c in enumerate(y) if c) for y in relations]
+            for y, end in zip(relations, ends):
+                assert (IntMatrix.from_rows([y]) @ q).entries == ((0,) * q.cols,)
+                assert y[end] > 0 and gcd(*y) == 1
+            assert ends == [max(w for w, c in enumerate(y) if c) for y in reference]
+            for i in sorted(set(ends)):
+                mine = [y for y, end in zip(relations, ends) if end <= i]
+                theirs = [y for y in reference if max(w for w, c in enumerate(y) if c) <= i]
+                assert rat_rank(mine) == rat_rank(theirs) == rat_rank(mine + theirs) == len(mine)
+            checked += 1
+    assert checked > 1000
 
 
 def test_solve_plan_is_collected_with_its_matrix():
@@ -617,24 +744,38 @@ def test_stats_reconcile_with_types():
     assert stats["leaves"] == stats["failed_solves"] == 1
 
 
-def test_stats_count_line_sum_search_leaves(monkeypatch):
-    # the benchmark's line_sum_search inputs for seed 1, built without its harness
+def _line_sum_search_stats(monkeypatch, seed):
+    """Search stats over the benchmark's line_sum_search inputs for a seed, built without its harness."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     workload = workloads.LineSumSearch()
-    items = workload.setup(random.Random(1), None)[: workload.size]
+    items = workload.setup(random.Random(seed), None)[: workload.size]
     stats = {}
     for _, _, aim, system, strict, _ in items:
         find_splitting_types(aim, system, strict=strict, stats=stats)
-    assert stats == {
+    return stats
+
+
+def test_stats_count_line_sum_search_leaves(monkeypatch):
+    assert _line_sum_search_stats(monkeypatch, 1) == {
         "leaves": 6585,
         "failed_solves": 0,
         "sign_cuts": 231947,
         "lex_cuts": 28954,
         "kernel_cuts": 40056,
+    }
+
+
+def test_stats_count_line_sum_search_leaves_seed_2(monkeypatch):
+    assert _line_sum_search_stats(monkeypatch, 2) == {
+        "leaves": 6587,
+        "failed_solves": 0,
+        "sign_cuts": 237365,
+        "lex_cuts": 29531,
+        "kernel_cuts": 42690,
     }
 
 
