@@ -11,19 +11,19 @@ and residual terms, the rank rows of U and the integral kernel), so a
 caller with many right-hand sides for one matrix pays for one ``hnf``;
 ``solve_integral`` is a loop over columns on top of it.
 
-Ranks, kernels and inverses come from one fraction-free Gauss-Jordan
+Ranks, right kernels and inverses come from one fraction-free Gauss-Jordan
 elimination, ``_int_rref``: each pivot is made positive, the pivot column
 is cleared from every other row by ``p*row_i - f*row_r``, and each updated
 row is divided by the gcd of its entries.  Pivot row t divided by its
 pivot is then exactly row t of the rational reduced row echelon form.
-Rational input is first cleared row by row: each row is multiplied by the
-lcm of its denominators, which changes neither the row space nor that
-reduced form.  So ``rat_rank``, ``rat_kernel`` and ``rat_invert`` read
-their exact ``Fraction`` answers off integer rows, ``int_kernel`` returns
-``rat_kernel``'s basis with each vector scaled by the lcm of its
-denominators, and ``unimodular_inverse`` reads the inverse off the reduced
-``[A | I]``.  ``int_row_relations`` is the one elimination kept in row
-order: it reads the left null space as relations ending at their rows.
+``int_kernel`` reads a primitive vector per free column off it, and both
+inverses read one reduced ``[A | I]``.  ``_row_echelon`` eliminates in row
+order instead: ``int_row_relations`` reads the left null space off it, and
+its pivots rank every row prefix on every column prefix.  Rational input is
+first cleared row by row, by the lcm of each row's denominators, which
+changes neither the row space nor the reduced form; ``rat_kernel`` divides
+each ``int_kernel`` vector by its entry at its free column, and
+``rat_invert`` scales the cleared inverse's columns back.
 """
 
 from __future__ import annotations
@@ -78,10 +78,7 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        cols = list(zip(*other.entries)) if other.rows else []
-        return IntMatrix.from_rows(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries]
-        )
+        return IntMatrix.from_rows(rat_matmul(self.entries, other.entries))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -269,17 +266,11 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_int_rref(rows)[1])
 
 
-def int_pivots(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Pivot columns, ascending; elimination runs left to right, so the rank on columns < b counts the pivots < b."""
-    return _int_rref(rows)[1]
-
-
 def int_kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Integral basis of the right null space, one primitive vector per free column.
 
-    The vector of free column f is ``rat_kernel``'s, scaled by the lcm of
-    its denominators: its entry at f is positive and is its last nonzero
-    entry.
+    The vector of free column f has a positive entry at f, its last nonzero
+    entry; divided by it, it is the rational reduced form's kernel vector.
     """
     if not rows:
         return []
@@ -299,21 +290,19 @@ def int_kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return basis
 
 
-def int_row_relations(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Integral basis of the left null space {y : y @ rows == 0}, in row order.
+def _row_echelon(rows: Sequence[Sequence[int]]) -> list[tuple[int | None, list[int]]]:
+    """Each row's pivot and combination of the rows, eliminating in row order.
 
     Each row is reduced fraction-free against the independent rows before
-    it, carrying its combination of the rows; each reduced row is zero at
-    the pivots of those before it, so one pass in row order clears every
-    pivot.  A row that reduces to zero gives the relation ending at it,
-    primitive and positive there.  That relation lies on its row and the
-    independent rows before it, so it is ``int_kernel``'s vector of the
-    transpose's free column, and the relations ending at rows <= i span
-    those among rows 0..i.
+    it, carrying its combination; a reduced row is zero at the earlier
+    pivots, so one pass clears every pivot.  A row's pivot is the first
+    nonzero column of its reduced row, None when it reduces to zero.  The
+    pivots are distinct and the first a reduced rows span rows 0..a-1, so
+    their rank on the columns < b is the number of their pivots below b.
     """
     n = len(rows)
     echelon: list[tuple[int, list[int], list[int]]] = []  # (pivot, reduced row, combination)
-    relations = []
+    out = []
     for i, row in enumerate(rows):
         v = list(row)
         comb = [0] * n
@@ -329,12 +318,36 @@ def int_row_relations(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
                     v = [x // g for x in v]
                     comb = [x // g for x in comb]
         p = next((c for c, x in enumerate(v) if x), None)
+        if p is not None:
+            echelon.append((p, v, comb))
+        out.append((p, comb))
+    return out
+
+
+def int_row_relations(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Integral basis of the left null space {y : y @ rows == 0}, in row order.
+
+    A row that ``_row_echelon`` reduces to zero gives the relation ending at
+    it, primitive and positive there.  It lies on its row and the
+    independent rows before it, so it is ``int_kernel``'s vector of the
+    transpose's free column, and the relations ending at rows <= i span
+    those among rows 0..i.
+    """
+    relations = []
+    for i, (p, comb) in enumerate(_row_echelon(rows)):
         if p is None:
             g = gcd(*comb) if comb[i] > 0 else -gcd(*comb)
             relations.append(tuple(x // g for x in comb))
-        else:
-            echelon.append((p, v, comb))
     return relations
+
+
+def _reduced_inverse(rows: Sequence[Sequence[int]]) -> list[list[int]] | None:
+    """Reduced [A | I] of a square integer A, row t = m[t][t] > 0 times [I | A^-1]'s row t; None if A is singular."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("inverse of a non-square matrix")
+    m, pivots = _int_rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
+    return m if pivots == list(range(n)) else None
 
 
 def unimodular_inverse(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -344,14 +357,10 @@ def unimodular_inverse(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     determinant is +-1: then some pivot of the reduced, row-primitive
     [A | I] is not 1, or lies in the right half.
     """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("inverse of a non-square matrix")
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    m, pivots = _int_rref(aug)
-    if pivots != list(range(n)) or any(m[t][t] != 1 for t in range(n)):
+    m = _reduced_inverse(rows)
+    if m is None or any(m[t][t] != 1 for t in range(len(m))):
         raise ValueError("matrix is not unimodular: no integral inverse")
-    return tuple(tuple(row[n:]) for row in m)
+    return tuple(tuple(row[len(m):]) for row in m)
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -398,33 +407,21 @@ def rat_rank(rows: Sequence[Sequence[Rat]]) -> int:
 
 
 def rat_kernel(rows: Sequence[Sequence[Rat]]) -> list[list[Fraction]]:
-    """Basis of the right null space over the rationals, one vector per free column."""
-    if not rows:
-        return []
-    m, pivots = _int_rref(clear_denominators(rows))
-    nc = len(rows[0])
-    free = [c for c in range(nc) if c not in pivots]
+    """Basis of the right null space over the rationals: each ``int_kernel`` vector over its last nonzero."""
     basis = []
-    for f in free:
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for t, p in enumerate(pivots):
-            v[p] = Fraction(-m[t][f], m[t][p])
-        basis.append(v)
+    for vec in int_kernel(clear_denominators(rows)):
+        scale = next(x for x in reversed(vec) if x)
+        basis.append([Fraction(x, scale) for x in vec])
     return basis
 
 
 def rat_invert(rows: Sequence[Sequence[Rat]]) -> list[list[Fraction]]:
-    """Inverse over the rationals, read off the reduced [A | I]."""
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("inverse of a non-square matrix")
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    m, pivots = _int_rref(clear_denominators(aug))
-    if pivots != list(range(n)):
+    """Inverse over the rationals: (D A)^-1 D, with D diagonal, d_j the lcm of row j's denominators."""
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    m = _reduced_inverse(clear_denominators(rows))
+    if m is None:
         raise ValueError("singular matrix")
-    return [[Fraction(x, m[t][t]) for x in m[t][n:]] for t in range(n)]
+    return [[Fraction(x * d, row[t]) for x, d in zip(row[len(m):], scales)] for t, row in enumerate(m)]
 
 
 def rat_matmul(a: Sequence[Sequence[Rat]], b: Sequence[Sequence[Rat]]) -> list[list[Rat]]:

@@ -94,8 +94,6 @@ def find_splitting_types(
     if n_walls == 0:
         return []
     r = len(degree_rows[0])
-    if any(len(row) != r for row in degree_rows):
-        raise ValueError("wall tuples have mixed lengths")
     if r > _ORDERING_RANK_CAP:
         raise RuntimeError(f"bundle rank {r} exceeds the ordering rank cap {_ORDERING_RANK_CAP}")
 

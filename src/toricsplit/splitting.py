@@ -27,7 +27,7 @@ from itertools import groupby, permutations
 from math import gcd
 from typing import TYPE_CHECKING, Sequence
 
-from .exact_linear import Rat, clear_denominators, dot, int_kernel, int_pivots, int_rank, rat_invert
+from .exact_linear import Rat, _row_echelon, clear_denominators, dot, int_kernel, int_rank, rat_invert
 from .fan import Wall, wall_label
 
 if TYPE_CHECKING:
@@ -71,7 +71,7 @@ class WallRestriction:
 
 @dataclass(frozen=True)
 class SplittingSystem:
-    """One non-increasing degree tuple per wall, in the fan's wall order."""
+    """One non-increasing tuple of integer degrees per wall, all of one length, in the fan's wall order."""
 
     taus: tuple[tuple[int, ...], ...]
     degrees: tuple[tuple[int, ...], ...]
@@ -80,8 +80,12 @@ class SplittingSystem:
         if len(self.taus) != len(self.degrees):
             raise ValueError("one degree tuple per wall required")
         for row in self.degrees:
-            if any(row[k] < row[k + 1] for k in range(len(row) - 1)):
+            if not isinstance(row, tuple) or not all(isinstance(d, int) for d in row):
+                raise ValueError(f"degree row {row!r} is not a tuple of integers")
+            if list(row) != sorted(row, reverse=True):
                 raise ValueError(f"degree tuple {row} is not non-increasing")
+        if len(set(map(len, self.degrees))) > 1:
+            raise ValueError("wall tuples have mixed lengths")
 
 
 def restrict(
@@ -395,15 +399,15 @@ def _h_separable(t: IntMonomialMatrix, split: tuple[list[int], list[int]], twist
     contributes (number of active columns) - rank of the active submatrix.
     Sorting rows by u up and columns by t down makes every active submatrix
     a pair of prefixes, so one (r+1)**2 rank table serves every (k, m), and
-    one elimination per row prefix fills it.
+    the pivots of one row-order elimination fill it.
     """
     u, tj = split
     r = len(t)
     cols = sorted(range(r), key=lambda j: -tj[j])
     coeff = [[t[i][j][0] for j in cols] for i in sorted(range(r), key=lambda i: u[i])]
-    # rank[a][b]: the rank of the first a rows of coeff on its first b columns
-    prefix_pivots = [[]] + [int_pivots(coeff[:a]) for a in range(1, r + 1)]
-    rank = [[sum(p < b for p in pivots) for b in range(r + 1)] for pivots in prefix_pivots]
+    # rank[a][b]: the rank of coeff's first a rows on its first b columns = their pivots below b (coeff is invertible)
+    pivots = [p for p, _ in _row_echelon(coeff)]
+    rank = [[sum(p < b for p in pivots[:a]) for b in range(r + 1)] for a in range(r + 1)]
     h = {}
     for k in twists:
         m_lo = min(min(tj), k - max(u)) - 1

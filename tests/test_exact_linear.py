@@ -6,9 +6,13 @@ import pytest
 
 from toricsplit.exact_linear import (
     IntMatrix,
+    _int_rref,
+    _row_echelon,
+    clear_denominators,
     hnf,
     int_det,
     int_kernel,
+    int_rank,
     rat_invert,
     rat_kernel,
     rat_matmul,
@@ -368,3 +372,125 @@ def test_unimodular_inverse_rejects_non_unimodular():
         unimodular_inverse([[1, 2], [2, 4]])
     with pytest.raises(ValueError, match="non-square"):
         unimodular_inverse([[1, 0, 0], [0, 1, 0]])
+
+
+# ------------------------------------------- references: the earlier bodies
+
+
+def _old_int_pivots(rows):
+    return _int_rref(rows)[1]
+
+
+def _old_rat_kernel(rows):
+    if not rows:
+        return []
+    m, pivots = _int_rref(clear_denominators(rows))
+    nc = len(rows[0])
+    basis = []
+    for f in (c for c in range(nc) if c not in pivots):
+        v = [Fraction(0)] * nc
+        v[f] = Fraction(1)
+        for t, p in enumerate(pivots):
+            v[p] = Fraction(-m[t][f], m[t][p])
+        basis.append(v)
+    return basis
+
+
+def _old_rat_invert(rows):
+    n = len(rows)
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("inverse of a non-square matrix")
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    m, pivots = _int_rref(clear_denominators(aug))
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [[Fraction(x, m[t][t]) for x in m[t][n:]] for t in range(n)]
+
+
+def _old_unimodular_inverse(rows):
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("inverse of a non-square matrix")
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    m, pivots = _int_rref(aug)
+    if pivots != list(range(n)) or any(m[t][t] != 1 for t in range(n)):
+        raise ValueError("matrix is not unimodular: no integral inverse")
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def _reader_cases(rng, rational):
+    # square, non-square, singular and rank-deficient, 0x0 and empty rows, r <= 6
+    def entry():
+        if rational and rng.random() < 0.4:
+            return Fraction(rng.randint(-9, 9), rng.randint(2, 5))
+        return rng.choice((0, 0, 1, -1, rng.randint(-6, 6)))
+
+    yield []
+    yield [[]]
+    yield [[0, 0], [0, 0]]
+    for case in range(500):
+        m = rng.randint(1, 6)
+        n = m if case % 2 else rng.randint(1, 6)
+        if case % 5 == 0:
+            # rank-deficient: a product through an inner dimension below min(m, n)
+            k = rng.randint(0, min(m, n) - 1)
+            left = [[entry() for _ in range(k)] for _ in range(m)]
+            right = [[entry() for _ in range(n)] for _ in range(k)]
+            rows = rat_matmul(left, right) if k else [[0] * n for _ in range(m)]
+        elif case % 5 == 1 and m == n:
+            rows = _random_unimodular(rng, n)
+        else:
+            rows = [[entry() for _ in range(n)] for _ in range(m)]
+        if case % 7 == 3:
+            rows[rng.randrange(m)] = [0] * n
+        if case % 7 == 4 and m > 1:
+            i, j = rng.sample(range(m), 2)
+            rows[i] = list(rows[j])
+        yield rows
+
+
+def test_readers_match_their_earlier_bodies():
+    seen = set()
+    for rational in (False, True):
+        for rows in _reader_cases(random.Random(2026 + rational), rational):
+            assert rat_kernel(rows) == _old_rat_kernel(rows), rows
+            inverse = _outcome(rat_invert, rows)
+            assert inverse == _outcome(_old_rat_invert, rows), rows
+            if not rational:
+                assert _outcome(unimodular_inverse, rows) == _outcome(_old_unimodular_inverse, rows), rows
+            fractional = any(isinstance(x, Fraction) and x.denominator > 1 for row in rows for x in row)
+            seen.add((fractional, inverse if isinstance(inverse, str) else "inverse"))
+    outcomes = ("inverse", "ValueError: singular matrix", "ValueError: inverse of a non-square matrix")
+    assert {(fractional, o) for fractional in (False, True) for o in outcomes} <= seen
+    assert _outcome(unimodular_inverse, [[2, 1], [0, 1]]) == "ValueError: matrix is not unimodular: no integral inverse"
+
+
+def test_row_order_pass_ranks_every_prefix_pair():
+    rng = random.Random(20261019)
+    cases = 0
+    for case in range(400):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 1, -1, rng.randint(-5, 5))) for _ in range(n)] for _ in range(m)]
+        if case % 3 == 0:
+            rows[rng.randrange(m)] = [0] * n
+        if case % 3 == 1 and m > 1:
+            i, j = rng.sample(range(m), 2)
+            rows[i] = [rng.choice((-2, -1, 1, 3)) * x for x in rows[j]]
+        echelon = _row_echelon(rows)
+        pivots = [p for p, _ in echelon]
+        found = [p for p in pivots if p is not None]
+        assert len(set(found)) == len(found)
+        assert sorted(found) == _int_rref(rows)[1]
+        for a in range(1, m + 1):
+            assert sorted(p for p in pivots[:a] if p is not None) == _old_int_pivots(rows[:a])
+            for b in range(1, n + 1):
+                table = sum(p is not None and p < b for p in pivots[:a])
+                assert table == int_rank([row[:b] for row in rows[:a]]), (rows, a, b)
+        # a row's combination of the rows gives its reduced row, zero before its pivot
+        for i, (p, comb) in enumerate(echelon):
+            reduced = [sum(c * row[j] for c, row in zip(comb, rows)) for j in range(n)]
+            assert comb[i] != 0 and not any(comb[i + 1 :])
+            assert next((j for j, x in enumerate(reduced) if x), None) == p
+        cases += any(p is None for p in pivots)
+    assert cases > 100

@@ -19,7 +19,7 @@ from toricsplit.bundle_data import (
 from toricsplit.fan import format_fan, make_fan, parse_fan, projective_space
 from toricsplit.intersection import augmented_matrix
 from toricsplit.solver import find_splitting_types
-from toricsplit.splitting import SplittingSystem
+from toricsplit.splitting import SplittingSystem, splitting_system, twist_system
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -42,10 +42,13 @@ def _p2_tangent_with_weight(chi):
     return assemble_bundle(P2, weights, pastings)
 
 
-def _mixed_lengths():
-    aim = augmented_matrix(P2)
-    taus = tuple(w.tau for w in aim.row_walls)
-    return find_splitting_types(aim, SplittingSystem(taus, ((1, 0),) + ((1,),) * (len(taus) - 1)))
+P2_TAUS = tuple(w.tau for w in augmented_matrix(P2).row_walls)
+
+
+def _search(row, first=None):
+    # the search on P2 with ``row`` on every wall, or ``first`` on the first wall
+    rows = ((first or row),) + (row,) * (len(P2_TAUS) - 1)
+    return find_splitting_types(augmented_matrix(P2), SplittingSystem(P2_TAUS, rows))
 
 
 CASES = {
@@ -137,7 +140,17 @@ CASES = {
     # parse_euler
     "euler-missing-header": (lambda: parse_euler("# no content\n", P2), "missing 'euler' header"),
     # the search and its input
-    "search-mixed-lengths": (_mixed_lengths, "wall tuples have mixed lengths"),
+    "search-mixed-lengths": (lambda: _search((1,), first=(1, 0)), "wall tuples have mixed lengths"),
+    "system-float-degrees": (lambda: _search((2.0, 1.0)), "degree row (2.0, 1.0) is not a tuple of integers"),
+    "system-fraction-degrees": (
+        lambda: _search((Fraction(3, 2), 0)),
+        "degree row (Fraction(3, 2), 0) is not a tuple of integers",
+    ),
+    "system-list-row": (lambda: _search([2, 1]), "degree row [2, 1] is not a tuple of integers"),
+    "twist-non-integer-class": (
+        lambda: twist_system(splitting_system(tangent_bundle(P2)), augmented_matrix(P2), (0.5, 0, 0)),
+        "degree row (2.5, 1.5) is not a tuple of integers",
+    ),
     "system-tuple-per-wall": (
         lambda: SplittingSystem(((0,), (1,)), ((1, 0),)),
         "one degree tuple per wall required",

@@ -348,13 +348,14 @@ def test_top_stratum_matches_per_stratum_ranks(frame_change):
 
 
 def test_each_row_block_is_eliminated_once(monkeypatch):
-    # one kernel per row block and no rank in the stratum scan; one elimination
-    # per non-empty row prefix of a separable transition in the oracle
+    # one kernel per row block and no rank in the stratum scan; one row-order
+    # elimination per separable transition in the oracle, and nothing else
     kernels, ranks, eliminations = [], [], []
     monkeypatch.setattr(splitting, "int_kernel", lambda rows, real=int_kernel: kernels.append(rows) or real(rows))
     monkeypatch.setattr(splitting, "int_rank", lambda rows, real=int_rank: ranks.append(rows) or real(rows))
-    real_rref = exact_linear._int_rref
-    monkeypatch.setattr(exact_linear, "_int_rref", lambda rows: eliminations.append(rows) or real_rref(rows))
+    for module, name in ((exact_linear, "_int_rref"), (splitting, "_row_echelon")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda rows, real=real: eliminations.append(rows) or real(rows))
     rng = random.Random(20261022)
     for case in range(60):
         r = case % 4 + 2
@@ -371,7 +372,7 @@ def test_each_row_block_is_eliminated_once(monkeypatch):
         transition = transition_from_block(w1, w2, pasting)
         eliminations.clear()
         h0_oracle(transition)
-        assert len(eliminations) <= r + 1
+        assert len(eliminations) == 1
 
 
 def test_check_witness_hits_its_row_block(monkeypatch):
