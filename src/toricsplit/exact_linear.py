@@ -78,7 +78,9 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        return IntMatrix.from_rows(rat_matmul(self.entries, other.entries))
+        # an empty inner dimension leaves rat_matmul no column count: the product is zero
+        entries = rat_matmul(self.entries, other.entries) if self.cols else [[0] * other.cols] * self.rows
+        return IntMatrix(self.rows, other.cols, tuple(map(tuple, entries)))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -50,21 +50,28 @@ class Fan:
         terms are the sparse (support ray, coefficient) pairs of
         ``rays[k] @ inverse``, the inverse being that of the matrix whose
         rows are the subset's rays: a class x reduces to
-        x[k] - sum(c * x[s] for s, c in terms[k]).
+        x[k] - sum(c * x[s] for s, c in terms[k]).  The inverse's columns are
+        the subset's dual basis: read from ``duals`` when the last rays form a
+        maximal cone, whose rays are stored sorted like the subset, and
+        inverted here otherwise.
         """
         j, n = len(self.rays), self.dim
-        for support in chain([tuple(range(j - n, j))], combinations(range(j), n)):
-            try:
-                inverse = unimodular_inverse([self.rays[k] for k in support])
-            except ValueError:
-                continue
-            columns = tuple(zip(*inverse))
-            terms = tuple(
-                tuple((s, c) for s, col in zip(support, columns) if (c := dot(ray, col)))
-                for ray in self.rays
-            )
-            return support, terms
-        raise RuntimeError("invariant broken: no ray subset is a lattice basis")
+        tail = tuple(range(j - n, j))
+        if tail in self.max_cones:
+            support, columns = tail, self.duals[self.max_cones.index(tail)]
+        else:
+            for support in chain([tail], combinations(range(j), n)):
+                try:
+                    columns = tuple(zip(*unimodular_inverse([self.rays[k] for k in support])))
+                except ValueError:
+                    continue
+                break
+            else:
+                raise RuntimeError("invariant broken: no ray subset is a lattice basis")
+        terms = tuple(
+            tuple((s, c) for s, col in zip(support, columns) if (c := dot(ray, col))) for ray in self.rays
+        )
+        return support, terms
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ They share no code beyond the rank and kernel primitives of
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, permutations
@@ -153,8 +154,8 @@ def bootstrap(
     and the constant pasting (chart-2 rows, chart-1 columns).  A vector
     supported on the chart-1 weight blocks up to i, with image supported on
     chart-2 blocks up to j, spans a line subbundle of degree
-    chart1[i] - chart2[j]; the scan reads a maximal-degree one off one
-    kernel per row block, splits it off by an integral basis change, and
+    chart1[i] - chart2[j]; the scan reads a maximal-degree one off at most
+    one kernel per row block, splits it off by an integral basis change, and
     recurses.  A row is a chart-2 frame vector, and a nonzero scale changes
     no rank, kernel or degree, so rows are cleared of denominators once.
     """
@@ -200,8 +201,9 @@ def _top_stratum(w1: list[int], w2: list[int], a: list[list[int]]) -> tuple[int,
     col_starts, row_starts = (
         [k for k in range(len(w)) if k == 0 or w[k] != w[k - 1]] + [len(w)] for w in (w1, w2)
     )
-    # the kernel of the rows past each row block; past the last one no row is left, so every column is free
-    kernels = [int_kernel(a[deep:] or [[0] * len(w1)]) for deep in row_starts[1:]]
+    # the kernel of the rows past each row block, built when a stratum of the block is first
+    # tried; past the last block no row is left, so every column is free
+    kernels: dict[int, list[tuple[int, ...]]] = {}
 
     # highest degree first, ties in (i, j) order
     strata = sorted(
@@ -210,6 +212,8 @@ def _top_stratum(w1: list[int], w2: list[int], a: list[list[int]]) -> tuple[int,
         for j in range(len(row_starts) - 1)
     )
     for minus_degree, i, j in strata:
+        if j not in kernels:
+            kernels[j] = int_kernel(a[row_starts[j + 1]:] or [[0] * len(w1)])
         lo, hi = col_starts[i], col_starts[i + 1]
         # the vector of free column f ends at f: it ends in block i when it meets block i and nothing past it
         v = next((vec for vec in kernels[j] if any(vec[lo:hi]) and not any(vec[hi:])), None)
@@ -294,6 +298,12 @@ def h0_oracle(transition: Sequence[Sequence[tuple[Rat, int]]]) -> tuple[int, ...
     polynomial in z is computed exactly; multiplicities are the second
     differences of h.  Denominators are cleared once per transition, row by
     row, so every rank is taken over the integers.
+
+    A separable transition, exponent(i, j) = u_i + t_j on its nonzero
+    entries, has det T = det C * z**(sum(u) + sum(t)) for its coefficient
+    matrix C, so its determinant is read off the pivots of the one
+    elimination of C that also ranks every twist.  Only a non-separable
+    transition is expanded over all r! permutations.
     """
     r = len(transition)
     if any(len(row) != r for row in transition):
@@ -303,29 +313,18 @@ def h0_oracle(transition: Sequence[Sequence[tuple[Rat, int]]]) -> tuple[int, ...
     if r > _DETERMINANT_RANK_CAP:
         raise RuntimeError(f"transition rank {r} exceeds the determinant rank cap {_DETERMINANT_RANK_CAP}")
     t = _clear_rows(transition)
-    det_terms: dict[int, int] = {}
-    for perm in permutations(range(r)):
-        coeff = 1
-        exp = 0
-        for i in range(r):
-            c, e = t[i][perm[i]]
-            coeff *= c
-            exp += e
-        if coeff:
-            sign = _perm_sign(perm)
-            det_terms[exp] = det_terms.get(exp, 0) + sign * coeff
-    det_terms = {e: c for e, c in det_terms.items() if c != 0}
-    if not det_terms:
-        raise ValueError("singular transition matrix")
-    if len(det_terms) > 1:
-        raise ValueError("transition determinant is not a monomial; not invertible over Laurent polynomials")
-    (det_exp,) = det_terms
-
+    split = _separate_exponents(t)
+    if split is not None and None in split[1]:
+        raise ValueError("singular transition matrix")  # a zero column
     exps = [e for row in t for c, e in row if c != 0]
     lo, hi = min(exps), max(exps)
-    split = _separate_exponents(t)
     twists = range(lo, hi + 3)
-    h = _h_separable(t, split, twists) if split else {k: _h_truncated(t, k, det_exp) for k in twists}
+    if split is None:
+        det_exp = _determinant_exponent(t)
+        h = {k: _h_truncated(t, k, det_exp) for k in twists}
+    else:
+        det_exp = sum(split[0]) + sum(split[1])
+        h = _h_separable(t, split, twists)
     degrees: list[int] = []
     for d in range(hi, lo - 1, -1):
         mult = h[d] - 2 * h[d + 1] + h[d + 2]
@@ -354,6 +353,29 @@ def _clear_rows(transition: Sequence[Sequence[tuple[Rat, int]]]) -> IntMonomialM
     )
 
 
+def _determinant_exponent(t: IntMonomialMatrix) -> int:
+    """The exponent of det T, expanded over all r! permutations; ValueError unless it is one monomial."""
+    r = len(t)
+    det_terms: dict[int, int] = {}
+    for perm in permutations(range(r)):
+        coeff = 1
+        exp = 0
+        for i in range(r):
+            c, e = t[i][perm[i]]
+            coeff *= c
+            exp += e
+        if coeff:
+            sign = _perm_sign(perm)
+            det_terms[exp] = det_terms.get(exp, 0) + sign * coeff
+    det_terms = {e: c for e, c in det_terms.items() if c != 0}
+    if not det_terms:
+        raise ValueError("singular transition matrix")
+    if len(det_terms) > 1:
+        raise ValueError("transition determinant is not a monomial; not invertible over Laurent polynomials")
+    (det_exp,) = det_terms
+    return det_exp
+
+
 def _perm_sign(perm: tuple[int, ...]) -> int:
     inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
     return -1 if inversions % 2 else 1
@@ -364,8 +386,8 @@ def _separate_exponents(t: IntMonomialMatrix) -> tuple[list[int], list[int]] | N
 
     One walk over 2r nodes, rows 0..r-1 then columns: a nonzero entry (i, j)
     joins i and r + j, whose values must sum to the entry's exponent.
-    Every row starts a walk; only a zero column would stay without a value,
-    and ``h0_oracle`` rejects its zero determinant first.
+    Every row starts a walk; only a zero column stays without a value, and
+    ``h0_oracle`` rejects it as singular.
     """
     r = len(t)
     value: list[int | None] = [None] * (2 * r)
@@ -399,30 +421,44 @@ def _h_separable(t: IntMonomialMatrix, split: tuple[list[int], list[int]], twist
     contributes (number of active columns) - rank of the active submatrix.
     Sorting rows by u up and columns by t down makes every active submatrix
     a pair of prefixes, so one (r+1)**2 rank table serves every (k, m), and
-    the pivots of one row-order elimination fill it.
+    the pivots of one row-order elimination fill it.  They also decide the
+    determinant, det C * z**(sum(u) + sum(t)): a row without a pivot makes
+    it zero.  The active counts of every level are tabled once.
     """
     u, tj = split
     r = len(t)
     cols = sorted(range(r), key=lambda j: -tj[j])
     coeff = [[t[i][j][0] for j in cols] for i in sorted(range(r), key=lambda i: u[i])]
-    # rank[a][b]: the rank of coeff's first a rows on its first b columns = their pivots below b (coeff is invertible)
     pivots = [p for p, _ in _row_echelon(coeff)]
-    rank = [[sum(p < b for p in pivots[:a]) for b in range(r + 1)] for a in range(r + 1)]
+    if None in pivots:
+        raise ValueError("singular transition matrix")
+    # rank[a][b]: the rank of coeff's first a rows on its first b columns = their pivots below b
+    rank = [[0] * (r + 1)]
+    for p in pivots:
+        rank.append([x + (b > p) for b, x in enumerate(rank[-1])])
+    u, tj = sorted(u), sorted(tj)  # ascending, for bisect_left
+    # twist k has levels m = m_lo(k)..max(tj), m_lo(k) = min(min(tj), k - max(u)) - 1, and
+    # level m has the columns with t_j >= m and the rows with u_i < k - m; both m_lo(k) and
+    # k - m_lo(k) grow with k, so the first twist's levels and the last twist's k - m_lo
+    # bound every count read below
+    m_first = min(tj[0], twists[0] - u[-1]) - 1
+    d_last = twists[-1] - min(tj[0], twists[-1] - u[-1]) + 1
+    cols_at = [r - bisect_left(tj, m) for m in range(m_first, tj[-1] + 1)]  # at m - m_first
+    rows_at = [bisect_left(u, d) for d in range(d_last, twists[0] - tj[-1] - 1, -1)]  # at d_last - (k - m)
     h = {}
     for k in twists:
-        m_lo = min(min(tj), k - max(u)) - 1
-        total = 0
-        for m in range(m_lo, max(tj) + 1):
-            n_cols = sum(x >= m for x in tj)  # nonzero, as m <= max(tj)
-            contribution = n_cols - rank[sum(x < k - m for x in u)][n_cols]
-            if m == m_lo and contribution:
-                raise RuntimeError("sections below the lowest exponent level")
-            total += contribution
-        h[k] = total
+        m_lo = min(tj[0], k - u[-1]) - 1
+        levels = zip(cols_at[m_lo - m_first :], rows_at[d_last - k + m_lo :])
+        n_cols, n_rows = next(levels)
+        if n_cols - rank[n_rows][n_cols]:
+            raise RuntimeError("sections below the lowest exponent level")
+        h[k] = sum(n_cols - rank[n_rows][n_cols] for n_cols, n_rows in levels)
     return h
 
 
-_DETERMINANT_RANK_CAP = 8  # the determinant sums over all r! permutations
+# the r! determinant expansion of a non-separable transition; checked for every transition,
+# separable ones too, so that no verdict depends on the route
+_DETERMINANT_RANK_CAP = 8
 _TRUNCATION_CAP = 4096
 
 

@@ -1,14 +1,18 @@
 """Shared fixtures; collects acceptance results and prints one pass/fail line per criterion."""
 
+import importlib.util
 import random
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
-from toricsplit.bundle_data import cp2_rank2, tangent_bundle
+from toricsplit.bundle_data import assemble_bundle, cp2_rank2, tangent_bundle
 from toricsplit.exact_linear import IntMatrix, rat_matmul, solve_integral
 from toricsplit.fan import projective_space
 from toricsplit.solver import canonical_class_rep
@@ -104,6 +108,46 @@ def perturbed_bundles():
     bases += [cp2_rank2(a, b, c) for a, b, c in [(1, 1, 1), (1, 2, 3), (2, 2, 1), (3, 1, 2)]]
     rng = random.Random(20261018)
     return tuple(_perturbed(rng, bases[case % len(bases)]) for case in range(2400))
+
+
+def _line_bundle_sum(fan, divisors):
+    """The sum of the line bundles O(D) over ray-coefficient vectors D (Kaneyama 1975): cone c's
+    weight of O(D) is sum(D[i] * e_i) over c's rays i and their dual basis e, and every pasting
+    is the identity."""
+    weights = [
+        [tuple(sum(d[i] * e[x] for i, e in zip(cone, duals)) for x in range(fan.dim)) for d in divisors]
+        for cone, duals in zip(fan.max_cones, fan.duals)
+    ]
+    ident = [[int(i == j) for j in range(len(divisors))] for i in range(len(divisors))]
+    star = range(1, len(fan.max_cones))
+    return assemble_bundle(fan, weights, {**{(0, c): ident for c in star}, **{(c, 0): ident for c in star}})
+
+
+@pytest.fixture(scope="session")
+def line_bundle_sum():
+    """``line_bundle_sum(fan, divisors)``: Kaneyama data of a sum of line bundles O(D)."""
+    return _line_bundle_sum
+
+
+@pytest.fixture(scope="session")
+def line_sum_search_items():
+    """``items(seed)``: the benchmark's line_sum_search inputs for a seed, built once per seed
+    without its harness; ``bench/workloads.py`` is read without writing bytecode beside it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    dont_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.dont_write_bytecode = dont_write_bytecode
+    workload = workloads.LineSumSearch()
+
+    @lru_cache(maxsize=None)
+    def items(seed):
+        return workload.setup(random.Random(seed), None)[: workload.size]
+
+    return items
 
 
 def _sign_admissible(column, strict):

@@ -95,6 +95,13 @@ def test_intmatrix_rejects_ragged_and_nonint():
         IntMatrix.from_rows([[1.0, 2], [3, 4]])
 
 
+def test_intmatrix_product_shape_with_an_empty_dimension():
+    # no row of the product, or no inner term, still leaves its shape rows x other.cols
+    assert IntMatrix(2, 0, ((), ())) @ IntMatrix(0, 3, ()) == IntMatrix(2, 3, ((0, 0, 0), (0, 0, 0)))
+    assert IntMatrix(0, 2, ()) @ mat([[1, 2, 3], [4, 5, 6]]) == IntMatrix(0, 3, ())
+    assert IntMatrix(1, 0, ((),)) @ IntMatrix(0, 1, ()) == IntMatrix(1, 1, ((0,),))
+
+
 def test_hnf_identity():
     h, u = hnf(IntMatrix.identity(2))
     assert h == IntMatrix.identity(2)

@@ -217,6 +217,39 @@ def test_make_fan_inverts_each_cone_once(monkeypatch):
         assert calls == {"unimodular_inverse": 0, "int_det": 0}
 
 
+def _reference_reduction(fan):
+    # the reference: the support's rays inverted afresh, whether or not they form a cone
+    j, n = len(fan.rays), fan.dim
+    for support in [tuple(range(j - n, j)), *combinations(range(j), n)]:
+        try:
+            columns = tuple(zip(*unimodular_inverse([fan.rays[k] for k in support])))
+        except ValueError:
+            continue
+        return support, tuple(
+            tuple((s, c) for s, col in zip(support, columns) if (c := dot(ray, col))) for ray in fan.rays
+        )
+
+
+def test_reduction_reads_the_stored_dual_basis(monkeypatch):
+    # when the last rays form a maximal cone, as on every projective space and surface,
+    # the reduction reads that cone's stored dual basis; otherwise it inverts
+    calls = []
+    monkeypatch.setattr(
+        fan_module, "unimodular_inverse", lambda rows: calls.append(rows) or unimodular_inverse(rows)
+    )
+    fans = [projective_space(n) for n in range(1, 5)]
+    fans += [graph_to_fan(g) for k in range(4) for g in enumerate_blowups(k)]
+    for fan in fans:
+        calls.clear()
+        assert tuple(range(len(fan.rays) - fan.dim, len(fan.rays))) in fan.max_cones
+        assert fan.reduction == _reference_reduction(fan) and calls == [], fan
+    # F_1 whose last two rays are a lattice basis but span no cone
+    f1 = make_fan(2, [(0, 1), (0, -1), (1, 0), (-1, 1)], [(0, 2), (0, 3), (1, 3), (1, 2)])
+    calls.clear()
+    assert f1.reduction == _reference_reduction(f1)
+    assert f1.reduction[0] == (2, 3) and calls == [[(1, 0), (-1, 1)]]
+
+
 def test_flipped_dual_bases_match_inverses():
     # the wall flips reach the inverse of every cone's ray matrix, on every surface
     # with k <= 9 blowups and on projective spaces up to dimension 5

@@ -2,7 +2,6 @@
 
 import ast
 import gc
-import importlib.util
 import os
 import random
 import subprocess
@@ -16,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from toricsplit import exact_linear, intersection, solver
+from toricsplit.cli import table41_rows
 from toricsplit.bundle_data import cp2_rank2, tangent_bundle
 from toricsplit.exact_linear import IntMatrix, SolvePlan, hnf, rat_rank, solve_integral, unimodular_inverse
 from toricsplit.fan import make_fan, projective_space, walls
@@ -744,23 +744,15 @@ def test_stats_reconcile_with_types():
     assert stats["leaves"] == stats["failed_solves"] == 1
 
 
-def _line_sum_search_stats(monkeypatch, seed):
-    """Search stats over the benchmark's line_sum_search inputs for a seed, built without its harness."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    workload = workloads.LineSumSearch()
-    items = workload.setup(random.Random(seed), None)[: workload.size]
+def _line_sum_search_stats(items):
     stats = {}
     for _, _, aim, system, strict, _ in items:
         find_splitting_types(aim, system, strict=strict, stats=stats)
     return stats
 
 
-def test_stats_count_line_sum_search_leaves(monkeypatch):
-    assert _line_sum_search_stats(monkeypatch, 1) == {
+def test_stats_count_line_sum_search_leaves(line_sum_search_items):
+    assert _line_sum_search_stats(line_sum_search_items(1)) == {
         "leaves": 6585,
         "failed_solves": 0,
         "sign_cuts": 231947,
@@ -769,14 +761,29 @@ def test_stats_count_line_sum_search_leaves(monkeypatch):
     }
 
 
-def test_stats_count_line_sum_search_leaves_seed_2(monkeypatch):
-    assert _line_sum_search_stats(monkeypatch, 2) == {
+def test_stats_count_line_sum_search_leaves_seed_2(line_sum_search_items):
+    assert _line_sum_search_stats(line_sum_search_items(2)) == {
         "leaves": 6587,
         "failed_solves": 0,
         "sign_cuts": 237365,
         "lex_cuts": 29531,
         "kernel_cuts": 42690,
     }
+
+
+def test_types_restrict_back_through_kaneyama_data(line_bundle_sum, line_sum_search_items):
+    # the paper's bridge run in reverse, never touching Q, the solve or the search: the
+    # sum of the line bundles of a type's columns has the type's rows as splitting numbers
+    cases = [
+        (graph_to_fan(next(g for g in enumerate_blowups(k) if g.weights == weights)), t)
+        for k, weights, t in table41_rows()
+    ]
+    for _, fan, aim, system, strict, _ in line_sum_search_items(1)[:600]:
+        cases += [(fan, t) for t in find_splitting_types(aim, system, strict=strict)]
+    assert len(cases) == 8 + 827
+    for fan, t in cases:
+        want = tuple(tuple(sorted(row, reverse=True)) for row in t.rows)
+        assert splitting_system(line_bundle_sum(fan, t.columns)).degrees == want, (fan, t)
 
 
 # ------------------------------------------------- packed sign modes reference

@@ -1,14 +1,15 @@
 """Splitting degrees on invariant curves: oracle, bootstrap, and wall restriction."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from toricsplit import exact_linear, splitting
-from toricsplit.bundle_data import KaneyamaBundleData, assemble_bundle, cp2_rank2, tangent_bundle
+from toricsplit.bundle_data import KaneyamaBundleData, cp2_rank2, tangent_bundle
 from toricsplit.exact_linear import clear_denominators, dot, int_kernel, int_rank, rat_matmul, rat_rank
 from toricsplit.fan import projective_space, walls
 from toricsplit.intersection import augmented_matrix
@@ -180,6 +181,155 @@ def test_separable_table_matches_per_twist_ranks():
     assert ties > 120
 
 
+def _old_h0_oracle(transition):
+    # the reference: the oracle before it read separable determinants off its elimination,
+    # every determinant expanded over all r! permutations
+    r = len(transition)
+    if any(len(row) != r for row in transition):
+        raise ValueError("transition matrix must be square")
+    if r == 0:
+        return ()
+    if r > _DETERMINANT_RANK_CAP:
+        raise RuntimeError(f"transition rank {r} exceeds the determinant rank cap {_DETERMINANT_RANK_CAP}")
+    t = _clear_rows(transition)
+    det_terms = {}
+    for perm in permutations(range(r)):
+        coeff = 1
+        exp = 0
+        for i in range(r):
+            c, e = t[i][perm[i]]
+            coeff *= c
+            exp += e
+        if coeff:
+            inversions = sum(perm[i] > perm[j] for i in range(r) for j in range(i + 1, r))
+            det_terms[exp] = det_terms.get(exp, 0) + (-1) ** inversions * coeff
+    det_terms = {e: c for e, c in det_terms.items() if c != 0}
+    if not det_terms:
+        raise ValueError("singular transition matrix")
+    if len(det_terms) > 1:
+        raise ValueError("transition determinant is not a monomial; not invertible over Laurent polynomials")
+    (det_exp,) = det_terms
+    exps = [e for row in t for c, e in row if c != 0]
+    lo, hi = min(exps), max(exps)
+    split = _separate_exponents(t)
+    twists = range(lo, hi + 3)
+    if split:
+        h = {k: _old_h_separable(t, split, k) for k in twists}
+    else:
+        h = {k: _h_truncated(t, k, det_exp) for k in twists}
+    degrees = []
+    for d in range(hi, lo - 1, -1):
+        mult = h[d] - 2 * h[d + 1] + h[d + 2]
+        if mult < 0:
+            raise RuntimeError(f"negative multiplicity of degree {d}")
+        degrees.extend([d] * mult)
+    if len(degrees) != r:
+        raise RuntimeError(f"{len(degrees)} degrees found for a rank-{r} transition")
+    if sum(degrees) != det_exp:
+        raise RuntimeError("degrees do not sum to the determinant exponent")
+    return tuple(degrees)
+
+
+def _oracle_outcome(oracle, transition):
+    try:
+        return oracle(transition)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _separable_singular(rng, r):
+    # exponents u_i + t_j on a coefficient matrix with a repeated row, a zero row, a zero column
+    # or a row that is the sum of two others
+    u = [rng.randint(-3, 3) for _ in range(r)]
+    tj = [rng.randint(-3, 3) for _ in range(r)]
+    c = [[rng.choice((0, rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 3)))) for _ in range(r)]
+         for _ in range(r)]
+    kind = rng.choice(("zero row", "zero column", "repeated row", "dependent row")[: min(r + 1, 4)])
+    i, j, l = rng.sample(range(r), 3) if r > 2 else (0, r - 1, 0)
+    if kind == "repeated row":
+        c[i] = list(c[j])
+    elif kind == "zero row":
+        c[i] = [0] * r
+    elif kind == "zero column":
+        for row in c:
+            row[j] = 0
+    else:
+        c[i] = [x + y for x, y in zip(c[j], c[l])]
+    return tuple(tuple((Fraction(c[a][b]), u[a] + tj[b]) for b in range(r)) for a in range(r))
+
+
+def _non_separable(rng, r, invertible):
+    # invertible: diag(z**a) times a unitriangular matrix of monomials; otherwise random monomials
+    if invertible:
+        shift = [rng.randint(-2, 2) for _ in range(r)]
+        return tuple(
+            tuple(
+                (Fraction(1 if a == b else rng.choice((0, 1, -2, Fraction(1, 2)))) if a <= b else Fraction(0),
+                 shift[a] + (0 if a == b else rng.randint(-1, 3)))
+                for b in range(r)
+            )
+            for a in range(r)
+        )
+    return tuple(
+        tuple((Fraction(rng.choice((0, 1, -1, 2, Fraction(3, 2)))), rng.randint(-2, 2)) for _ in range(r))
+        for _ in range(r)
+    )
+
+
+def test_oracle_matches_the_full_expansion_reference():
+    # every verdict and message of the permutation-expanding oracle, on block transitions
+    # of integer, rational and sparse pastings with tied weights, on singular separable
+    # matrices and on non-separable ones, invertible or not
+    rng = random.Random(20261023)
+    kinds = []
+    for case in range(660):
+        r = case % 6 + 1
+        kind = ("integer", "rational", "sparse", "singular", "non-separable", "non-monomial")[case // 6 % 6]
+        if kind in ("non-separable", "non-monomial"):
+            r = min(r, 4)
+            t = _non_separable(rng, r, kind == "non-separable")
+        elif kind == "singular":
+            t = _separable_singular(rng, r)
+        else:
+            w1 = sorted(_weights_with_repeat(rng, r) if r > 1 else [rng.randint(-4, 4)], reverse=True)
+            w2 = sorted(_weights_with_repeat(rng, r) if r > 1 else [rng.randint(-4, 4)])
+            draw = {"integer": _random_invertible, "rational": _random_rational_invertible, "sparse": _sparse_invertible}
+            t = transition_from_block(w1, w2, draw[kind](rng, r))
+        want = _oracle_outcome(_old_h0_oracle, t)
+        assert _oracle_outcome(h0_oracle, t) == want, (kind, t)
+        separable = _separate_exponents(_clear_rows(t)) is not None
+        kinds.append((kind, separable, want if isinstance(want[0], type) else "degrees"))
+    counts = Counter(kinds)
+    singular = (ValueError, "singular transition matrix")
+    non_monomial = (ValueError, "transition determinant is not a monomial; not invertible over Laurent polynomials")
+    assert counts[("singular", True, singular)] == sum(kind == "singular" for kind, _, _ in kinds) == 108
+    assert counts[("non-separable", False, "degrees")] > 40
+    assert counts[("non-monomial", False, non_monomial)] > 60
+    assert sum(n for (_, separable, out), n in counts.items() if separable and out == "degrees") > 400
+
+
+def test_separable_transitions_expand_no_permutation(monkeypatch):
+    # the determinant of a separable transition is read off its pivots, singular or not;
+    # only a non-separable one is expanded
+    expansions = []
+    monkeypatch.setattr(splitting, "permutations", lambda n: expansions.append(n) or permutations(n))
+    rng = random.Random(20261024)
+    for case in range(120):
+        r = case % 6 + 1
+        w1 = sorted((rng.randint(-4, 4) for _ in range(r)), reverse=True)
+        w2 = sorted(rng.randint(-4, 4) for _ in range(r))
+        h0_oracle(transition_from_block(w1, w2, _random_rational_invertible(rng, r) if r > 1 else [[3]]))
+    with pytest.raises(ValueError, match="^singular transition matrix$"):
+        h0_oracle(mono([[(1, 0), (1, 0)], [(1, 0), (1, 0)]]))
+    assert expansions == []
+    assert h0_oracle(mono([[(1, 2), (1, 7), (1, 3)], [(0, 0), (1, -1), (1, 4)], [(0, 0), (0, 0), (1, 0)]])) == (2, 0, -1)
+    with pytest.raises(ValueError, match="not a monomial"):
+        h0_oracle(mono([[(1, 2), (1, 0)], [(1, 0), (1, -1)]]))
+    with pytest.raises(RuntimeError, match="pole depth"):
+        h0_oracle(mono([[(1, -2000), (1, 3), (1, 1)], [(0, 0), (1, -2000), (1, 3)], [(0, 0), (0, 0), (1, 4000)]]))
+    assert expansions == [range(3), range(2), range(3)]
+
+
 # ---------------------------------------------------------------- bootstrap
 
 
@@ -348,8 +498,9 @@ def test_top_stratum_matches_per_stratum_ranks(frame_change):
 
 
 def test_each_row_block_is_eliminated_once(monkeypatch):
-    # one kernel per row block and no rank in the stratum scan; one row-order
-    # elimination per separable transition in the oracle, and nothing else
+    # at most one kernel per row block, and none for a block whose strata are never
+    # tried, and no rank in the stratum scan; one row-order elimination per separable
+    # transition in the oracle, and nothing else
     kernels, ranks, eliminations = [], [], []
     monkeypatch.setattr(splitting, "int_kernel", lambda rows, real=int_kernel: kernels.append(rows) or real(rows))
     monkeypatch.setattr(splitting, "int_rank", lambda rows, real=int_rank: ranks.append(rows) or real(rows))
@@ -373,6 +524,10 @@ def test_each_row_block_is_eliminated_once(monkeypatch):
         eliminations.clear()
         h0_oracle(transition)
         assert len(eliminations) == 1
+    # two row blocks, and the first stratum tried, (0, 0) of degree 1, wins
+    kernels.clear()
+    assert splitting._top_stratum([1, 0], [0, 1], [[1, 0], [0, 1]]) == (1, (1, 0), range(0, 1))
+    assert len(kernels) == 1
 
 
 def test_check_witness_hits_its_row_block(monkeypatch):
@@ -540,19 +695,7 @@ def test_restrict_matches_reference_on_cp2_rank2():
         _assert_restrict_matches_reference(cp2_rank2(a, b, c), shift=True)
 
 
-def _line_sum(fan, divisors):
-    """The sum of O(D) over ray-coefficient vectors D: on cone c the weight of O(D)
-    pairs to -D_i with each ray i of c, and every pasting is the identity."""
-    weights = [
-        [tuple(-sum(d[i] * e[x] for i, e in zip(cone, duals)) for x in range(fan.dim)) for d in divisors]
-        for cone, duals in zip(fan.max_cones, fan.duals)
-    ]
-    ident = [[int(i == j) for j in range(len(divisors))] for i in range(len(divisors))]
-    star = range(1, len(fan.max_cones))
-    return assemble_bundle(fan, weights, {**{(0, c): ident for c in star}, **{(c, 0): ident for c in star}})
-
-
-def test_restrict_matches_reference_on_line_sums():
+def test_restrict_matches_reference_on_line_sums(line_bundle_sum):
     # summands whose divisors agree on tau share a block with distinct or tied chart weights
     fans = [projective_space(2), projective_space(3)]
     fans += [graph_to_fan(g) for k in range(3) for g in enumerate_blowups(k)]
@@ -561,7 +704,7 @@ def test_restrict_matches_reference_on_line_sums():
     for case in range(120):
         fan = fans[case % len(fans)]
         divisors = [[rng.randint(-1, 1) for _ in fan.rays] for _ in range(rng.randint(2, 4))]
-        data = _line_sum(fan, divisors)
+        data = line_bundle_sum(fan, divisors)
         _assert_restrict_matches_reference(data, shift=True)
         for block in (b for r in data.restrictions for b in r.blocks if len(b.chart1_weights) > 1):
             spread += len(set(block.chart1_weights)) > 1
