@@ -47,21 +47,20 @@ class AugmentedIntersectionMatrix:
         return tuple(map(nonzero_terms, self.q.entries))
 
     @cached_property
-    def kernel_triggers(self) -> tuple[tuple[SparseTerms, ...], ...]:
-        """The left-kernel relations as sparse (wall, coeff) terms, listed under their last wall.
+    def relation_walls(self) -> frozenset[int]:
+        """The walls whose rows end a relation among Q's rows, once Q's solution lattice is checked.
 
-        A wall's triggers are the relations among Q's rows that its row
-        completes, so the relations checked by wall i span every relation
-        among the rows of walls 0..i.
-
-        Q's solution lattice is checked here, once per matrix and without an
-        HNF, so a foreign matrix is rejected before any search: every solve
-        against Q must be ambiguous only up to linear equivalence.  The
-        principal columns lie in ker Q, ker Q has rank n over the rationals
-        (Q's rank is its number of walls less the number of relations, so
-        the whole elimination runs here, eagerly), and the principal
-        lattice is saturated (``fan.reduction``'s n rays are a lattice
-        basis); so ker Q is exactly the principal-divisor lattice.
+        The check runs once per matrix, without an HNF, so a foreign matrix
+        is rejected before any search: every solve against Q must be
+        ambiguous only up to linear equivalence.  The principal columns lie
+        in ker Q and, ``fan.reduction``'s n rays being a lattice basis, they
+        span a saturated lattice of rank n, so rank Q <= j - n for j rays.
+        A row with a nonzero in a column no earlier row touches ("fresh")
+        is independent of the rows before it, so the fresh rows prove
+        rank Q >= their number.  Exactly j - n of them prove ker Q is the
+        principal-divisor lattice with no elimination, and every other row
+        ends one relation among the rows before it.  Fewer fall back to
+        the wall-order elimination of ``left_kernel``, which reads Q's rank.
         """
         n = self.fan.dim
         for p in principal_columns(self.fan):
@@ -69,23 +68,45 @@ class AugmentedIntersectionMatrix:
                 raise RuntimeError(
                     f"solution lattice is not the principal-divisor lattice: Q @ {p} != 0"
                 )
+        self.fan.reduction  # raises unless some n rays are a lattice basis
+        first_rows: dict[int, int] = {}  # each column's first row with a nonzero there
+        for i, terms in enumerate(self.nonzero_terms):
+            for j, _ in terms:
+                first_rows.setdefault(j, i)
+        fresh = set(first_rows.values())
+        if len(fresh) == self.q.cols - n:
+            return frozenset(range(self.q.rows)).difference(fresh)
         kernel_rank = self.q.cols - (self.q.rows - len(self.left_kernel))
         if kernel_rank != n:
             raise RuntimeError(
                 "solution lattice is not the principal-divisor lattice: "
                 f"ker Q has rank {kernel_rank}, not {n}"
             )
-        self.fan.reduction  # raises unless some n rays are a lattice basis
+        return frozenset(nonzero_terms(y)[-1][0] for y in self.left_kernel)
+
+    @cached_property
+    def kernel_triggers(self) -> tuple[tuple[SparseTerms, ...], ...]:
+        """The left-kernel relations as sparse (wall, coeff) terms, listed under their last wall.
+
+        A wall's triggers are the relations among Q's rows that its row
+        completes, so the relations checked by wall i span every relation
+        among the rows of walls 0..i.  The search reads them only at
+        ``relation_walls``, so the elimination of ``left_kernel`` runs the
+        first time a search reaches one, after the lattice check.
+        """
+        relation_walls = self.relation_walls
         triggers: list[list[SparseTerms]] = [[] for _ in self.row_walls]
         for terms in map(nonzero_terms, self.left_kernel):
             triggers[terms[-1][0]].append(terms)
+        if {i for i, t in enumerate(triggers) if t} != relation_walls:
+            raise RuntimeError("invariant broken: Q's relations do not end at its relation walls")
         return tuple(map(tuple, triggers))
 
     @cached_property
     def solve_plan(self) -> SolvePlan:
         """The integral solve plan of Q: one HNF, built at the first leaf.
 
-        ``kernel_triggers`` has already checked Q's solution lattice; the
+        ``relation_walls`` has already checked Q's solution lattice; the
         plan checks itself against it: Q @ x = 0 solves and its integral
         kernel has rank n.
         """

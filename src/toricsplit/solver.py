@@ -15,9 +15,12 @@ the system.  The scan prunes on three exact conditions:
 * rational consistency of every left-kernel relation of the intersection
   matrix as soon as its last supported wall is assigned.
 
-The relations are read as sparse terms from ``aim.kernel_triggers``, which
-also checks Q's solution lattice once per matrix, without an HNF, before
-the first search.  Surviving candidates are solved integrally, column by
+``aim.relation_walls`` checks Q's solution lattice once per matrix, with
+neither an HNF nor an elimination, before the first search, and names the
+walls where a relation ends.  Only there are the relations read, as sparse
+terms from ``aim.kernel_triggers``, so Q's rows are eliminated the first
+time a search reaches a relation wall, and a search that dies before one
+eliminates nothing.  Surviving candidates are solved integrally, column by
 column, by back-substitution against the matrix's cached ``aim.solve_plan``
 (one HNF per matrix, built at the first leaf, so a search that reaches no
 leaf computes none).  Leaves share many degree columns, so each search
@@ -98,7 +101,7 @@ def find_splitting_types(
         raise RuntimeError(f"bundle rank {r} exceeds the ordering rank cap {_ORDERING_RANK_CAP}")
 
     sign_class = _strict_class if strict else _default_class
-    triggers = aim.kernel_triggers
+    relation_walls = aim.relation_walls
 
     # each row's (ordering, classes) pairs, built when the scan first reaches the row
     choices: dict[tuple[int, ...], tuple] = {}
@@ -140,7 +143,9 @@ def find_splitting_types(
                 counts["lex_cuts"] += 1
                 continue
             assigned.append(ordering)
-            if all(_relation_holds(terms, assigned, r) for terms in triggers[i]):
+            if i not in relation_walls or all(
+                _relation_holds(terms, assigned, r) for terms in aim.kernel_triggers[i]
+            ):
                 scan(i + 1, classes, tuple(tied))
             else:
                 counts["kernel_cuts"] += 1

@@ -704,6 +704,104 @@ def test_wall_order_relations_span_the_rref_kernel():
     assert checked > 1000
 
 
+def _relation_ends(aim):
+    return {max(w for w, c in enumerate(y) if c) for y in aim.left_kernel}
+
+
+def test_fresh_row_certificate_matches_the_elimination(line_sum_search_items):
+    # the walls the lattice check marks are those where the wall-order elimination's
+    # relations end; on every fan-built Q the fresh rows decide with no elimination
+    fans = _lattice_fans() + [projective_space(5)]
+    fans += list({id(fan): fan for _, fan, *_ in line_sum_search_items(1)}.values())
+    assert len(fans) == len(_lattice_fans()) + 1 + 17
+    decided = {}
+    for fan in fans:
+        aim = augmented_matrix(fan)
+        marked = aim.relation_walls
+        assert "left_kernel" not in vars(aim)
+        assert marked == _relation_ends(aim)
+        assert len(marked) == aim.q.rows - aim.q.cols + fan.dim
+    for fan in _lattice_fans():
+        aim = augmented_matrix(fan)
+        for kind, rows in _foreign_matrices(aim.q):
+            foreign = AugmentedIntersectionMatrix(fan, aim.row_walls, IntMatrix.from_rows(rows))
+            try:
+                foreign.relation_walls
+                verdict = True
+            except RuntimeError as exc:
+                assert "principal-divisor lattice" in str(exc)
+                verdict = False
+            route = "elimination" if "left_kernel" in vars(foreign) else "certificate"
+            if verdict:
+                assert foreign.relation_walls == _relation_ends(foreign), (fan, kind, rows)
+            decided.setdefault((route, verdict), set()).add(kind)
+    # zeroing Q's first rows leaves too few fresh rows; the elimination then finds ker Q too wide
+    assert decided == {
+        ("certificate", True): {"zeroed", "swap", "doubled"},
+        ("certificate", False): {"identity", "entry", "swap"},
+        ("elimination", False): {"zeroed"},
+    }
+
+
+def test_triggers_are_checked_against_the_relation_walls(monkeypatch):
+    aim, system = tangent_case(graph_to_fan(hirzebruch(1)))
+    aim.relation_walls
+    # a relation ending one wall early is not what the fresh rows proved
+    monkeypatch.setattr(intersection, "int_row_relations", lambda rows: [(1, -1, 0, 0)] * 2)
+    with pytest.raises(RuntimeError, match="do not end at its relation walls"):
+        find_splitting_types(aim, system)
+
+
+def test_search_before_the_first_relation_wall_eliminates_nothing(monkeypatch):
+    calls = []
+    real = intersection.int_row_relations
+
+    def spy(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(intersection, "int_row_relations", spy)
+    graph = next(g for g in enumerate_blowups(2) if g.weights == (-1, -1, -1, 0, 0))
+    aim, system = tangent_case(graph_to_fan(graph))
+    for strict in (False, True):
+        stats = {}
+        assert find_splitting_types(aim, system, strict=strict, stats=stats) == []
+        assert stats["kernel_cuts"] == 0
+    assert aim.relation_walls == {3, 4}
+    assert calls == [] and "left_kernel" not in vars(aim) and "kernel_triggers" not in vars(aim)
+
+
+def test_too_few_fresh_rows_still_fail_under_optimize_flag():
+    script = textwrap.dedent(
+        """
+        from toricsplit import solver
+        from toricsplit.bundle_data import tangent_bundle
+        from toricsplit.exact_linear import IntMatrix
+        from toricsplit.intersection import AugmentedIntersectionMatrix, augmented_matrix
+        from toricsplit.splitting import splitting_system
+        from toricsplit.surface_graph import graph_to_fan, hirzebruch
+
+        assert False, "asserts must be stripped"
+        # Q's first three rows zeroed: the principal columns still lie in ker Q, one row is fresh
+        fan = graph_to_fan(hirzebruch(1))
+        aim = augmented_matrix(fan)
+        rows = [[0] * aim.q.cols] * 3 + [list(aim.q.entries[3])]
+        bogus = AugmentedIntersectionMatrix(fan, aim.row_walls, IntMatrix.from_rows(rows))
+        try:
+            solver.find_splitting_types(bogus, splitting_system(tangent_bundle(fan)))
+        except RuntimeError as exc:
+            print("RuntimeError" if "ker Q has rank 3, not 2" in str(exc) else exc)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["RuntimeError"]
+
+
 def test_solve_plan_is_collected_with_its_matrix():
     aim, system = tangent_case(graph_to_fan(hirzebruch(1)))
     find_splitting_types(aim, system)
@@ -778,12 +876,38 @@ def test_types_restrict_back_through_kaneyama_data(line_bundle_sum, line_sum_sea
         (graph_to_fan(next(g for g in enumerate_blowups(k) if g.weights == weights)), t)
         for k, weights, t in table41_rows()
     ]
-    for _, fan, aim, system, strict, _ in line_sum_search_items(1)[:600]:
-        cases += [(fan, t) for t in find_splitting_types(aim, system, strict=strict)]
-    assert len(cases) == 8 + 827
+    for seed in (1, 2):
+        for _, fan, aim, system, strict, _ in line_sum_search_items(seed)[:600]:
+            cases += [(fan, t) for t in find_splitting_types(aim, system, strict=strict)]
+    assert len(cases) == 8 + 827 + 796
     for fan, t in cases:
         want = tuple(tuple(sorted(row, reverse=True)) for row in t.rows)
         assert splitting_system(line_bundle_sum(fan, t.columns)).degrees == want, (fan, t)
+
+
+def _surface_rays(weights):
+    """The rays of a weighted circular graph from v_(i-1) + v_(i+1) + w_i * v_i = 0, without a fan."""
+    rays = [(1, 0), (0, 1)]
+    for w in weights[1:-1]:
+        (a, b), (c, d) = rays[-2:]
+        rays.append((-a - w * c, -b - w * d))
+    return rays
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_table41_matches_its_closed_form(strict):
+    # a surface's tangent system has a splitting type exactly when every weight is negative
+    # and the rays sum to zero; its degree columns are then (2, ..., 2) and the weights
+    want = []
+    surfaces = 0
+    for k in range(1, 10):
+        for g in sorted(enumerate_blowups(k), key=lambda g: g.weights):
+            surfaces += 1
+            rays = _surface_rays(g.weights)
+            if all(w < 0 for w in g.weights) and tuple(map(sum, zip(*rays))) == (0, 0):
+                want.append((k, g.weights, ((2,) * len(g.weights), g.weights)))
+    assert surfaces == 6500 and len(want) == 8
+    assert [(k, w, tuple(zip(*t.rows))) for k, w, t in table41_rows(strict=strict)] == want
 
 
 # ------------------------------------------------- packed sign modes reference
