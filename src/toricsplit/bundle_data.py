@@ -80,7 +80,7 @@ def assemble_bundle(
         if len(ws) != rank:
             raise ValueError("all weight systems must have the same rank")
         for chi in ws:
-            if len(chi) != fan.dim or not all(isinstance(x, int) for x in chi):
+            if len(chi) != fan.dim or not all(type(x) is int for x in chi):
                 raise ValueError(f"weight {tuple(chi)} is not {fan.dim} integers")
         tagged = sorted(range(rank), key=lambda i: tuple(ws[i]))
         perms.append(tagged)
@@ -233,12 +233,12 @@ def make_euler_spec(
     for d in divisors:
         if len(d) != j:
             raise ValueError(f"divisor {tuple(d)} needs {j} ray coefficients")
-        if not all(isinstance(x, int) for x in d):
+        if not all(type(x) is int for x in d):
             raise ValueError(f"divisor {tuple(d)} has a non-integer coefficient")
     for alpha in exponents:
         if len(alpha) != j:
             raise ValueError(f"exponent vector {tuple(alpha)} needs {j} entries")
-        if not all(isinstance(e, int) for e in alpha):
+        if not all(type(e) is int for e in alpha):
             raise ValueError(f"exponent vector {tuple(alpha)} has a non-integer entry")
         if any(e < 0 for e in alpha):
             raise ValueError(f"exponent vector {tuple(alpha)} must be nonnegative")

@@ -114,8 +114,12 @@ def cmd_split(ns: argparse.Namespace, out) -> None:
 
 
 @lru_cache(maxsize=None)
-def table41_rows(strict: bool = False) -> tuple[tuple[int, tuple[int, ...], SplittingType], ...]:
-    """Every (blowup count, canonical weights, type) admitting a splitting type, k=1..9."""
+def table41_rows(strict: bool, /) -> tuple[tuple[int, tuple[int, ...], SplittingType], ...]:
+    """Every (blowup count, canonical weights, type) admitting a splitting type, k=1..9.
+
+    ``strict`` is positional and has no default, so each sign rule has one
+    call form and one cache entry.
+    """
     rows = []
     for k in range(1, SURFACE_ENUMERATION_CAP + 1):
         for graph in sorted(enumerate_blowups(k), key=lambda g: g.weights):
@@ -128,7 +132,7 @@ def table41_rows(strict: bool = False) -> tuple[tuple[int, tuple[int, ...], Spli
 
 
 def cmd_table41(ns: argparse.Namespace, out) -> None:
-    for k, weights, t in table41_rows(strict=ns.strict_signs):
+    for k, weights, t in table41_rows(ns.strict_signs):
         w = ",".join(map(str, weights))
         cols = [",".join(map(str, canon[: len(weights) - 2])) for canon in t.canonical]
         if ns.format == "text":

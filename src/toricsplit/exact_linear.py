@@ -11,19 +11,21 @@ and residual terms, the rank rows of U and the integral kernel), so a
 caller with many right-hand sides for one matrix pays for one ``hnf``;
 ``solve_integral`` is a loop over columns on top of it.
 
-Ranks, right kernels and inverses come from one fraction-free Gauss-Jordan
-elimination, ``_int_rref``: each pivot is made positive, the pivot column
-is cleared from every other row by ``p*row_i - f*row_r``, and each updated
-row is divided by the gcd of its entries.  Pivot row t divided by its
-pivot is then exactly row t of the rational reduced row echelon form.
-``int_kernel`` reads a primitive vector per free column off it, and both
-inverses read one reduced ``[A | I]``.  ``_row_echelon`` eliminates in row
-order instead: ``int_row_relations`` reads the left null space off it, and
-its pivots rank every row prefix on every column prefix.  Rational input is
-first cleared row by row, by the lcm of each row's denominators, which
-changes neither the row space nor the reduced form; ``rat_kernel`` divides
-each ``int_kernel`` vector by its entry at its free column, and
-``rat_invert`` scales the cleared inverse's columns back.
+Ranks, kernels and inverses come from one fraction-free elimination in
+row order, ``_row_echelon``: each row is reduced against the independent
+rows before it, by ``s*row - f*e`` at the pivot of each earlier echelon
+row e, and divided by the gcd of its entries.  Its pivots give
+``int_rank`` and rank every row prefix on every column prefix.
+``_int_rref`` clears its echelon rows upwards, last first, sorts them by
+pivot and makes each pivot positive, so that pivot row t divided by its
+pivot is exactly row t of the rational reduced row echelon form.
+``int_kernel`` reads a primitive vector per free column off it, both
+inverses read one reduced ``[A | I]``, and ``int_row_relations`` is
+``int_kernel`` of the transpose.  Rational input is first cleared row by
+row, by the lcm of each row's denominators, which changes neither the row
+space nor the reduced form; ``rat_kernel`` divides each ``int_kernel``
+vector by its entry at its free column, and ``rat_invert`` scales the
+cleared inverse's columns back.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 h[i] = [x - q * y for x, y in zip(h[i], h[pivot_row])]
                 u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
         pivot_row += 1
-    return IntMatrix.from_rows(h), IntMatrix.from_rows(u)
+    return IntMatrix(m, n, tuple(map(tuple, h))), IntMatrix(m, m, tuple(map(tuple, u)))
 
 
 class SolvePlan:
@@ -229,43 +231,65 @@ def solve_integral(
     return IntMatrix(b.cols, a.cols, tuple(x_cols)).transpose(), plan.kernel
 
 
-def _int_rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination over the integers.
+def _reduce(v: list[int], echelon: Sequence[tuple[int, list[int]]]) -> list[int]:
+    """v cleared fraction-free at each (pivot, row) of ``echelon`` in turn.
 
-    Returns (E, pivots).  Every pivot E[t][pivots[t]] is positive, every
-    other entry of a pivot column is zero, rows past the rank are zero, and
-    E[t] / E[t][pivots[t]] is row t of the rational reduced row echelon form.
+    At pivot p of row e, v becomes e[p]*v - v[p]*e divided by the gcd of its
+    entries.  Each row of ``echelon`` must be zero at the pivots before its
+    own, so a later step never refills a cleared pivot.
     """
-    m = [list(row) for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pivot_row = m[r]
-        p = pivot_row[c]
-        if p < 0:
-            pivot_row = m[r] = [-y for y in pivot_row]
-            p = -p
-        for i in range(nr):
-            f = m[i][c]
-            if f and i != r:
-                row = [p * x - f * y for x, y in zip(m[i], pivot_row)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return m, pivots
+    for p, e in echelon:
+        f = v[p]
+        if f:
+            s = e[p]
+            v = [s * x - f * y for x, y in zip(v, e)]
+            g = gcd(*v)
+            if g > 1:
+                v = [x // g for x in v]
+    return v
+
+
+def _row_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, list[int]]], list[int | None]]:
+    """The one fraction-free elimination, in row order: (echelon, pivots).
+
+    Each row is reduced against the independent rows before it.  Its pivot
+    is the first nonzero column of its reduced row, None when it reduces to
+    zero; the rows that do not are ``echelon``, as (pivot, reduced row) in
+    row order.  The pivots are distinct and the first a reduced rows span
+    rows 0..a-1, so their rank on the columns < b is the number of their
+    pivots below b.
+    """
+    echelon: list[tuple[int, list[int]]] = []
+    pivots: list[int | None] = []
+    for row in rows:
+        v = _reduce(list(row), echelon)
+        p = next((c for c, x in enumerate(v) if x), None)
+        if p is not None:
+            echelon.append((p, v))
+        pivots.append(p)
+    return echelon, pivots
+
+
+def _int_rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan: ``_row_echelon`` cleared upwards.
+
+    Returns (E, pivots), one row of E per pivot.  Each echelon row, the last
+    first, is cleared at the pivots of the rows after it, which are cleared
+    already; the rows are then sorted by pivot and each pivot made positive.
+    Every other entry of a pivot column is zero, and E[t] / E[t][pivots[t]]
+    is row t of the rational reduced row echelon form.  A row is divided by
+    its gcd whenever it changes, so primitive input rows stay primitive.
+    """
+    echelon, _ = _row_echelon(rows)
+    for t in reversed(range(len(echelon))):
+        p, v = echelon[t]
+        echelon[t] = p, _reduce(v, echelon[t + 1 :])
+    echelon.sort()  # by pivot: the pivots are distinct
+    return [v if v[p] > 0 else [-x for x in v] for p, v in echelon], [p for p, _ in echelon]
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(_int_rref(rows)[1])
+    return len(_row_echelon(rows)[0])
 
 
 def int_kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -292,55 +316,15 @@ def int_kernel(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return basis
 
 
-def _row_echelon(rows: Sequence[Sequence[int]]) -> list[tuple[int | None, list[int]]]:
-    """Each row's pivot and combination of the rows, eliminating in row order.
-
-    Each row is reduced fraction-free against the independent rows before
-    it, carrying its combination; a reduced row is zero at the earlier
-    pivots, so one pass clears every pivot.  A row's pivot is the first
-    nonzero column of its reduced row, None when it reduces to zero.  The
-    pivots are distinct and the first a reduced rows span rows 0..a-1, so
-    their rank on the columns < b is the number of their pivots below b.
-    """
-    n = len(rows)
-    echelon: list[tuple[int, list[int], list[int]]] = []  # (pivot, reduced row, combination)
-    out = []
-    for i, row in enumerate(rows):
-        v = list(row)
-        comb = [0] * n
-        comb[i] = 1
-        for p, reduced, used in echelon:
-            f = v[p]
-            if f:
-                s = reduced[p]
-                v = [s * x - f * y for x, y in zip(v, reduced)]
-                comb = [s * x - f * y for x, y in zip(comb, used)]
-                g = gcd(*v, *comb)
-                if g > 1:
-                    v = [x // g for x in v]
-                    comb = [x // g for x in comb]
-        p = next((c for c, x in enumerate(v) if x), None)
-        if p is not None:
-            echelon.append((p, v, comb))
-        out.append((p, comb))
-    return out
-
-
 def int_row_relations(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Integral basis of the left null space {y : y @ rows == 0}, in row order.
+    """Integral basis of the left null space {y : y @ rows == 0}: ``int_kernel`` of the transpose.
 
-    A row that ``_row_echelon`` reduces to zero gives the relation ending at
-    it, primitive and positive there.  It lies on its row and the
-    independent rows before it, so it is ``int_kernel``'s vector of the
-    transpose's free column, and the relations ending at rows <= i span
-    those among rows 0..i.
+    The transpose's free column i is a row that depends on the rows before
+    it, so its vector is the relation ending at row i, primitive and
+    positive there, and the relations ending at rows <= i span those among
+    rows 0..i.
     """
-    relations = []
-    for i, (p, comb) in enumerate(_row_echelon(rows)):
-        if p is None:
-            g = gcd(*comb) if comb[i] > 0 else -gcd(*comb)
-            relations.append(tuple(x // g for x in comb))
-    return relations
+    return int_kernel(list(zip(*rows)) or [[0] * len(rows)])
 
 
 def _reduced_inverse(rows: Sequence[Sequence[int]]) -> list[list[int]] | None:

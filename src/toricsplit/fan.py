@@ -112,7 +112,7 @@ def make_fan(n: int, rays, max_cones) -> Fan:
         raise ValueError("fan dimension must be at least 1")
     ray_tuples = tuple(tuple(ray) for ray in rays)
     for ray in ray_tuples:
-        if not all(isinstance(x, int) for x in ray):
+        if not all(type(x) is int for x in ray):
             raise ValueError(f"ray {ray} has a non-integer coordinate")
         if len(ray) != n:
             raise ValueError(f"ray {ray} does not have {n} coordinates")
@@ -124,7 +124,7 @@ def make_fan(n: int, rays, max_cones) -> Fan:
     given = []
     cone_tuples = []
     for cone in max_cones:
-        if not all(isinstance(i, int) for i in cone):
+        if not all(type(i) is int for i in cone):
             raise ValueError(f"cone {tuple(cone)} has a non-integer ray index")
         idx = tuple(sorted(cone))
         if len(idx) != n or len(set(idx)) != n:

@@ -34,10 +34,9 @@ class AugmentedIntersectionMatrix:
     def left_kernel(self) -> tuple[tuple[int, ...], ...]:
         """Basis of {y : y @ Q = 0}: the relations among Q's rows, in wall order.
 
-        One fraction-free elimination of Q's rows in wall order: a row that
-        reduces to zero against the walls before it gives the relation ending
-        at its own wall.  The basis is in echelon form by last nonzero entry,
-        the integral RREF kernel of Q^T.
+        The integral RREF kernel of Q^T: a wall whose row depends on the rows
+        before it ends one relation, primitive and positive there, so the
+        basis is in echelon form by last nonzero entry.
         """
         return tuple(int_row_relations(self.q.entries))
 
@@ -85,22 +84,25 @@ class AugmentedIntersectionMatrix:
         return frozenset(nonzero_terms(y)[-1][0] for y in self.left_kernel)
 
     @cached_property
-    def kernel_triggers(self) -> tuple[tuple[SparseTerms, ...], ...]:
-        """The left-kernel relations as sparse (wall, coeff) terms, listed under their last wall.
+    def kernel_triggers(self) -> tuple[SparseTerms | None, ...]:
+        """Each wall's relation as sparse (wall, coeff) terms: the one its row ends, or None.
 
-        A wall's triggers are the relations among Q's rows that its row
-        completes, so the relations checked by wall i span every relation
-        among the rows of walls 0..i.  The search reads them only at
-        ``relation_walls``, so the elimination of ``left_kernel`` runs the
-        first time a search reaches one, after the lattice check.
+        The relation wall i ends lies on the rows of walls 0..i, and those of
+        walls <= i span every relation among these rows.  The search reads
+        them only at ``relation_walls``, so the elimination of ``left_kernel``
+        runs the first time a search reaches one, after the lattice check;
+        the relations must end exactly at those walls, one at each.
         """
         relation_walls = self.relation_walls
-        triggers: list[list[SparseTerms]] = [[] for _ in self.row_walls]
-        for terms in map(nonzero_terms, self.left_kernel):
-            triggers[terms[-1][0]].append(terms)
+        relations = [nonzero_terms(y) for y in self.left_kernel]
+        triggers: list[SparseTerms | None] = [None] * len(self.row_walls)
+        for terms in relations:
+            triggers[terms[-1][0]] = terms
         if {i for i, t in enumerate(triggers) if t} != relation_walls:
             raise RuntimeError("invariant broken: Q's relations do not end at its relation walls")
-        return tuple(map(tuple, triggers))
+        if len(relations) != len(relation_walls):
+            raise RuntimeError("invariant broken: two of Q's relations end at one relation wall")
+        return tuple(triggers)
 
     @cached_property
     def solve_plan(self) -> SolvePlan:

@@ -17,17 +17,18 @@ the system.  The scan prunes on three exact conditions:
 
 ``aim.relation_walls`` checks Q's solution lattice once per matrix, with
 neither an HNF nor an elimination, before the first search, and names the
-walls where a relation ends.  Only there are the relations read, as sparse
-terms from ``aim.kernel_triggers``, so Q's rows are eliminated the first
-time a search reaches a relation wall, and a search that dies before one
-eliminates nothing.  Surviving candidates are solved integrally, column by
-column, by back-substitution against the matrix's cached ``aim.solve_plan``
-(one HNF per matrix, built at the first leaf, so a search that reaches no
-leaf computes none).  Leaves share many degree columns, so each search
-keeps a memo of the columns it has met: a column is solved, checked against
-Q, reduced modulo the principal-divisor lattice and signed the first time,
-and the memo dies with the search.  Every leaf checks the sign rule on its
-columns and is keyed by its sorted classes.
+walls where a relation ends, one relation each.  Only there is that
+relation read, as sparse terms from ``aim.kernel_triggers``, so Q's rows
+are eliminated the first time a search reaches a relation wall, and a
+search that dies before one eliminates nothing.  Surviving candidates are
+solved integrally, column by column, by back-substitution against the
+matrix's cached ``aim.solve_plan`` (one HNF per matrix, built at the first
+leaf, so a search that reaches no leaf computes none).  Leaves share many
+degree columns, so each search keeps a memo of the columns it has met: a
+column is solved, checked against Q, reduced modulo the principal-divisor
+lattice and signed the first time, and the memo dies with the search.
+Every leaf checks the sign rule on its columns and is keyed by its sorted
+classes.
 """
 
 from __future__ import annotations
@@ -143,9 +144,7 @@ def find_splitting_types(
                 counts["lex_cuts"] += 1
                 continue
             assigned.append(ordering)
-            if i not in relation_walls or all(
-                _relation_holds(terms, assigned, r) for terms in aim.kernel_triggers[i]
-            ):
+            if i not in relation_walls or _relation_holds(aim.kernel_triggers[i], assigned, r):
                 scan(i + 1, classes, tuple(tied))
             else:
                 counts["kernel_cuts"] += 1

@@ -81,7 +81,7 @@ class SplittingSystem:
         if len(self.taus) != len(self.degrees):
             raise ValueError("one degree tuple per wall required")
         for row in self.degrees:
-            if not isinstance(row, tuple) or not all(isinstance(d, int) for d in row):
+            if not isinstance(row, tuple) or not all(type(d) is int for d in row):
                 raise ValueError(f"degree row {row!r} is not a tuple of integers")
             if list(row) != sorted(row, reverse=True):
                 raise ValueError(f"degree tuple {row} is not non-increasing")
@@ -107,7 +107,7 @@ def restrict(
         v = fan.rays[wall.extra1]
     else:
         v = tuple(v_chart)
-        if len(v) != fan.dim or not all(isinstance(x, int) for x in v):
+        if len(v) != fan.dim or not all(type(x) is int for x in v):
             raise ValueError(f"v_chart {v} is not {fan.dim} integers")
         conormal = fan.duals[c1][fan.max_cones[c1].index(wall.extra1)]
         if dot(conormal, v) != 1:
@@ -164,7 +164,7 @@ def bootstrap(
     r = len(w1)
     if len(w2) != r or len(pasting) != r or any(len(row) != r for row in pasting):
         raise ValueError("block shape mismatch")
-    if not all(isinstance(x, int) for x in w1 + w2):
+    if not all(type(x) is int for x in w1 + w2):
         raise ValueError("chart weights must be integers")
     if any(w1[k] < w1[k + 1] for k in range(r - 1)):
         raise ValueError("chart-1 weights must be non-increasing")
@@ -345,7 +345,7 @@ def _clear_rows(transition: Sequence[Sequence[tuple[Rat, int]]]) -> IntMonomialM
     polynomial nor the exponent of det T, so h(k) and the degrees stay those
     of the transition, and every rank below is taken over the integers.
     """
-    if not all(isinstance(e, int) for row in transition for _, e in row):
+    if not all(type(e) is int for row in transition for _, e in row):
         raise ValueError("transition exponents must be integers")
     coeffs = clear_denominators([[c for c, _ in row] for row in transition])
     return tuple(
@@ -429,7 +429,7 @@ def _h_separable(t: IntMonomialMatrix, split: tuple[list[int], list[int]], twist
     r = len(t)
     cols = sorted(range(r), key=lambda j: -tj[j])
     coeff = [[t[i][j][0] for j in cols] for i in sorted(range(r), key=lambda i: u[i])]
-    pivots = [p for p, _ in _row_echelon(coeff)]
+    _, pivots = _row_echelon(coeff)
     if None in pivots:
         raise ValueError("singular transition matrix")
     # rank[a][b]: the rank of coeff's first a rows on its first b columns = their pivots below b

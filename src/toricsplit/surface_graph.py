@@ -24,7 +24,7 @@ class WeightedCircularGraph:
         if len(self.weights) < 3:
             raise ValueError("a weighted circular graph needs at least 3 vertices")
         for w in self.weights:
-            if not isinstance(w, int):
+            if type(w) is not int:
                 raise TypeError(f"non-integer weight {w!r}")
 
     @property

@@ -8,10 +8,12 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
+from toricsplit import exact_linear
 from toricsplit.bundle_data import assemble_bundle, cp2_rank2, tangent_bundle
 from toricsplit.exact_linear import IntMatrix, rat_matmul, solve_integral
 from toricsplit.fan import projective_space
@@ -181,6 +183,141 @@ def brute_force_keys():
     """The splitting types of a system by brute force, as sorted canonical class tuples:
     every ordering of every wall tuple, sign-filtered, solved with ``solve_integral``."""
     return _brute_force_keys
+
+
+def _reference_rref(rows):
+    """The column-order fraction-free Gauss-Jordan elimination the row-order pass replaced."""
+    m = [list(row) for row in rows]
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pivot_row = m[r]
+        p = pivot_row[c]
+        if p < 0:
+            pivot_row = m[r] = [-y for y in pivot_row]
+            p = -p
+        for i in range(nr):
+            f = m[i][c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(m[i], pivot_row)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return m, pivots
+
+
+def _reference_row_relations(rows):
+    """The left null space by the row-order pass that carried each row's combination of the rows."""
+    n = len(rows)
+    echelon = []  # (pivot, reduced row, combination)
+    relations = []
+    for i, row in enumerate(rows):
+        v = list(row)
+        comb = [0] * n
+        comb[i] = 1
+        for p, reduced, used in echelon:
+            f = v[p]
+            if f:
+                s = reduced[p]
+                v = [s * x - f * y for x, y in zip(v, reduced)]
+                comb = [s * x - f * y for x, y in zip(comb, used)]
+                g = gcd(*v, *comb)
+                if g > 1:
+                    v = [x // g for x in v]
+                    comb = [x // g for x in comb]
+        p = next((c for c, x in enumerate(v) if x), None)
+        if p is not None:
+            echelon.append((p, v, comb))
+        else:
+            g = gcd(*comb) if comb[i] > 0 else -gcd(*comb)
+            relations.append(tuple(x // g for x in comb))
+    return relations
+
+
+def _reference_kernel(rows):
+    if not rows:
+        return []
+    m, pivots = _reference_rref(rows)
+    nc = len(rows[0])
+    basis = []
+    for f in (c for c in range(nc) if c not in pivots):
+        scale = lcm(*(m[t][p] // gcd(m[t][f], m[t][p]) for t, p in enumerate(pivots)))
+        vec = [0] * nc
+        vec[f] = scale
+        for t, p in enumerate(pivots):
+            vec[p] = -m[t][f] * scale // m[t][p]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _reference_reduced_inverse(rows):
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("inverse of a non-square matrix")
+    m, pivots = _reference_rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
+    return m if pivots == list(range(n)) else None
+
+
+def _reference_unimodular_inverse(rows):
+    m = _reference_reduced_inverse(rows)
+    if m is None or any(m[t][t] != 1 for t in range(len(m))):
+        raise ValueError("matrix is not unimodular: no integral inverse")
+    return tuple(tuple(row[len(m):]) for row in m)
+
+
+def _reference_rat_invert(rows):
+    m = _reference_reduced_inverse(rows)
+    if m is None:
+        raise ValueError("singular matrix")
+    return [[Fraction(x, row[t]) for x in row[len(m):]] for t, row in enumerate(m)]
+
+
+def _readers(rows, rank, kernel, unimodular_inverse, rat_invert, row_relations):
+    """What five readers make of an integer matrix: each answer, or its ValueError's text."""
+    answers = []
+    for reader in (rank, kernel, unimodular_inverse, rat_invert, row_relations):
+        try:
+            answers.append(reader(rows))
+        except ValueError as exc:
+            answers.append(f"ValueError: {exc}")
+    return answers
+
+
+@pytest.fixture(scope="session")
+def assert_readers_match_references():
+    """Asserts that ``int_rank``, ``int_kernel``, ``unimodular_inverse``, ``rat_invert`` and
+    ``int_row_relations`` of an integer matrix give what the two eliminations the row-order
+    pass replaced give: a column-order Gauss-Jordan and a row pass carrying combinations."""
+
+    def check(rows):
+        package = _readers(
+            rows,
+            exact_linear.int_rank,
+            exact_linear.int_kernel,
+            exact_linear.unimodular_inverse,
+            exact_linear.rat_invert,
+            exact_linear.int_row_relations,
+        )
+        reference = _readers(
+            rows,
+            lambda rows: len(_reference_rref(rows)[1]),
+            _reference_kernel,
+            _reference_unimodular_inverse,
+            _reference_rat_invert,
+            _reference_row_relations,
+        )
+        assert package == reference, rows
+
+    return check
 
 
 def pytest_runtest_logreport(report):

@@ -11,7 +11,7 @@ import pytest
 import toricsplit.bundle_data as bundle_data
 import toricsplit.splitting as splitting
 from toricsplit.bundle_data import cp2_rank2, format_bundle, load_bundle, parse_bundle, tangent_bundle
-from toricsplit.cli import main
+from toricsplit.cli import main, table41_rows
 from toricsplit.fan import format_fan, projective_space, walls
 from toricsplit.surface_graph import graph_to_fan, hirzebruch
 
@@ -344,6 +344,19 @@ def test_bundle_rank_over_ordering_cap_is_named(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: bundle rank 9 exceeds the ordering rank cap 8\n"
+
+
+def test_table41_scans_once_per_sign_rule(capsys):
+    # the subcommand and direct calls share one cache entry per sign rule
+    for strict in (False, True):
+        assert main(["table41", "--format", "tsv"] + ["--strict-signs"] * strict) == 0
+        rows = table41_rows(strict)
+        assert main(["table41"] + ["--strict-signs"] * strict) == 0
+        assert table41_rows(strict) is rows
+    capsys.readouterr()
+    assert table41_rows.cache_info().currsize == 2
+    with pytest.raises(TypeError):
+        table41_rows(strict=False)
 
 
 def test_missing_subcommand(capsys):

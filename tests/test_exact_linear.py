@@ -115,6 +115,12 @@ def test_hnf_zero():
     assert u == IntMatrix.identity(2)
 
 
+def test_hnf_keeps_the_shape_of_an_empty_matrix():
+    # H is m x n and U is m x m even with no row to read a column count off
+    assert hnf(IntMatrix(0, 3, ())) == (IntMatrix(0, 3, ()), IntMatrix(0, 0, ()))
+    assert hnf(IntMatrix(2, 0, ((), ()))) == (IntMatrix(2, 0, ((), ())), IntMatrix.identity(2))
+
+
 def test_hnf_known_lattice():
     a = mat([[2, 4], [1, 3]])
     h, u = hnf(a)
@@ -384,10 +390,6 @@ def test_unimodular_inverse_rejects_non_unimodular():
 # ------------------------------------------- references: the earlier bodies
 
 
-def _old_int_pivots(rows):
-    return _int_rref(rows)[1]
-
-
 def _old_rat_kernel(rows):
     if not rows:
         return []
@@ -473,9 +475,8 @@ def test_readers_match_their_earlier_bodies():
     assert _outcome(unimodular_inverse, [[2, 1], [0, 1]]) == "ValueError: matrix is not unimodular: no integral inverse"
 
 
-def test_row_order_pass_ranks_every_prefix_pair():
+def _prefix_pair_cases():
     rng = random.Random(20261019)
-    cases = 0
     for case in range(400):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.choice((0, 0, 1, -1, rng.randint(-5, 5))) for _ in range(n)] for _ in range(m)]
@@ -484,20 +485,36 @@ def test_row_order_pass_ranks_every_prefix_pair():
         if case % 3 == 1 and m > 1:
             i, j = rng.sample(range(m), 2)
             rows[i] = [rng.choice((-2, -1, 1, 3)) * x for x in rows[j]]
-        echelon = _row_echelon(rows)
-        pivots = [p for p, _ in echelon]
+        yield rows
+
+
+def test_row_order_pass_ranks_every_prefix_pair():
+    cases = 0
+    for rows in _prefix_pair_cases():
+        m, n = len(rows), len(rows[0])
+        echelon, pivots = _row_echelon(rows)
         found = [p for p in pivots if p is not None]
         assert len(set(found)) == len(found)
         assert sorted(found) == _int_rref(rows)[1]
         for a in range(1, m + 1):
-            assert sorted(p for p in pivots[:a] if p is not None) == _old_int_pivots(rows[:a])
+            assert sorted(p for p in pivots[:a] if p is not None) == _fraction_rref(rows[:a])[1]
             for b in range(1, n + 1):
                 table = sum(p is not None and p < b for p in pivots[:a])
                 assert table == int_rank([row[:b] for row in rows[:a]]), (rows, a, b)
-        # a row's combination of the rows gives its reduced row, zero before its pivot
-        for i, (p, comb) in enumerate(echelon):
-            reduced = [sum(c * row[j] for c, row in zip(comb, rows)) for j in range(n)]
-            assert comb[i] != 0 and not any(comb[i + 1 :])
-            assert next((j for j, x in enumerate(reduced) if x), None) == p
+        # the echelon rows are the independent rows, reduced, in row order: each starts at its pivot
+        assert [p for p, _ in echelon] == found
+        for p, v in echelon:
+            assert next(j for j, x in enumerate(v) if x) == p
         cases += any(p is None for p in pivots)
     assert cases > 100
+
+
+def test_readers_match_the_reference_eliminations(assert_readers_match_references):
+    for rows in _prefix_pair_cases():
+        assert_readers_match_references(rows)
+    for n in range(1, 6):
+        rng = random.Random(n)
+        for _ in range(20):
+            assert_readers_match_references(_random_unimodular(rng, n))
+    for rows in ([], [[]], [[], []], [[0, 0], [0, 0]], [[2, 4]], [[2, 1], [0, 1]]):
+        assert_readers_match_references(rows)

@@ -19,7 +19,8 @@ from toricsplit.bundle_data import (
 from toricsplit.fan import format_fan, make_fan, parse_fan, projective_space
 from toricsplit.intersection import augmented_matrix
 from toricsplit.solver import find_splitting_types
-from toricsplit.splitting import SplittingSystem, splitting_system, twist_system
+from toricsplit.splitting import SplittingSystem, bootstrap, h0_oracle, restrict, splitting_system, twist_system
+from toricsplit.surface_graph import WeightedCircularGraph
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -162,6 +163,46 @@ CASES = {
 def test_bad_input_raises_its_named_error(case):
     call, message = CASES[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+BOOL_CASES = {
+    # a bool is an int to isinstance, but it is written back as True or False
+    "make_fan-ray": (
+        lambda: make_fan(1, [(True,), (-1,)], [(0,), (1,)]),
+        "ray (True,) has a non-integer coordinate",
+    ),
+    "make_fan-cone": (
+        lambda: make_fan(2, P2_RAYS, [(False, True), (0, 2), (1, 2)]),
+        "cone (False, True) has a non-integer ray index",
+    ),
+    "assemble_bundle": (lambda: _p2_tangent_with_weight((True, 0)), "weight (True, 0) is not 2 integers"),
+    "make_euler_spec-divisor": (
+        lambda: make_euler_spec(P2, [(1, 0, 0), (0, True, 0)], [(1, 0, 0), (0, 1, 0)]),
+        "divisor (0, True, 0) has a non-integer coefficient",
+    ),
+    "make_euler_spec-exponent": (
+        lambda: make_euler_spec(P2, [(1, 0, 0), (0, 1, 0)], [(True, 0, 0), (0, 1, 0)]),
+        "exponent vector (True, 0, 0) has a non-integer entry",
+    ),
+    "SplittingSystem": (
+        lambda: SplittingSystem(((0,),), ((True, False),)),
+        "degree row (True, False) is not a tuple of integers",
+    ),
+    "bootstrap": (lambda: bootstrap((True, 0), (0, 1), [[1, 0], [0, 1]]), "chart weights must be integers"),
+    "restrict-v_chart": (
+        lambda: restrict(tangent_bundle(P2), augmented_matrix(P2).row_walls[0], v_chart=(False, True)),
+        "v_chart (False, True) is not 2 integers",
+    ),
+    "h0_oracle": (lambda: h0_oracle([[(1, True)]]), "transition exponents must be integers"),
+    "WeightedCircularGraph": (lambda: WeightedCircularGraph((True, 1, 1)), "non-integer weight True"),
+}
+
+
+@pytest.mark.parametrize("case", list(BOOL_CASES))
+def test_bool_is_not_an_integer(case):
+    call, message = BOOL_CASES[case]
+    with pytest.raises((ValueError, TypeError), match=f"^{re.escape(message)}$"):
         call()
 
 

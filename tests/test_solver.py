@@ -680,14 +680,16 @@ def test_lattice_check_matches_hnf_reference():
     }
 
 
-def test_wall_order_relations_span_the_rref_kernel():
+def test_wall_order_relations_span_the_rref_kernel(assert_readers_match_references):
     # for each wall i, the relations ending at walls <= i span what the
-    # integral RREF kernel of Q^T spans there, with one relation per dependent wall
+    # integral RREF kernel of Q^T spans there, with one relation per dependent wall;
+    # every exact reader of Q agrees with the eliminations the row-order pass replaced
     checked = 0
     for fan in _lattice_fans():
         aim = augmented_matrix(fan)
         matrices = [aim.q.entries] + [rows for _, rows in _foreign_matrices(aim.q)]
         for rows in matrices:
+            assert_readers_match_references(rows)
             q = IntMatrix.from_rows(rows)
             relations = AugmentedIntersectionMatrix(fan, aim.row_walls, q).left_kernel
             reference = exact_linear.int_kernel(list(zip(*q.entries)))
@@ -750,6 +752,32 @@ def test_triggers_are_checked_against_the_relation_walls(monkeypatch):
     monkeypatch.setattr(intersection, "int_row_relations", lambda rows: [(1, -1, 0, 0)] * 2)
     with pytest.raises(RuntimeError, match="do not end at its relation walls"):
         find_splitting_types(aim, system)
+
+
+def test_triggers_hold_one_relation_per_relation_wall(monkeypatch):
+    fan = graph_to_fan(hirzebruch(1))
+    aim, system = tangent_case(fan)
+    relations = intersection.int_row_relations(aim.q.entries)
+    assert [t is not None for t in aim.kernel_triggers] == [
+        i in aim.relation_walls for i in range(len(aim.row_walls))
+    ]
+    # each check is one call on the one relation that the wall just assigned ends
+    checked = []
+    real = solver._relation_holds
+
+    def spy(terms, assigned, r):
+        checked.append((terms, len(assigned), real(terms, assigned, r)))
+        return checked[-1][-1]
+
+    monkeypatch.setattr(solver, "_relation_holds", spy)
+    stats = {}
+    find_splitting_types(aim, system, stats=stats)
+    assert checked and all(terms is aim.kernel_triggers[depth - 1] for terms, depth, _ in checked)
+    assert stats["kernel_cuts"] == sum(not holds for _, _, holds in checked)
+    # a second relation ending at a relation wall is not what the fresh rows proved
+    monkeypatch.setattr(intersection, "int_row_relations", lambda rows: relations + relations[-1:])
+    with pytest.raises(RuntimeError, match="two of Q's relations end at one relation wall"):
+        find_splitting_types(augmented_matrix(fan), system)
 
 
 def test_search_before_the_first_relation_wall_eliminates_nothing(monkeypatch):
@@ -874,7 +902,7 @@ def test_types_restrict_back_through_kaneyama_data(line_bundle_sum, line_sum_sea
     # sum of the line bundles of a type's columns has the type's rows as splitting numbers
     cases = [
         (graph_to_fan(next(g for g in enumerate_blowups(k) if g.weights == weights)), t)
-        for k, weights, t in table41_rows()
+        for k, weights, t in table41_rows(False)
     ]
     for seed in (1, 2):
         for _, fan, aim, system, strict, _ in line_sum_search_items(seed)[:600]:
@@ -907,7 +935,7 @@ def test_table41_matches_its_closed_form(strict):
             if all(w < 0 for w in g.weights) and tuple(map(sum, zip(*rays))) == (0, 0):
                 want.append((k, g.weights, ((2,) * len(g.weights), g.weights)))
     assert surfaces == 6500 and len(want) == 8
-    assert [(k, w, tuple(zip(*t.rows))) for k, w, t in table41_rows(strict=strict)] == want
+    assert [(k, w, tuple(zip(*t.rows))) for k, w, t in table41_rows(strict)] == want
 
 
 # ------------------------------------------------- packed sign modes reference

@@ -504,9 +504,9 @@ def test_each_row_block_is_eliminated_once(monkeypatch):
     kernels, ranks, eliminations = [], [], []
     monkeypatch.setattr(splitting, "int_kernel", lambda rows, real=int_kernel: kernels.append(rows) or real(rows))
     monkeypatch.setattr(splitting, "int_rank", lambda rows, real=int_rank: ranks.append(rows) or real(rows))
-    for module, name in ((exact_linear, "_int_rref"), (splitting, "_row_echelon")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda rows, real=real: eliminations.append(rows) or real(rows))
+    for module in (exact_linear, splitting):
+        real = module._row_echelon
+        monkeypatch.setattr(module, "_row_echelon", lambda rows, real=real: eliminations.append(rows) or real(rows))
     rng = random.Random(20261022)
     for case in range(60):
         r = case % 4 + 2
