@@ -79,37 +79,36 @@ def assemble_bundle(
     for ws in weight_systems:
         if len(ws) != rank:
             raise ValueError("all weight systems must have the same rank")
-        for chi in ws:
+        chis = [tuple(chi) for chi in ws]
+        for chi in chis:
             if len(chi) != fan.dim or not all(type(x) is int for x in chi):
-                raise ValueError(f"weight {tuple(chi)} is not {fan.dim} integers")
-        tagged = sorted(range(rank), key=lambda i: tuple(ws[i]))
-        perms.append(tagged)
-        sorted_systems.append(tuple(tuple(ws[i]) for i in tagged))
+                raise ValueError(f"weight {chi} is not {fan.dim} integers")
+        perm = sorted(range(rank), key=chis.__getitem__)
+        perms.append(perm)
+        sorted_systems.append(tuple([chis[i] for i in perm]))
 
+    permuted = {}
     for (c2, c1), raw in pasting_map.items():
         if not (0 <= c2 < n_cones and 0 <= c1 < n_cones):
             raise ValueError(f"pasting ({c2},{c1}) names a cone out of range")
         if len(raw) != rank or any(len(row) != rank for row in raw):
             raise ValueError(f"pasting ({c2},{c1}) is not {rank}x{rank}")
+        permuted[(c2, c1)] = tuple([tuple([raw[i][j] for j in perms[c1]]) for i in perms[c2]])
     star = range(1, n_cones)
     missing = [pair for c in star for pair in ((0, c), (c, 0)) if pair not in pasting_map]
     if missing:
         raise ValueError("pasting ({},{}) is missing".format(*missing[0]))
-
-    def permuted(c2: int, c1: int) -> list[list[Rat]]:
-        raw = pasting_map[(c2, c1)]
-        return [[raw[i][j] for j in perms[c1]] for i in perms[c2]]
 
     identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
     data = KaneyamaBundleData(
         fan,
         rank,
         tuple(sorted_systems),
-        (identity, *(tuple(map(tuple, permuted(0, c))) for c in star)),
-        (identity, *(tuple(map(tuple, permuted(c, 0))) for c in star)),
+        (identity, *[permuted[(0, c)] for c in star]),
+        (identity, *[permuted[(c, 0)] for c in star]),
     )
-    for c2, c1 in pasting_map:
-        if 0 not in (c2, c1) and data.pasting(c2, c1) != permuted(c2, c1):
+    for (c2, c1), pasting in permuted.items():
+        if 0 not in (c2, c1) and data.pasting(c2, c1) != list(map(list, pasting)):
             raise ValueError(f"cocycle fails for cones ({c2},0,{c1})")
     return data
 
@@ -167,10 +166,9 @@ def tangent_bundle(fan: Fan) -> KaneyamaBundleData:
     rays, which is exactly the Jacobian of the monomial chart change.  Only
     the pastings into and out of cone 0 are built.
     """
-    pasting_map = {}
-    for c in range(1, len(fan.max_cones)):
-        pasting_map[(0, c)] = [[dot(e, v) for v in fan.cone_rays(c)] for e in fan.duals[0]]
-        pasting_map[(c, 0)] = [[dot(e, v) for v in fan.cone_rays(0)] for e in fan.duals[c]]
+    rays = [fan.cone_rays(c) for c in range(len(fan.max_cones))]
+    star = [pair for c in range(1, len(rays)) for pair in ((0, c), (c, 0))]
+    pasting_map = {(c2, c1): [[dot(e, v) for v in rays[c1]] for e in fan.duals[c2]] for c2, c1 in star}
     return assemble_bundle(fan, fan.duals, pasting_map)
 
 

@@ -58,7 +58,7 @@ class IntMatrix:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
             for x in row:
-                if not isinstance(x, int):
+                if type(x) is not int:
                     raise TypeError(f"non-integer entry {x!r}")
 
     @classmethod

@@ -224,13 +224,12 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
     for tau in sorted(by_facet):
         c1, c2 = by_facet[tau]
         cone1 = fan.max_cones[c1]
-        (e1,) = set(cone1) - set(tau)
-        (e2,) = set(fan.max_cones[c2]) - set(tau)
-        coords = [dot(e, fan.rays[e2]) for e in fan.duals[c1]]
-        if coords[cone1.index(e1)] != -1:
+        e1, e2 = sum(cone1) - sum(tau), sum(fan.max_cones[c2]) - sum(tau)  # each cone is tau + 1 ray
+        coords = [-dot(e, fan.rays[e2]) for e in fan.duals[c1]]  # -v_e2 in sigma1's dual basis
+        k = cone1.index(e1)  # tau is sigma1 without e1: its coordinates are those off position k
+        if coords[k] != 1:
             raise ValueError(f"overlapping cones: wall relation for tau {tau}: rays {e1}, {e2} lie on one side")
-        relation = tuple(-coords[cone1.index(t)] for t in tau)
-        out.append(Wall(tau, c1, c2, e1, e2, relation))
+        out.append(Wall(tau, c1, c2, e1, e2, tuple(coords[:k] + coords[k + 1 :])))
     return tuple(out)
 
 

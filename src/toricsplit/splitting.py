@@ -24,8 +24,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, permutations
+from itertools import permutations
 from math import gcd
+from operator import lt
 from typing import TYPE_CHECKING, Sequence
 
 from .exact_linear import Rat, _row_echelon, clear_denominators, dot, int_kernel, int_rank, rat_invert
@@ -83,7 +84,7 @@ class SplittingSystem:
         for row in self.degrees:
             if not isinstance(row, tuple) or not all(type(d) is int for d in row):
                 raise ValueError(f"degree row {row!r} is not a tuple of integers")
-            if list(row) != sorted(row, reverse=True):
+            if any(map(lt, row, row[1:])):
                 raise ValueError(f"degree tuple {row} is not non-increasing")
         if len(set(map(len, self.degrees))) > 1:
             raise ValueError("wall tuples have mixed lengths")
@@ -97,9 +98,9 @@ def restrict(
     ``v_chart`` selects the one-parameter subgroup measuring chart weights;
     any lattice point pairing to 1 against the wall conormal of the first
     chart is valid, and the default is the first chart's extra ray.  The
-    resulting degrees are independent of the choice.  Each weight's key (its
-    pairings with tau's rays) and chart weight are computed once, each chart
-    is sorted once, and the blocks are the aligned runs of equal keys.
+    resulting degrees are independent of the choice.  One pass: each weight's
+    key (its pairings with tau's rays) and chart weight are computed once, each
+    chart is sorted once as plain tuples, and the blocks are the runs of equal keys.
     """
     fan = data.fan
     c1, c2 = wall.sigma1, wall.sigma2
@@ -115,31 +116,31 @@ def restrict(
 
     p = data.pasting(c2, c1)
     tau_rays = [fan.rays[t] for t in wall.tau]
+    # (key, weight, index) per weight; chart 1's weight negated, so the plain sort puts it descending
     chart1, chart2 = (
-        [(tuple(dot(chi, t) for t in tau_rays), dot(chi, v), i) for i, chi in enumerate(ws)]
-        for ws in (data.weight_systems[c1], data.weight_systems[c2])
+        [(tuple([dot(chi, t) for t in tau_rays]), s * dot(chi, v), i) for i, chi in enumerate(ws)]
+        for ws, s in ((data.weight_systems[c1], -1), (data.weight_systems[c2], 1))
     )
-    # chart 1 by key then weight descending, chart 2 ascending; stable, so ties keep stored order
-    sorted1 = sorted(chart1, key=lambda e: (e[0], -e[1]))
-    sorted2 = sorted(chart2, key=lambda e: (e[0], e[1]))
-    if [e[0] for e in sorted1] != [e[0] for e in sorted2]:
+    sorted1, sorted2 = sorted(chart1), sorted(chart2)
+    keys = [e[0] for e in sorted1]
+    if keys != [e[0] for e in sorted2]:
         raise ValueError(f"net condition fails at wall tau {wall.tau} between cones {c1} and {c2}")
 
     # entries joining different isotypic classes must vanish in the limit
     # into the wall point; the support condition makes the exponent positive
     for k2, _, i2 in chart2:
         for (k1, _, i1), entry in zip(chart1, p[i2]):
-            if entry != 0 and k1 != k2 and any(b < a for a, b in zip(k1, k2)):
-                raise ValueError(
-                    f"support fails for pasting ({c2},{c1}) entry ({i2},{i1}) at wall tau {wall.tau}"
-                )
+            if entry and k1 != k2 and any(map(lt, k2, k1)):
+                raise ValueError(f"support fails for pasting ({c2},{c1}) entry ({i2},{i1}) at wall tau {wall.tau}")
 
+    # where each run of equal keys starts, then the length: run b is cuts[b]:cuts[b + 1]
+    cuts = [k for k in range(len(keys)) if k == 0 or keys[k] != keys[k - 1]] + [len(keys)]
     blocks = []
-    for key, run in groupby(zip(sorted1, sorted2), key=lambda pair: pair[0][0]):
-        run1, run2 = zip(*run)
-        _, t1, idx1 = zip(*run1)
-        _, t2, idx2 = zip(*run2)
-        blocks.append(RestrictionBlock(key, t1, t2, tuple(tuple(p[i2][i1] for i1 in idx1) for i2 in idx2)))
+    for lo, hi in zip(cuts, cuts[1:]):
+        run1, run2 = sorted1[lo:hi], sorted2[lo:hi]
+        t1, t2 = tuple([-w for _, w, _ in run1]), tuple([w for _, w, _ in run2])
+        pasting = tuple([tuple([p[i2][i1] for _, _, i1 in run1]) for _, _, i2 in run2])
+        blocks.append(RestrictionBlock(keys[lo], t1, t2, pasting))
     return WallRestriction(wall, v, tuple(blocks))
 
 

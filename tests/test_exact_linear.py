@@ -95,6 +95,14 @@ def test_intmatrix_rejects_ragged_and_nonint():
         IntMatrix.from_rows([[1.0, 2], [3, 4]])
 
 
+def test_intmatrix_rejects_bool():
+    # bool is an int subclass; like every other integer validator, the class turns it away
+    with pytest.raises(TypeError, match=r"^non-integer entry True$"):
+        IntMatrix.from_rows([[True, 2]])
+    with pytest.raises(TypeError, match=r"^non-integer entry False$"):
+        IntMatrix(1, 2, ((3, False),))
+
+
 def test_intmatrix_product_shape_with_an_empty_dimension():
     # no row of the product, or no inner term, still leaves its shape rows x other.cols
     assert IntMatrix(2, 0, ((), ())) @ IntMatrix(0, 3, ()) == IntMatrix(2, 3, ((0, 0, 0), (0, 0, 0)))

@@ -681,9 +681,14 @@ def test_lattice_check_matches_hnf_reference():
 
 
 def test_wall_order_relations_span_the_rref_kernel(assert_readers_match_references):
-    # for each wall i, the relations ending at walls <= i span what the
-    # integral RREF kernel of Q^T spans there, with one relation per dependent wall;
-    # every exact reader of Q agrees with the eliminations the row-order pass replaced
+    # for each wall i, the relations ending at walls <= i span the left kernel of Q's first
+    # i + 1 rows, one relation per dependent wall.  The reference is that prefix's row HNF
+    # (H, U): U's rows at H's zero rows span the left kernel, and a rank is the number of
+    # nonzero HNF rows, so it shares no elimination with the code.  Every exact reader of Q
+    # also agrees with the eliminations the row-order pass replaced.
+    def hnf_rank(rows):
+        return sum(map(any, hnf(IntMatrix.from_rows(rows))[0].entries))
+
     checked = 0
     for fan in _lattice_fans():
         aim = augmented_matrix(fan)
@@ -692,16 +697,18 @@ def test_wall_order_relations_span_the_rref_kernel(assert_readers_match_referenc
             assert_readers_match_references(rows)
             q = IntMatrix.from_rows(rows)
             relations = AugmentedIntersectionMatrix(fan, aim.row_walls, q).left_kernel
-            reference = exact_linear.int_kernel(list(zip(*q.entries)))
             ends = [max(w for w, c in enumerate(y) if c) for y in relations]
             for y, end in zip(relations, ends):
                 assert (IntMatrix.from_rows([y]) @ q).entries == ((0,) * q.cols,)
                 assert y[end] > 0 and gcd(*y) == 1
-            assert ends == [max(w for w, c in enumerate(y) if c) for y in reference]
-            for i in sorted(set(ends)):
-                mine = [y for y, end in zip(relations, ends) if end <= i]
-                theirs = [y for y in reference if max(w for w, c in enumerate(y) if c) <= i]
-                assert rat_rank(mine) == rat_rank(theirs) == rat_rank(mine + theirs) == len(mine)
+            for i in range(q.rows):
+                h, u = hnf(IntMatrix.from_rows(rows[: i + 1]))
+                kernel = [u_row for h_row, u_row in zip(h.entries, u.entries) if not any(h_row)]
+                mine = [y[: i + 1] for y, end in zip(relations, ends) if end <= i]
+                # H has rank H nonzero rows, so i + 1 - rank H relations end at walls <= i
+                assert len(mine) == len(kernel), (rows, i)
+                if mine:
+                    assert hnf_rank(mine) == hnf_rank(kernel) == hnf_rank(mine + kernel) == len(mine)
             checked += 1
     assert checked > 1000
 
