@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .exact_linear import Rat, dot, rat_matmul, rat_rank
-from .fan import ENTRY_LENGTH_CAP, INTEGER_TOKEN, Fan, content_lines, parse_int, walls
+from .fan import ENTRY_LENGTH_CAP, INTEGER_TOKEN, Fan, content_lines, parse_int
 from .intersection import AugmentedIntersectionMatrix, apply_q
 from .solver import canonical_class_rep
 from .splitting import SplittingSystem, WallRestriction, restrict
@@ -55,7 +55,7 @@ class KaneyamaBundleData:
     def restrictions(self) -> tuple[WallRestriction, ...]:
         """``restrict(self, wall)`` for every wall in wall order, built once per object;
         the first wall that fails net or support raises its ``ValueError``."""
-        return tuple(restrict(self, wall) for wall in walls(self.fan))
+        return tuple(restrict(self, wall) for wall in self.fan.walls)
 
 
 def assemble_bundle(
@@ -151,7 +151,7 @@ def validate(data: KaneyamaBundleData) -> list[str]:
     try:
         data.restrictions  # kept on the object for splitting_system to read
     except ValueError:
-        for wall in walls(fan):
+        for wall in fan.walls:
             try:
                 restrict(data, wall)
             except ValueError as exc:

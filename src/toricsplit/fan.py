@@ -10,11 +10,13 @@ integral coordinates c in it, then sigma2 = tau + {e2} has the dual basis
 
 which pairs to the identity against sigma2's rays exactly when c[e1] = +-1,
 so the flip is also sigma2's smoothness test (Fulton 1993, section 2.5;
-Oda 1988).  ``_facet_cones`` is the one enumeration of facets, shared by
-the walk and by ``walls``; ``make_fan`` checks completeness and overlap
-through ``walls``, plus one interior point of the first cone.
-Ray and cone order is preserved from input so every downstream report is
-reproducible bit for bit.  ``walls`` caches the last fan's walls only.
+Oda 1988).  The walk reads each facet once, from the first cone it reaches
+the facet from: v_e2's coordinates in that cone's dual basis give the flip,
+when the far cone is new, and the facet's wall, kept on the ``Fan``; its
+relation is read off them as a_t = -c[t], with c[e1] = -1 (+1 puts both
+cones on one side of tau).  ``make_fan`` then checks overlap by one interior
+point of the first cone.  Ray and cone order is preserved from input so
+every downstream report is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -31,12 +33,14 @@ from .exact_linear import SparseTerms, dot, unimodular_inverse
 
 @dataclass(frozen=True)
 class Fan:
-    """Validated complete nonsingular fan; ``duals[c]`` is cone c's dual basis."""
+    """Validated complete nonsingular fan; ``duals[c]`` is cone c's dual basis and
+    ``walls`` holds every wall in lexicographic order of tau."""
 
     dim: int
     rays: tuple[tuple[int, ...], ...]
     max_cones: tuple[tuple[int, ...], ...]
     duals: tuple[tuple[tuple[int, ...], ...], ...] = field(compare=False, repr=False)
+    walls: tuple[Wall, ...] = field(compare=False, repr=False)
 
     def cone_rays(self, cone_index: int) -> tuple[tuple[int, ...], ...]:
         return tuple(self.rays[j] for j in self.max_cones[cone_index])
@@ -106,8 +110,11 @@ def make_fan(n: int, rays, max_cones) -> Fan:
     the wrong size, a facet not shared by exactly two maximal cones,
     non-unimodular (non-smooth) cones, found by inverting cone 0 and by each
     wall flip, cones that no walk across walls reaches, a wall whose two cones
-    lie on one side (``walls``), or overlapping cones.
+    lie on one side (checked after the walk, in the walls' tau order), or
+    overlapping cones.  The walk builds every wall once, as ``Fan.walls``.
     """
+    if type(n) is not int:
+        raise ValueError(f"fan dimension {n!r} is not an integer")
     if n < 1:
         raise ValueError("fan dimension must be at least 1")
     ray_tuples = tuple(tuple(ray) for ray in rays)
@@ -148,52 +155,53 @@ def make_fan(n: int, rays, max_cones) -> Fan:
     except ValueError:
         raise ValueError(f"non-unimodular cone {given[0]}") from None
     by_facet = _facet_cones(cone_tuples, n)
+    met: dict = {}  # tau -> its wall and <u_e1, v_e2>, which is -1 unless both cones lie on one side
     reached = [0]
     for c1 in reached:  # grows as the walk crosses walls into new cones
         cone1 = cone_tuples[c1]
         row_of = dict(zip(cone1, duals[c1]))
         for k, e1 in enumerate(cone1):
-            c2 = sum(by_facet[cone1[:k] + cone1[k + 1 :]]) - c1  # the other cone on that facet
-            if duals[c2] is not None:
+            tau = cone1[:k] + cone1[k + 1 :]
+            if tau in met:
                 continue
-            flip = _flip_dual_basis(row_of, e1, cone_tuples[c2], ray_tuples)
-            if flip is None:
-                raise ValueError(f"non-unimodular cone {given[c2]}")
-            duals[c2] = flip
-            reached.append(c2)
+            c2 = sum(by_facet[tau]) - c1  # the other cone on that facet
+            e2 = sum(cone_tuples[c2]) - sum(tau)  # each cone is tau + 1 ray
+            c = {t: dot(u, ray_tuples[e2]) for t, u in row_of.items()}  # v_e2 in sigma1's dual basis
+            if duals[c2] is None:  # flip the dual basis into it, as the module docstring says
+                s, u_e1 = c[e1], row_of[e1]
+                if s != 1 and s != -1:
+                    raise ValueError(f"non-unimodular cone {given[c2]}")
+                duals[c2] = tuple(
+                    tuple(s * y for y in u_e1) if t == e2 else tuple(x - s * c[t] * y for x, y in zip(row_of[t], u_e1))
+                    for t in cone_tuples[c2]
+                )
+                reached.append(c2)
+            relation = tuple(-c[t] for t in tau)  # the relation reads the same from either cone
+            wall = Wall(tau, c1, c2, e1, e2, relation) if c1 < c2 else Wall(tau, c2, c1, e2, e1, relation)
+            met[tau] = wall, c[e1]
     if len(reached) != len(cone_tuples):
         c = duals.index(None)
         raise ValueError(
             f"overlapping cones: cone {cone_tuples[c]} is not reached from cone {cone_tuples[0]} across walls"
         )
+    in_order = [met[tau] for tau in sorted(met)]
+    for wall, side in in_order:
+        if side != -1:
+            raise ValueError(
+                f"overlapping cones: wall relation for tau {wall.tau}: "
+                f"rays {wall.extra1}, {wall.extra2} lie on one side"
+            )
 
-    fan = Fan(n, ray_tuples, tuple(cone_tuples), tuple(duals))
-    walls(fan)
-    # walls has checked that every facet lies in two cones on opposite sides, so the
-    # number of cones covering a generic point does not change across a facet and is
-    # the same everywhere (Oda 1988; Ewald, GTM 168; for n = 1 there are then just two
-    # opposite rays).  A point inside cone 0 and in no other closed cone makes it 1.
+    fan = Fan(n, ray_tuples, tuple(cone_tuples), tuple(duals), tuple(wall for wall, _ in in_order))
+    # every facet lies in two cones on opposite sides, so the number of cones covering a
+    # generic point does not change across a facet and is the same everywhere (Oda 1988;
+    # Ewald, GTM 168; for n = 1 there are then just two opposite rays).  A point inside
+    # cone 0 and in no other closed cone makes it 1.
     inside = [sum(coords) for coords in zip(*fan.cone_rays(0))]
     for idx, basis_inv in zip(cone_tuples[1:], duals[1:]):
         if all(dot(row, inside) >= 0 for row in basis_inv):
             raise ValueError(f"overlapping cones: cone {idx} meets the interior of cone {cone_tuples[0]}")
     return fan
-
-
-def _flip_dual_basis(row_of, e1, cone2, rays):
-    """Dual basis of cone2 = tau + {e2}, flipped from ``row_of``, the dual row of
-    each ray of tau + {e1}; None unless c[e1] = +-1, that is unless cone2 is
-    unimodular."""
-    (e2,) = set(cone2).difference(row_of)
-    c = {t: dot(u, rays[e2]) for t, u in row_of.items()}
-    s = c[e1]
-    if s != 1 and s != -1:
-        return None
-    u_e1 = row_of[e1]
-    return tuple(
-        tuple(s * y for y in u_e1) if t == e2 else tuple(x - s * c[t] * y for x, y in zip(row_of[t], u_e1))
-        for t in cone2
-    )
 
 
 def _facet_cones(max_cones, dim: int) -> dict[tuple[int, ...], list[int]]:
@@ -209,28 +217,10 @@ def _facet_cones(max_cones, dim: int) -> dict[tuple[int, ...], list[int]]:
     return by_facet
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1)  # nothing in the package calls walls; the cache is the benchmark tracer's seam
 def walls(fan: Fan) -> tuple[Wall, ...]:
-    """All walls of the fan, in lexicographic order of their tau index sets.
-
-    Every facet must lie in exactly two maximal cones, checked before any wall
-    is built.  The relation is read off v_extra2 in the dual basis of sigma1:
-    its extra1 coordinate is -1 (+1 puts both cones on one side of tau) and its
-    tau coordinates are -a_1, ..., -a_{n-1}.  The cache holds one fan, which
-    ``make_fan`` fills and its callers then read.
-    """
-    by_facet = _facet_cones(fan.max_cones, fan.dim)
-    out = []
-    for tau in sorted(by_facet):
-        c1, c2 = by_facet[tau]
-        cone1 = fan.max_cones[c1]
-        e1, e2 = sum(cone1) - sum(tau), sum(fan.max_cones[c2]) - sum(tau)  # each cone is tau + 1 ray
-        coords = [-dot(e, fan.rays[e2]) for e in fan.duals[c1]]  # -v_e2 in sigma1's dual basis
-        k = cone1.index(e1)  # tau is sigma1 without e1: its coordinates are those off position k
-        if coords[k] != 1:
-            raise ValueError(f"overlapping cones: wall relation for tau {tau}: rays {e1}, {e2} lie on one side")
-        out.append(Wall(tau, c1, c2, e1, e2, tuple(coords[:k] + coords[k + 1 :])))
-    return tuple(out)
+    """All walls of the fan, in lexicographic order of their tau index sets: ``fan.walls``."""
+    return fan.walls
 
 
 def dual_basis(fan: Fan, cone_index: int) -> tuple[tuple[int, ...], ...]:
@@ -248,6 +238,8 @@ def wall_label(tau: tuple[int, ...]) -> str:
 
 def projective_space(n: int) -> Fan:
     """The standard fan of n-dimensional projective space."""
+    if type(n) is not int:
+        raise ValueError(f"projective space dimension {n!r} is not an integer")
     if n < 1:
         raise ValueError("projective space needs dimension at least 1")
     rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]

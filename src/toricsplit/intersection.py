@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .exact_linear import IntMatrix, SolvePlan, SparseTerms, int_row_relations, nonzero_terms
-from .fan import Fan, Wall, walls
+from .fan import Fan, Wall
 
 
 class SignClass(Enum):
@@ -124,16 +124,15 @@ class AugmentedIntersectionMatrix:
 
 
 def augmented_matrix(fan: Fan) -> AugmentedIntersectionMatrix:
-    ws = walls(fan)
     rows = []
-    for w in ws:
+    for w in fan.walls:
         row = [0] * len(fan.rays)
         for coeff, t in zip(w.relation, w.tau):
             row[t] = coeff
         row[w.extra1] += 1
         row[w.extra2] += 1
         rows.append(row)
-    return AugmentedIntersectionMatrix(fan, ws, IntMatrix.from_rows(rows))
+    return AugmentedIntersectionMatrix(fan, fan.walls, IntMatrix.from_rows(rows))
 
 
 def apply_q(aim: AugmentedIntersectionMatrix, x: Sequence[int]) -> tuple[int, ...]:

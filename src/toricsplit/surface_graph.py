@@ -21,6 +21,8 @@ class WeightedCircularGraph:
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.weights, tuple):
+            raise ValueError(f"graph weights {self.weights!r} are not a tuple")
         if len(self.weights) < 3:
             raise ValueError("a weighted circular graph needs at least 3 vertices")
         for w in self.weights:
@@ -45,6 +47,8 @@ def hirzebruch(a: int) -> WeightedCircularGraph:
 def blowup(g: WeightedCircularGraph, i: int) -> WeightedCircularGraph:
     """Insert a weight -1 vertex between positions i and i+1 (1-based, circular)."""
     s = g.s
+    if type(i) is not int:
+        raise ValueError(f"blowup position {i!r} is not an integer")
     if not 1 <= i <= s:
         raise ValueError(f"blowup position {i} out of range 1..{s}")
     w = list(g.weights)
@@ -69,9 +73,11 @@ def _dihedral_images(w: tuple[int, ...]) -> list[tuple[int, ...]]:
     return images
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True is not a hit for 1, so the check below sees it
 def enumerate_blowups(k: int) -> frozenset[WeightedCircularGraph]:
     """Canonical graphs reachable from cp2() by exactly k blowups."""
+    if type(k) is not int:
+        raise ValueError(f"blowup count {k!r} is not an integer")
     if k < 0:
         raise ValueError("blowup count must be nonnegative")
     if k == 0:

@@ -112,6 +112,15 @@ def perturbed_bundles():
     return tuple(_perturbed(rng, bases[case % len(bases)]) for case in range(2400))
 
 
+@pytest.fixture(scope="session")
+def small_fans():
+    """The 6506 fans of P^1..P^5 and of every surface with at most nine blowups, each k's graphs in
+    weight order."""
+    fans = [projective_space(n) for n in range(1, 6)]
+    fans += [graph_to_fan(g) for k in range(10) for g in sorted(enumerate_blowups(k), key=lambda g: g.weights)]
+    return tuple(fans)
+
+
 def _line_bundle_sum(fan, divisors):
     """The sum of the line bundles O(D) over ray-coefficient vectors D (Kaneyama 1975): cone c's
     weight of O(D) is sum(D[i] * e_i) over c's rays i and their dual basis e, and every pasting

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -16,6 +17,7 @@ from toricsplit.bundle_data import format_bundle, parse_bundle, tangent_bundle
 from toricsplit.exact_linear import dot, unimodular_inverse
 from toricsplit.fan import (
     Fan,
+    Wall,
     dual_basis,
     format_fan,
     make_fan,
@@ -24,16 +26,46 @@ from toricsplit.fan import (
     walls,
 )
 from toricsplit.intersection import augmented_matrix
+from toricsplit.solver import canonical_class_rep, find_splitting_types
 from toricsplit.surface_graph import WeightedCircularGraph, enumerate_blowups, graph_to_fan, hirzebruch
 
 CP2_RAYS = [(1, 0), (0, 1), (-1, -1)]
 CP2_CONES = [(0, 1), (1, 2), (2, 0)]
 
 
+def _reference_walls(fan):
+    """The walls by a second pass over the facets: the facet map, then v_e2 in sigma1's dual basis,
+    sigma1 being the facet's lower cone; its extra1 coordinate is -1 unless both cones lie on one side."""
+    by_facet = {}
+    for ci, cone in enumerate(fan.max_cones):
+        for tau in combinations(cone, fan.dim - 1):
+            by_facet.setdefault(tau, []).append(ci)
+    out = []
+    for tau in sorted(by_facet):
+        c1, c2 = by_facet[tau]
+        cone1 = fan.max_cones[c1]
+        e1, e2 = sum(cone1) - sum(tau), sum(fan.max_cones[c2]) - sum(tau)
+        coords = [-dot(e, fan.rays[e2]) for e in fan.duals[c1]]
+        k = cone1.index(e1)
+        if coords[k] != 1:
+            raise ValueError(f"overlapping cones: wall relation for tau {tau}: rays {e1}, {e2} lie on one side")
+        out.append(Wall(tau, c1, c2, e1, e2, tuple(coords[:k] + coords[k + 1 :])))
+    return tuple(out)
+
+
 def direct_fan(dim, rays, cones):
-    """A Fan built without make_fan's checks, its dual bases inverted here."""
+    """A Fan built without make_fan's checks, its dual bases inverted and its walls read here."""
     duals = tuple(unimodular_inverse(list(zip(*(rays[i] for i in cone)))) for cone in cones)
-    return Fan(dim, rays, cones, duals)
+    bare = Fan(dim, rays, cones, duals, ())
+    return replace(bare, walls=_reference_walls(bare))
+
+
+def product_fan(f, g):
+    """The fan of the product of two toric varieties: rays (v, 0) and (0, w), cones the products."""
+    rays = [ray + (0,) * g.dim for ray in f.rays] + [(0,) * f.dim + ray for ray in g.rays]
+    j = len(f.rays)
+    cones = [a + tuple(j + i for i in b) for a in f.max_cones for b in g.max_cones]
+    return make_fan(f.dim + g.dim, rays, cones)
 
 
 def fa_fan(a):
@@ -167,15 +199,57 @@ def test_overlap_check_matches_foreign_ray_reference_on_perturbed_projective_spa
         assert verdicts == [True] + [False] * (len(cases) - 1), n
 
 
-def test_walls_are_built_once_per_fan():
-    # make_fan builds the walls while it validates; every later consumer reads the cache
-    walls.cache_clear()
-    fan = graph_to_fan(hirzebruch(2))
-    assert walls.cache_info().misses == 1
-    augmented_matrix(fan)
-    splitting.splitting_system(tangent_bundle(fan))
-    info = walls.cache_info()
-    assert info.misses == 1 and info.hits >= 2
+def test_walls_are_built_once_per_fan(monkeypatch):
+    # make_fan's walk lists the facets once and keeps the walls on the Fan; every later
+    # reader reads that field, the very objects the walk built
+    calls = []
+    facet_cones = fan_module._facet_cones
+    monkeypatch.setattr(fan_module, "_facet_cones", lambda *args: calls.append(args) or facet_cones(*args))
+    fans = [graph_to_fan(hirzebruch(2)), projective_space(3), make_fan(2, CP2_RAYS, CP2_CONES)]
+    assert len(calls) == len(fans)
+    for fan in fans:
+        assert augmented_matrix(fan).row_walls is fan.walls
+        restrictions = tangent_bundle(fan).restrictions
+        assert len(restrictions) == len(fan.walls)
+        assert all(r.wall is w for r, w in zip(restrictions, fan.walls))
+        assert walls(fan) is fan.walls
+    assert len(calls) == len(fans)
+
+
+def test_walls_match_the_reference_on_every_small_fan(small_fans):
+    assert len(small_fans) == 6506
+    for fan in small_fans:
+        assert fan.walls == _reference_walls(fan), fan
+
+
+def test_product_fans(line_bundle_sum):
+    # products of projective spaces and Hirzebruch surfaces: make_fan accepts them, their
+    # walls are the reference's, the tangent route gives the closed form
+    # T_X|C = O(2) + sum_t O(a_t), and every tangent type restricts back; the walk first
+    # meets 6 walls of P^2 x P^2 and 8 of F_2 x F_1 from their higher cone
+    p1, p2, p3 = (projective_space(n) for n in (1, 2, 3))
+    f1, f2 = graph_to_fan(hirzebruch(1)), graph_to_fan(hirzebruch(2))
+    p1_cubed = product_fan(product_fan(p1, p1), p1)
+    p1_fourth = product_fan(p1_cubed, p1)
+    fans = [p1_cubed, p1_fourth, product_fan(p2, p1), product_fan(p1, p2)]
+    fans += [product_fan(p2, p2), product_fan(p3, p1), product_fan(f1, p1), product_fan(f2, f1)]
+    round_trips = 0
+    for fan in fans:
+        assert fan.walls == _reference_walls(fan), fan
+        system = splitting.splitting_system(tangent_bundle(fan))
+        assert system.degrees == tuple(tuple(sorted((2, *w.relation), reverse=True)) for w in fan.walls), fan
+        for strict in (False, True):
+            types = find_splitting_types(augmented_matrix(fan), system, strict=strict)
+            for t in types:
+                want = tuple(tuple(sorted(row, reverse=True)) for row in t.rows)
+                assert splitting.splitting_system(line_bundle_sum(fan, t.columns)).degrees == want, (fan, t)
+            round_trips += len(types)
+            if fan in (p1_cubed, p1_fourth) and not strict:
+                # (P^1)^m: factor i holds rays 2i and 2i + 1, and T = sum_i pr_i^* O(2)
+                product_type = [[2 * (j == 2 * i) for j in range(len(fan.rays))] for i in range(fan.dim)]
+                key = sorted(canonical_class_rep(x, fan) for x in product_type)
+                assert key in [sorted(t.canonical) for t in types], fan
+    assert round_trips == 40
 
 
 def test_make_fan_inverts_each_cone_once(monkeypatch):
@@ -250,13 +324,11 @@ def test_reduction_reads_the_stored_dual_basis(monkeypatch):
     assert f1.reduction[0] == (2, 3) and calls == [[(1, 0), (-1, 1)]]
 
 
-def test_flipped_dual_bases_match_inverses():
+def test_flipped_dual_bases_match_inverses(small_fans):
     # the wall flips reach the inverse of every cone's ray matrix, on every surface
     # with k <= 9 blowups and on projective spaces up to dimension 5
-    fans = [projective_space(n) for n in range(1, 6)]
-    fans += [graph_to_fan(g) for k in range(10) for g in enumerate_blowups(k)]
-    assert len(fans) == 5 + 6501
-    for fan in fans:
+    assert len(small_fans) == 5 + 6501
+    for fan in small_fans:
         for ci in range(len(fan.max_cones)):
             assert fan.duals[ci] == unimodular_inverse(list(zip(*fan.cone_rays(ci)))), (fan, ci)
 
@@ -311,12 +383,23 @@ def test_wall_relation_property_cp4():
             assert not any(total), (fan, w)
 
 
-def test_walls_rejects_cones_on_one_side_of_a_wall():
-    # (1,1) lies inside the cone {(1,0),(0,1)}: make_fan refuses this data,
-    # and walls names the wall whose two cones are not on opposite sides
-    fan = direct_fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2), (0, 2)))
+def test_make_fan_rejects_cones_on_one_side_of_a_wall():
+    # (1,1) lies inside the cone {(1,0),(0,1)}: make_fan names the wall whose two cones
+    # are not on opposite sides
     with pytest.raises(ValueError, match=r"wall relation for tau \(0,\)"):
-        walls(fan)
+        make_fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2), (0, 2)))
+
+
+def test_make_fan_checks_sides_after_the_walk():
+    # the cones in this order make the walk meet the one-sided wall of ray 2 from its
+    # higher cone (2, 3); the message still names the lower cone's extra ray first
+    message = "overlapping cones: wall relation for tau (2,): rays 3, 1 lie on one side"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_fan(2, [(1, 0), (0, 1), (-1, -1), (-2, -1)], [(0, 1), (3, 0), (2, 3), (1, 2)])
+    # rays 1 and 3 lie on one side of ray 2, and cone (3, 4) has determinant 3; the walk
+    # meets the wall of ray 2 before it flips into (3, 4), yet the flip's error comes first
+    with pytest.raises(ValueError, match=r"^non-unimodular cone \(3, 4\)$"):
+        make_fan(2, [(1, 0), (0, 1), (-1, -1), (-2, -1), (1, -1)], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
 
 def test_dual_basis():

@@ -20,7 +20,7 @@ from toricsplit.fan import format_fan, make_fan, parse_fan, projective_space
 from toricsplit.intersection import augmented_matrix
 from toricsplit.solver import find_splitting_types
 from toricsplit.splitting import SplittingSystem, bootstrap, h0_oracle, restrict, splitting_system, twist_system
-from toricsplit.surface_graph import WeightedCircularGraph
+from toricsplit.surface_graph import WeightedCircularGraph, blowup, cp2, enumerate_blowups
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -79,7 +79,13 @@ CASES = {
         lambda: make_fan(2, P2_RAYS, [(0.7, 1), (0, 2), (1, 2)]),
         "cone (0.7, 1) has a non-integer ray index",
     ),
+    "fan-dim-float": (lambda: make_fan(2.0, P2_RAYS, [(0, 1), (0, 2), (1, 2)]), "fan dimension 2.0 is not an integer"),
     "projective-space-0": (lambda: projective_space(0), "projective space needs dimension at least 1"),
+    "projective-space-float": (lambda: projective_space(2.0), "projective space dimension 2.0 is not an integer"),
+    # surface_graph
+    "blowup-position-float": (lambda: blowup(cp2(), 1.5), "blowup position 1.5 is not an integer"),
+    "blowup-count-float": (lambda: enumerate_blowups(1.5), "blowup count 1.5 is not an integer"),
+    "graph-list-weights": (lambda: WeightedCircularGraph([1, 1, 1]), "graph weights [1, 1, 1] are not a tuple"),
     # assemble_bundle and make_euler_spec
     "bundle-weight-fraction": (
         lambda: _p2_tangent_with_weight((Fraction(3, 2), 0)),
@@ -168,6 +174,8 @@ def test_bad_input_raises_its_named_error(case):
 
 BOOL_CASES = {
     # a bool is an int to isinstance, but it is written back as True or False
+    "make_fan-dim": (lambda: make_fan(True, [(1,), (-1,)], [(0,), (1,)]), "fan dimension True is not an integer"),
+    "projective_space": (lambda: projective_space(True), "projective space dimension True is not an integer"),
     "make_fan-ray": (
         lambda: make_fan(1, [(True,), (-1,)], [(0,), (1,)]),
         "ray (True,) has a non-integer coordinate",
@@ -196,6 +204,12 @@ BOOL_CASES = {
     ),
     "h0_oracle": (lambda: h0_oracle([[(1, True)]]), "transition exponents must be integers"),
     "WeightedCircularGraph": (lambda: WeightedCircularGraph((True, 1, 1)), "non-integer weight True"),
+    "blowup": (lambda: blowup(cp2(), True), "blowup position True is not an integer"),
+    # after k = 1 is cached, True must not be read as 1
+    "enumerate_blowups": (
+        lambda: enumerate_blowups(1) and enumerate_blowups(True),
+        "blowup count True is not an integer",
+    ),
 }
 
 
