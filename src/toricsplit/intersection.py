@@ -12,7 +12,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Sequence
 
-from .exact_linear import IntMatrix, SolvePlan, SparseTerms, int_row_relations, nonzero_terms
+from .exact_linear import IntMatrix, SolvePlan, SparseTerms, dot, int_row_relations, nonzero_terms
 from .fan import Fan, Wall
 
 
@@ -52,8 +52,9 @@ class AugmentedIntersectionMatrix:
         The check runs once per matrix, without an HNF, so a foreign matrix
         is rejected before any search: every solve against Q must be
         ambiguous only up to linear equivalence.  The principal columns lie
-        in ker Q and, ``fan.reduction``'s n rays being a lattice basis, they
-        span a saturated lattice of rank n, so rank Q <= j - n for j rays.
+        in ker Q and, cone 0's n rays being a lattice basis (its stored dual
+        basis pairs to the identity against them), they span a saturated
+        lattice of rank n, so rank Q <= j - n for j rays.
         A row with a nonzero in a column no earlier row touches ("fresh")
         is independent of the rows before it, so the fresh rows prove
         rank Q >= their number.  Exactly j - n of them prove ker Q is the
@@ -67,7 +68,9 @@ class AugmentedIntersectionMatrix:
                 raise RuntimeError(
                     f"solution lattice is not the principal-divisor lattice: Q @ {p} != 0"
                 )
-        self.fan.reduction  # raises unless some n rays are a lattice basis
+        cone = self.fan.cone_rays(0)
+        if any(dot(u, v) != int(a == b) for a, u in enumerate(self.fan.duals[0]) for b, v in enumerate(cone)):
+            raise RuntimeError("invariant broken: cone 0's dual basis does not invert its rays")
         first_rows: dict[int, int] = {}  # each column's first row with a nonzero there
         for i, terms in enumerate(self.nonzero_terms):
             for j, _ in terms:

@@ -23,7 +23,8 @@ are eliminated the first time a search reaches a relation wall, and a
 search that dies before one eliminates nothing.  Surviving candidates are
 solved integrally, column by column, by back-substitution against the
 matrix's cached ``aim.solve_plan`` (one HNF per matrix, built at the first
-leaf, so a search that reaches no leaf computes none).  Leaves share many
+leaf, so a search that reaches no leaf computes none; so is the fan's
+``reduction``, which the lattice check does not need).  Leaves share many
 degree columns, so each search keeps a memo of the columns it has met: a
 column is solved, checked against Q, reduced modulo the principal-divisor
 lattice and signed the first time, and the memo dies with the search.

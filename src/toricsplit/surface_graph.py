@@ -5,7 +5,8 @@ a_i is the self-intersection of the i-th invariant curve, equivalently the
 unique integer with  v_{i-1} + v_{i+1} + a_i * v_i = 0  for the fan rays in
 circular order.  Equivariant blowup inserts a weight -1 vertex and
 decrements its two neighbours, dropping the weight sum by 3; the sum is
-always 12 - 3s.
+always 12 - 3s.  A graph's canonical form is the least of its rotations and
+reflections, found among those that start at one of its least weights.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ def cp2() -> WeightedCircularGraph:
 
 
 def hirzebruch(a: int) -> WeightedCircularGraph:
+    if type(a) is not int:
+        raise ValueError(f"hirzebruch parameter {a!r} is not an integer")
     if a < 0:
         raise ValueError("hirzebruch parameter must be nonnegative")
     return WeightedCircularGraph((0, a, 0, -a))
@@ -46,31 +49,35 @@ def hirzebruch(a: int) -> WeightedCircularGraph:
 
 def blowup(g: WeightedCircularGraph, i: int) -> WeightedCircularGraph:
     """Insert a weight -1 vertex between positions i and i+1 (1-based, circular)."""
-    s = g.s
     if type(i) is not int:
         raise ValueError(f"blowup position {i!r} is not an integer")
-    if not 1 <= i <= s:
-        raise ValueError(f"blowup position {i} out of range 1..{s}")
-    w = list(g.weights)
-    if i < s:
-        new = w[: i - 1] + [w[i - 1] - 1, -1, w[i] - 1] + w[i + 1 :]
-    else:
-        new = [w[0] - 1] + w[1 : s - 1] + [w[s - 1] - 1, -1]
-    return WeightedCircularGraph(tuple(new))
+    if not 1 <= i <= g.s:
+        raise ValueError(f"blowup position {i} out of range 1..{g.s}")
+    return WeightedCircularGraph(_blown_up(g.weights, i))
+
+
+def _blown_up(w: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """``w`` with a weight -1 vertex between positions i and i+1 (1-based, circular)."""
+    if i < len(w):
+        return w[: i - 1] + (w[i - 1] - 1, -1, w[i] - 1) + w[i + 1 :]
+    return (w[0] - 1,) + w[1:-1] + (w[-1] - 1, -1)
 
 
 def canonical_form(g: WeightedCircularGraph) -> WeightedCircularGraph:
     """Lexicographic minimum over all rotations and reflections."""
-    best = min(_dihedral_images(g.weights))
-    return WeightedCircularGraph(best)
+    return WeightedCircularGraph(_least_image(g.weights))
 
 
-def _dihedral_images(w: tuple[int, ...]) -> list[tuple[int, ...]]:
-    images = []
-    for seq in (w, w[::-1]):
-        for r in range(len(seq)):
-            images.append(seq[r:] + seq[:r])
-    return images
+def _least_image(w: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation or reflection of ``w``: it starts at a least weight,
+    so only those rotations of ``w`` and of ``w[::-1]`` are compared."""
+    s, least, reflected = len(w), min(w), w[::-1]
+    return min(
+        doubled[r : r + s]
+        for doubled in (w + w, reflected + reflected)
+        for r in range(s)
+        if doubled[r] == least
+    )
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True is not a hit for 1, so the check below sees it
@@ -82,11 +89,10 @@ def enumerate_blowups(k: int) -> frozenset[WeightedCircularGraph]:
         raise ValueError("blowup count must be nonnegative")
     if k == 0:
         return frozenset({canonical_form(cp2())})
-    out = set()
-    for g in enumerate_blowups(k - 1):
-        for i in range(1, g.s + 1):
-            out.add(canonical_form(blowup(g, i)))
-    return frozenset(out)
+    level = {
+        _least_image(_blown_up(g.weights, i)) for g in enumerate_blowups(k - 1) for i in range(1, g.s + 1)
+    }
+    return frozenset(map(WeightedCircularGraph, level))
 
 
 def graph_to_fan(g: WeightedCircularGraph) -> Fan:

@@ -9,6 +9,7 @@ import hashlib
 import io
 import random
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -18,7 +19,7 @@ from toricsplit.bundle_data import (
     euler_splitting_system,
     tangent_bundle,
 )
-from toricsplit.cli import cmd_table41, table41_rows
+from toricsplit.cli import cmd_table41, main, table41_rows
 from toricsplit.exact_linear import rat_rank
 from toricsplit.fan import projective_space, walls
 from toricsplit.intersection import apply_q, augmented_matrix
@@ -91,6 +92,12 @@ TABLE41_SHA256 = {
     "tsv": "c1966bd0d3f65ef803c5641e264579ce47f9039c9bcd2a697c7fa492c25247d9",
 }
 
+# sha256 of the stdout of `toricsplit surfaces --k 9` and `toricsplit surfaces --k 9 --format tsv`
+SURFACES9_SHA256 = {
+    "text": "7e935b9fb10b88880ed3d6948228bd9bebc237cdee8db744a825544ab519fe97",
+    "tsv": "f7b82bd266e675945f41d4a6e593b2dceb1bb6b7399398b9c7acbd33a27bab74",
+}
+
 
 def _dihedral_relabelings(s):
     for t in range(s):
@@ -154,6 +161,16 @@ def test_criterion_1_tangent_splitting_surface_table():
         assert line.startswith(head), line
     digests = {fmt: hashlib.sha256(text.encode()).hexdigest() for fmt, text in outputs.items()}
     assert digests == TABLE41_SHA256, digests
+
+
+def test_surfaces_k9_output_is_pinned():
+    digests = {}
+    for fmt in ("text", "tsv"):
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            assert main(["surfaces", "--k", "9", "--format", fmt]) == 0
+        digests[fmt] = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+    assert digests == SURFACES9_SHA256, digests
 
 
 def test_criterion_2_plane_rank_two_twisted_families():

@@ -20,7 +20,7 @@ from toricsplit.fan import format_fan, make_fan, parse_fan, projective_space
 from toricsplit.intersection import augmented_matrix
 from toricsplit.solver import find_splitting_types
 from toricsplit.splitting import SplittingSystem, bootstrap, h0_oracle, restrict, splitting_system, twist_system
-from toricsplit.surface_graph import WeightedCircularGraph, blowup, cp2, enumerate_blowups
+from toricsplit.surface_graph import WeightedCircularGraph, blowup, cp2, enumerate_blowups, hirzebruch
 
 P1 = projective_space(1)
 P2 = projective_space(2)
@@ -86,6 +86,8 @@ CASES = {
     "blowup-position-float": (lambda: blowup(cp2(), 1.5), "blowup position 1.5 is not an integer"),
     "blowup-count-float": (lambda: enumerate_blowups(1.5), "blowup count 1.5 is not an integer"),
     "graph-list-weights": (lambda: WeightedCircularGraph([1, 1, 1]), "graph weights [1, 1, 1] are not a tuple"),
+    "hirzebruch-str": (lambda: hirzebruch("2"), "hirzebruch parameter '2' is not an integer"),
+    "hirzebruch-float": (lambda: hirzebruch(1.5), "hirzebruch parameter 1.5 is not an integer"),
     # assemble_bundle and make_euler_spec
     "bundle-weight-fraction": (
         lambda: _p2_tangent_with_weight((Fraction(3, 2), 0)),
@@ -205,6 +207,7 @@ BOOL_CASES = {
     "h0_oracle": (lambda: h0_oracle([[(1, True)]]), "transition exponents must be integers"),
     "WeightedCircularGraph": (lambda: WeightedCircularGraph((True, 1, 1)), "non-integer weight True"),
     "blowup": (lambda: blowup(cp2(), True), "blowup position True is not an integer"),
+    "hirzebruch": (lambda: hirzebruch(True), "hirzebruch parameter True is not an integer"),
     # after k = 1 is cached, True must not be read as 1
     "enumerate_blowups": (
         lambda: enumerate_blowups(1) and enumerate_blowups(True),

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import weakref
+from dataclasses import replace
 from itertools import chain, combinations, permutations, product
 from math import gcd
 from pathlib import Path
@@ -750,6 +751,20 @@ def test_fresh_row_certificate_matches_the_elimination(line_sum_search_items):
         ("certificate", False): {"identity", "entry", "swap"},
         ("elimination", False): {"zeroed"},
     }
+
+
+def test_lattice_check_reads_cone_0s_dual_basis_not_the_reduction():
+    # F_1's tangent search passes the lattice check and reaches no leaf, so it
+    # never builds the fan's reduction
+    fan = graph_to_fan(hirzebruch(1))
+    stats = {}
+    assert find_splitting_types(*tangent_case(fan), stats=stats) == []
+    assert stats["leaves"] == 0 and "reduction" not in vars(fan)
+    # cone 0's stored dual basis is the lattice-basis proof, so a wrong one is caught
+    damaged = replace(fan, duals=fan.duals[1:2] + fan.duals[1:])
+    with pytest.raises(RuntimeError, match="^invariant broken: cone 0's dual basis does not invert its rays$"):
+        augmented_matrix(damaged).relation_walls
+    assert "reduction" not in vars(damaged)
 
 
 def test_triggers_are_checked_against_the_relation_walls(monkeypatch):

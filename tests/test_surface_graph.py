@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from toricsplit.fan import walls
@@ -98,6 +100,67 @@ def test_enumerate_blowups_invariants():
             assert sum(g.weights) == 12 - 3 * g.s
             assert canonical_form(g) == g
             graph_to_fan(g)
+
+
+BLOWUP_COUNTS = (1, 1, 2, 6, 13, 41, 122, 403, 1333, 4579)  # surfaces with k = 0..9 blowups
+
+
+def reference_canonical(w):
+    """The lexicographic minimum over all 2s rotations and reflections of w."""
+    return min(seq[r:] + seq[:r] for seq in (w, w[::-1]) for r in range(len(w)))
+
+
+def test_enumerate_blowups_counts():
+    assert tuple(len(enumerate_blowups(k)) for k in range(10)) == BLOWUP_COUNTS
+    assert sum(BLOWUP_COUNTS[1:]) == 6500
+
+
+def test_enumerate_blowups_matches_the_reference_closure():
+    # level k is every reference form of a blowup of level k - 1, each once, as a graph
+    for k in range(1, 10):
+        want = {
+            reference_canonical(blowup(g, i).weights)
+            for g in enumerate_blowups(k - 1)
+            for i in range(1, g.s + 1)
+        }
+        assert {g.weights for g in enumerate_blowups(k)} == want, k
+
+
+def test_canonical_form_matches_the_reference_on_every_image_of_a_surface():
+    rng = random.Random(1)
+    for k in range(10):
+        for g in enumerate_blowups(k):
+            w = g.weights
+            assert reference_canonical(w) == w
+            r = rng.randrange(g.s)
+            for image in (w[r:] + w[:r], (w[r:] + w[:r])[::-1]):
+                assert canonical_form(WeightedCircularGraph(image)) == g, image
+
+
+def _tied_weight_tuples(rng):
+    """Tuples that often repeat their least weight: small random ones, palindromes and constant runs."""
+    yield (-1,) * 6
+    yield (0, 0, 0)
+    yield (-1, -2, -1, -2, -1, -2, -1, -2)
+    for _ in range(400):
+        s = rng.randint(3, 12)
+        yield tuple(rng.randint(-2, 1) for _ in range(s))
+        half = [rng.randint(-3, 0) for _ in range(rng.randint(2, 6))]
+        yield tuple(half + half[::-1])
+        yield tuple(half + half[-2::-1])
+        runs = [(rng.randint(-2, 1),) * rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        yield sum(runs, ()) * rng.randint(1, 3)
+
+
+def test_canonical_form_matches_the_reference_on_tied_least_weights():
+    rng = random.Random(2)
+    tried = 0
+    for w in _tied_weight_tuples(rng):
+        if len(w) < 3:
+            continue
+        assert canonical_form(WeightedCircularGraph(w)).weights == reference_canonical(w), w
+        tried += w.count(min(w)) > 1
+    assert tried > 1000
 
 
 def test_graph_to_fan_cp2():
