@@ -10,8 +10,11 @@ other pasting is their product, so the cocycle condition is checked in
 wall in ``splitting.restrict`` alone, once per wall and bundle object: the
 restrictions are kept as ``KaneyamaBundleData.restrictions``, which
 ``validate`` checks and ``splitting.splitting_system`` then reads.  Weights
-are stored sorted lexicographically and pastings are permuted to match, so
-serialization is deterministic.
+are stored sorted lexicographically and only the stored pastings are
+permuted to match, so serialization is deterministic.  The sort permutes
+each cone's rows and columns alike, so given pastings factor through the
+first frame exactly when the permuted ones do: the cocycle is checked on the
+pastings as given.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Mapping, Sequence
 
 from .exact_linear import Rat, dot, rat_matmul, rat_rank
@@ -30,8 +34,10 @@ from .splitting import SplittingSystem, WallRestriction, restrict
 
 PastingMatrix = tuple[tuple[Rat, ...], ...]
 
-# the one pasting entry form ``format_bundle`` writes: p or p/q with q != 0
-_RATIONAL_ENTRY = re.compile(INTEGER_TOKEN + r"(/[0-9]*[1-9][0-9]*)?")
+# the one pasting entry form ``format_bundle`` writes: p or p/q with q != 0; each digit
+# has one reading, so a pasting body is matched whole in time linear in its length
+_RATIONAL_ENTRY = INTEGER_TOKEN + r"(?:/0*[1-9][0-9]*)?"
+_PASTING_BODY = re.compile(rf"\s*(?:{_RATIONAL_ENTRY}(?:\s+{_RATIONAL_ENTRY})*\s*)?")
 # the head of a pasting line, before its ':', with its two cone indices
 _PASTING_HEAD = re.compile(rf"pasting\s+({INTEGER_TOKEN})\s+({INTEGER_TOKEN})\s*")
 
@@ -63,12 +69,13 @@ def assemble_bundle(
     weight_systems: Sequence[Sequence[Sequence[int]]],
     pasting_map: Mapping[tuple[int, int], Sequence[Sequence[Rat]]],
 ) -> KaneyamaBundleData:
-    """Sort each weight system lexicographically and permute pastings to match.
+    """Sort each weight system lexicographically and permute the stored pastings to match.
 
     Each weight must be ``fan.dim`` integers.  Stores the pastings (0, c)
     and (c, 0), which must all be given, each rank x rank between cones of
-    the fan; each other pair given must equal the product through cone 0.
-    Each fault is a named ``ValueError``.
+    the fan, and only they are permuted; each other pair given must equal the
+    product through cone 0, checked on the pastings as given, each (0, c1)'s
+    columns read once.  Each fault is a named ``ValueError``.
     """
     n_cones = len(fan.max_cones)
     if len(weight_systems) != n_cones:
@@ -87,30 +94,39 @@ def assemble_bundle(
         perms.append(perm)
         sorted_systems.append(tuple([chis[i] for i in perm]))
 
-    permuted = {}
     for (c2, c1), raw in pasting_map.items():
         if not (0 <= c2 < n_cones and 0 <= c1 < n_cones):
             raise ValueError(f"pasting ({c2},{c1}) names a cone out of range")
         if len(raw) != rank or any(len(row) != rank for row in raw):
             raise ValueError(f"pasting ({c2},{c1}) is not {rank}x{rank}")
-        permuted[(c2, c1)] = tuple([tuple([raw[i][j] for j in perms[c1]]) for i in perms[c2]])
     star = range(1, n_cones)
     missing = [pair for c in star for pair in ((0, c), (c, 0)) if pair not in pasting_map]
     if missing:
         raise ValueError("pasting ({},{}) is missing".format(*missing[0]))
 
+    # the cocycle on the pastings as given: the sort permutes each cone's rows and
+    # columns alike, so they factor through cone 0 exactly when the permuted ones do
+    columns = {}  # of each pasting (0, c1), read once
+    for (c2, c1), raw in pasting_map.items():
+        if 0 not in (c2, c1):
+            if c1 not in columns:
+                columns[c1] = list(zip(*pasting_map[(0, c1)]))
+            for row, given in zip(pasting_map[(c2, 0)], raw):
+                if [sum(map(mul, row, col)) for col in columns[c1]] != list(given):
+                    raise ValueError(f"cocycle fails for cones ({c2},0,{c1})")
+
+    def permuted(c2: int, c1: int) -> PastingMatrix:
+        raw = pasting_map[(c2, c1)]
+        return tuple([tuple([raw[i][j] for j in perms[c1]]) for i in perms[c2]])
+
     identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
-    data = KaneyamaBundleData(
+    return KaneyamaBundleData(
         fan,
         rank,
         tuple(sorted_systems),
-        (identity, *[permuted[(0, c)] for c in star]),
-        (identity, *[permuted[(c, 0)] for c in star]),
+        (identity, *[permuted(0, c) for c in star]),
+        (identity, *[permuted(c, 0) for c in star]),
     )
-    for (c2, c1), pasting in permuted.items():
-        if 0 not in (c2, c1) and data.pasting(c2, c1) != list(map(list, pasting)):
-            raise ValueError(f"cocycle fails for cones ({c2},0,{c1})")
-    return data
 
 
 def validate(data: KaneyamaBundleData) -> list[str]:
@@ -164,11 +180,15 @@ def tangent_bundle(fan: Fan) -> KaneyamaBundleData:
 
     The pasting from cone c1 to cone c2 pairs c2's dual basis against c1's
     rays, which is exactly the Jacobian of the monomial chart change.  Only
-    the pastings into and out of cone 0 are built.
+    the pastings into and out of cone 0 are built: (0, c) has as columns the
+    coordinates of cone c's rays in cone 0's dual basis, taken once per ray.
     """
-    rays = [fan.cone_rays(c) for c in range(len(fan.max_cones))]
-    star = [pair for c in range(1, len(rays)) for pair in ((0, c), (c, 0))]
-    pasting_map = {(c2, c1): [[dot(e, v) for v in rays[c1]] for e in fan.duals[c2]] for c2, c1 in star}
+    coords0 = [[dot(u, ray) for u in fan.duals[0]] for ray in fan.rays]
+    rays0 = fan.cone_rays(0)
+    pasting_map = {}
+    for c in range(1, len(fan.max_cones)):
+        pasting_map[(0, c)] = list(zip(*[coords0[j] for j in fan.max_cones[c]]))
+        pasting_map[(c, 0)] = [[dot(u, v) for v in rays0] for u in fan.duals[c]]
     return assemble_bundle(fan, fan.duals, pasting_map)
 
 
@@ -331,7 +351,7 @@ def parse_bundle(text: str, fan: Fan) -> KaneyamaBundleData:
     weights: dict[int, list[tuple[int, ...]]] = {}
     pastings: dict[tuple[int, int], list[list[Rat]]] = {}
     for lineno, line in content_lines(text):
-        keyword = line.split()[0]
+        keyword = line.split(None, 1)[0]
         head, _, body = line.partition(":")
         if keyword == "rank":
             if rank is not None:
@@ -376,15 +396,20 @@ def parse_bundle(text: str, fan: Fan) -> KaneyamaBundleData:
             indices = _PASTING_HEAD.fullmatch(head)
             if indices is None or max(map(len, indices.groups())) > ENTRY_LENGTH_CAP:
                 raise ValueError(f"line {lineno}: pasting needs two cone indices")
-            c2, c1 = (int(tok) - 1 for tok in indices.groups())
+            c2, c1 = int(indices[1]) - 1, int(indices[2]) - 1
             if not (0 <= c2 < n_cones and 0 <= c1 < n_cones) or c1 == c2:
                 raise ValueError(f"line {lineno}: invalid cone pair")
             if (c2, c1) in pastings:
                 raise ValueError(f"line {lineno}: duplicate pasting {c2 + 1} {c1 + 1}")
             entries = body.split()
-            if not all(len(tok) <= ENTRY_LENGTH_CAP and _RATIONAL_ENTRY.fullmatch(tok) for tok in entries):
+            # an entry is never longer than the body, so a short body needs no per-entry look
+            too_long = len(body) > ENTRY_LENGTH_CAP and max(map(len, entries), default=0) > ENTRY_LENGTH_CAP
+            if too_long or not _PASTING_BODY.fullmatch(body):
                 raise ValueError(f"line {lineno}: non-rational pasting entry")
-            vals = [Fraction(tok) if "/" in tok else int(tok) for tok in entries]
+            if "/" in body:
+                vals = [Fraction(tok) if "/" in tok else int(tok) for tok in entries]
+            else:
+                vals = list(map(int, entries))
             if len(vals) != rank * rank:
                 raise ValueError(f"line {lineno}: expected {rank * rank} entries")
             pastings[(c2, c1)] = [vals[i * rank : (i + 1) * rank] for i in range(rank)]

@@ -158,27 +158,26 @@ def make_fan(n: int, rays, max_cones) -> Fan:
     met: dict = {}  # tau -> its wall and <u_e1, v_e2>, which is -1 unless both cones lie on one side
     reached = [0]
     for c1 in reached:  # grows as the walk crosses walls into new cones
-        cone1 = cone_tuples[c1]
-        row_of = dict(zip(cone1, duals[c1]))
+        cone1, dual1 = cone_tuples[c1], duals[c1]
         for k, e1 in enumerate(cone1):
             tau = cone1[:k] + cone1[k + 1 :]
             if tau in met:
                 continue
             c2 = sum(by_facet[tau]) - c1  # the other cone on that facet
             e2 = sum(cone_tuples[c2]) - sum(tau)  # each cone is tau + 1 ray
-            c = {t: dot(u, ray_tuples[e2]) for t, u in row_of.items()}  # v_e2 in sigma1's dual basis
+            c = [dot(u, ray_tuples[e2]) for u in dual1]  # v_e2 in sigma1's dual basis, by position
+            s, c_tau = c[k], c[:k] + c[k + 1 :]
             if duals[c2] is None:  # flip the dual basis into it, as the module docstring says
-                s, u_e1 = c[e1], row_of[e1]
                 if s != 1 and s != -1:
                     raise ValueError(f"non-unimodular cone {given[c2]}")
-                duals[c2] = tuple(
-                    tuple(s * y for y in u_e1) if t == e2 else tuple(x - s * c[t] * y for x, y in zip(row_of[t], u_e1))
-                    for t in cone_tuples[c2]
-                )
+                u_e1, dual_tau = dual1[k], dual1[:k] + dual1[k + 1 :]
+                rows = [tuple(x - s * ct * y for x, y in zip(u, u_e1)) for ct, u in zip(c_tau, dual_tau)]
+                rows.insert(cone_tuples[c2].index(e2), tuple(s * y for y in u_e1))  # tau's rows keep their order
+                duals[c2] = tuple(rows)
                 reached.append(c2)
-            relation = tuple(-c[t] for t in tau)  # the relation reads the same from either cone
+            relation = tuple(-x for x in c_tau)  # the relation reads the same from either cone
             wall = Wall(tau, c1, c2, e1, e2, relation) if c1 < c2 else Wall(tau, c2, c1, e2, e1, relation)
-            met[tau] = wall, c[e1]
+            met[tau] = wall, s
     if len(reached) != len(cone_tuples):
         c = duals.index(None)
         raise ValueError(

@@ -2,12 +2,14 @@
 
 import random
 import re
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from toricsplit import bundle_data
 from toricsplit.bundle_data import (
     assemble_bundle,
     cp2_rank2,
@@ -23,7 +25,7 @@ from toricsplit.bundle_data import (
     validate,
 )
 from toricsplit.exact_linear import dot
-from toricsplit.fan import projective_space, walls
+from toricsplit.fan import ENTRY_LENGTH_CAP, projective_space, walls
 from toricsplit.intersection import apply_q, augmented_matrix
 from toricsplit.splitting import SplittingSystem, splitting_system
 from toricsplit.surface_graph import enumerate_blowups, graph_to_fan, hirzebruch
@@ -57,6 +59,14 @@ def test_assemble_rejects_bad_pastings():
     for pasting_map, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             assemble_bundle(data.fan, data.weight_systems, pasting_map)
+
+
+def test_rank_zero_data_is_valid_and_splits_to_empty_rows():
+    fan = projective_space(2)
+    data = assemble_bundle(fan, [[], [], []], {(a, b): [] for a in range(3) for b in range(3) if a != b})
+    assert data.rank == 0
+    assert validate(data) == []
+    assert splitting_system(data).degrees == ((), (), ())
 
 
 def test_validate_reports_net_violation():
@@ -174,6 +184,69 @@ def test_parse_bundle_rejects_cocycle_break():
     text = _altered_pasting(data, "pasting 1 2", "1 0 0 1")
     with pytest.raises(ValueError, match=r"^cocycle fails for cones \(2,0,1\)$"):
         parse_bundle(text, fan)
+
+
+def _unsorted_text(data):
+    """The bundle file of ``data`` with each cone's weights listed in reverse lexicographic order
+    and every pasting's rows and columns reversed to match."""
+    lines = [f"rank {data.rank}"]
+    for ci, ws in enumerate(data.weight_systems):
+        lines.append(f"weights {ci + 1}: " + ";".join("(" + " ".join(map(str, chi)) + ")" for chi in ws[::-1]))
+    n = len(data.fan.max_cones)
+    for c2, c1 in product(range(n), repeat=2):
+        if c1 != c2:
+            flat = " ".join(str(x) for row in data.pasting(c2, c1)[::-1] for x in row[::-1])
+            lines.append(f"pasting {c2 + 1} {c1 + 1}: {flat}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: cp2_rank2(1, 2, 3), lambda: tangent_bundle(projective_space(2))], ids=["cp2_rank2", "tangent"]
+)
+def test_parse_bundle_checks_the_cocycle_on_unsorted_weights(make):
+    # the weight sort permutes each cone's rows and columns alike; with weights out of
+    # order it is no identity, and the cocycle must still hold exactly when it did
+    data = make()
+    fan = data.fan
+    text = _unsorted_text(data)
+    assert all(list(ws[::-1]) != sorted(ws) for ws in data.weight_systems)
+    assert parse_bundle(text, fan) == parse_bundle(format_bundle(data), fan) == data
+    # pasting 2 3 (cones 1 <- 2, 0-based) altered in its last entry, which is (0, 0) once sorted
+    lines = text.splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith("pasting 2 3:"))
+    head, entries = lines[index].rsplit(" ", 1)
+    lines[index] = f"{head} {Fraction(entries) + 1}"
+    with pytest.raises(ValueError, match=r"^cocycle fails for cones \(1,0,2\)$"):
+        parse_bundle("\n".join(lines) + "\n", fan)
+
+
+def test_pasting_body_check_matches_the_per_entry_check():
+    # the per-entry check the whole-body pattern replaces, with its denominator as it was written
+    entry = re.compile(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+    alphabet = "0123456789/+- \t\x1c\xa0x"
+    rng = random.Random(7)
+    accepted = 0
+    for _ in range(30000):
+        body = "".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
+        expected = all(entry.fullmatch(tok) for tok in body.split())
+        assert (bundle_data._PASTING_BODY.fullmatch(body) is not None) == expected, repr(body)
+        accepted += expected
+    assert 1000 < accepted < 29000, accepted
+
+
+def test_pasting_body_check_is_linear():
+    # every denominator digit has one reading: with two, 40 entries would be tried 2**40 ways
+    fan = projective_space(1)
+    text = _altered_pasting(tangent_bundle(fan), "pasting 1 2", " ".join(["1/11"] * 40) + " x")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^line 4: non-rational pasting entry$"):
+        parse_bundle(text, fan)
+    assert time.perf_counter() - start < 1.0
+    # the entry length cap is on each entry, not on the body: 20 spaces take this one past it
+    entry = "-" + "0" * 4290 + "1"
+    text = _altered_pasting(tangent_bundle(fan), "pasting 1 2", " " * 20 + entry)
+    assert len(entry) <= ENTRY_LENGTH_CAP < len(text.splitlines()[3].partition(":")[2])
+    assert parse_bundle(text, fan) == tangent_bundle(fan)
 
 
 def test_parse_bundle_rejects_singular_pasting():

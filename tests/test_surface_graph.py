@@ -78,7 +78,8 @@ def test_canonical_form():
     assert canonical_form(wcg(1, 1, 1)).weights == (1, 1, 1)
     assert canonical_form(canonical_form(wcg(3, -1, 2))) == canonical_form(wcg(3, -1, 2))
     w = (-1, -2, -1, -2, -1, -2, -1, -2)
-    assert w[2:] + w[:2] == w
+    for r in (1, 2):
+        assert canonical_form(wcg(*w[r:], *w[:r])) == canonical_form(wcg(*w))
 
 
 def test_enumerate_blowups_small():
