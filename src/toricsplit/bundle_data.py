@@ -23,7 +23,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import Mapping, Sequence
 
 from .exact_linear import Rat, dot, rat_matmul, rat_rank
@@ -74,8 +73,8 @@ def assemble_bundle(
     Each weight must be ``fan.dim`` integers.  Stores the pastings (0, c)
     and (c, 0), which must all be given, each rank x rank between cones of
     the fan, and only they are permuted; each other pair given must equal the
-    product through cone 0, checked on the pastings as given, each (0, c1)'s
-    columns read once.  Each fault is a named ``ValueError``.
+    product through cone 0, checked on the pastings as given.  Each fault is
+    a named ``ValueError``.
     """
     n_cones = len(fan.max_cones)
     if len(weight_systems) != n_cones:
@@ -106,14 +105,9 @@ def assemble_bundle(
 
     # the cocycle on the pastings as given: the sort permutes each cone's rows and
     # columns alike, so they factor through cone 0 exactly when the permuted ones do
-    columns = {}  # of each pasting (0, c1), read once
     for (c2, c1), raw in pasting_map.items():
-        if 0 not in (c2, c1):
-            if c1 not in columns:
-                columns[c1] = list(zip(*pasting_map[(0, c1)]))
-            for row, given in zip(pasting_map[(c2, 0)], raw):
-                if [sum(map(mul, row, col)) for col in columns[c1]] != list(given):
-                    raise ValueError(f"cocycle fails for cones ({c2},0,{c1})")
+        if 0 not in (c2, c1) and rat_matmul(pasting_map[(c2, 0)], pasting_map[(0, c1)]) != list(map(list, raw)):
+            raise ValueError(f"cocycle fails for cones ({c2},0,{c1})")
 
     def permuted(c2: int, c1: int) -> PastingMatrix:
         raw = pasting_map[(c2, c1)]
@@ -406,10 +400,7 @@ def parse_bundle(text: str, fan: Fan) -> KaneyamaBundleData:
             too_long = len(body) > ENTRY_LENGTH_CAP and max(map(len, entries), default=0) > ENTRY_LENGTH_CAP
             if too_long or not _PASTING_BODY.fullmatch(body):
                 raise ValueError(f"line {lineno}: non-rational pasting entry")
-            if "/" in body:
-                vals = [Fraction(tok) if "/" in tok else int(tok) for tok in entries]
-            else:
-                vals = list(map(int, entries))
+            vals = [Fraction(tok) if "/" in tok else int(tok) for tok in entries]
             if len(vals) != rank * rank:
                 raise ValueError(f"line {lineno}: expected {rank * rank} entries")
             pastings[(c2, c1)] = [vals[i * rank : (i + 1) * rank] for i in range(rank)]
