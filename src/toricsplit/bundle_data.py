@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .exact_linear import Rat, dot, rat_matmul, rat_rank
+from .exact_linear import RAT_TYPES, Rat, dot, rat_matmul, rat_rank
 from .fan import ENTRY_LENGTH_CAP, INTEGER_TOKEN, Fan, content_lines, parse_int
 from .intersection import AugmentedIntersectionMatrix, apply_q
 from .solver import canonical_class_rep
@@ -70,11 +70,12 @@ def assemble_bundle(
 ) -> KaneyamaBundleData:
     """Sort each weight system lexicographically and permute the stored pastings to match.
 
-    Each weight must be ``fan.dim`` integers.  Stores the pastings (0, c)
-    and (c, 0), which must all be given, each rank x rank between cones of
-    the fan, and only they are permuted; each other pair given must equal the
-    product through cone 0, checked on the pastings as given.  Each fault is
-    a named ``ValueError``.
+    Each weight must be ``fan.dim`` integers, and each pasting entry an
+    ``int`` or a ``Fraction``.  Stores the pastings (0, c) and (c, 0), which
+    must all be given, each rank x rank between cones of the fan, and only
+    they are permuted; each other pair given must equal the product through
+    cone 0, checked on the pastings as given.  Each fault is a named
+    ``ValueError``.
     """
     n_cones = len(fan.max_cones)
     if len(weight_systems) != n_cones:
@@ -98,6 +99,10 @@ def assemble_bundle(
             raise ValueError(f"pasting ({c2},{c1}) names a cone out of range")
         if len(raw) != rank or any(len(row) != rank for row in raw):
             raise ValueError(f"pasting ({c2},{c1}) is not {rank}x{rank}")
+        for row in raw:
+            for x in row:
+                if type(x) not in RAT_TYPES:
+                    raise ValueError(f"pasting ({c2},{c1}) entry {x!r} is not an int or a Fraction")
     star = range(1, n_cones)
     missing = [pair for c in star for pair in ((0, c), (c, 0)) if pair not in pasting_map]
     if missing:

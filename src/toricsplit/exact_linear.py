@@ -3,7 +3,9 @@
 Everything is elementary row reduction kept deterministic so callers can
 rely on canonical output: ``hnf`` returns the reduced row Hermite normal
 form and ``solve_integral`` the particular solution whose free coordinates
-vanish in HNF coordinates.  No floating point anywhere.
+vanish in HNF coordinates.  No floating point anywhere.  A matrix is a
+sequence of rows and every result a tuple of int tuples; ``IntMatrix`` is
+only the checked input of ``hnf``, ``SolvePlan`` and ``solve_integral``.
 
 ``SolvePlan`` is the one back-substitution: it keeps what an integral
 solve needs of the matrix alone (the HNF of its transpose as sparse pivot
@@ -37,13 +39,17 @@ from operator import mul
 from typing import Sequence
 
 Rat = int | Fraction
+# the entry types of a Rat, by exact type: a bool is written back as True or False
+RAT_TYPES = (int, Fraction)
+# a matrix as its row tuples
+Rows = tuple[tuple[int, ...], ...]
 # the nonzero entries of a vector as (index, coeff) pairs, in index order
 SparseTerms = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable arbitrary-precision integer matrix, row-major."""
+    """Validated integer input of ``hnf``, ``SolvePlan`` and ``solve_integral``, row-major."""
 
     rows: int
     cols: int
@@ -67,23 +73,6 @@ class IntMatrix:
         ncols = len(entries[0]) if entries else 0
         return cls(len(entries), ncols, entries)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.rows else ((),) * self.cols)
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        # an empty inner dimension leaves rat_matmul no column count: the product is zero
-        entries = rat_matmul(self.entries, other.entries) if self.cols else [[0] * other.cols] * self.rows
-        return IntMatrix(self.rows, other.cols, tuple(map(tuple, entries)))
-
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, s, t) with g = gcd(a, b) >= 0 and g = s*a + t*b."""
@@ -100,17 +89,18 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+def hnf(a: IntMatrix) -> tuple[Rows, Rows]:
     """Row Hermite normal form of ``a``.
 
-    Returns (H, U) with U unimodular, U @ a == H, H in row-echelon form with
-    positive pivots and every entry above a pivot reduced into [0, pivot).
+    Returns (H, U) as row tuples, H m x n and U m x m for ``a`` m x n, with
+    U unimodular, U @ a == H, H in row-echelon form with positive pivots
+    and every entry above a pivot reduced into [0, pivot).
     The reduced form is the unique canonical representative of the row
     lattice, so equal-lattice inputs produce identical H.
     """
     m, n = a.rows, a.cols
-    h = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    # each row operation acts on [a | I] at once: its left block ends as H, its right as U
+    h = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a.entries)]
     pivot_row = 0
     for col in range(n):
         if pivot_row == m:
@@ -118,16 +108,13 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         nz = [i for i in range(pivot_row, m) if h[i][col] != 0]
         if not nz:
             continue
-        if nz[0] != pivot_row:
-            h[pivot_row], h[nz[0]] = h[nz[0]], h[pivot_row]
-            u[pivot_row], u[nz[0]] = u[nz[0]], u[pivot_row]
+        h[pivot_row], h[nz[0]] = h[nz[0]], h[pivot_row]
         for i in range(pivot_row + 1, m):
             if h[i][col] == 0:
                 continue
             if h[i][col] % h[pivot_row][col] == 0:
                 q = h[i][col] // h[pivot_row][col]
                 h[i] = [x - q * y for x, y in zip(h[i], h[pivot_row])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
                 continue
             g, s, t = _xgcd(h[pivot_row][col], h[i][col])
             pc, ic = h[pivot_row][col] // g, h[i][col] // g
@@ -135,21 +122,15 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 [s * x + t * y for x, y in zip(h[pivot_row], h[i])],
                 [-ic * x + pc * y for x, y in zip(h[pivot_row], h[i])],
             )
-            u[pivot_row], u[i] = (
-                [s * x + t * y for x, y in zip(u[pivot_row], u[i])],
-                [-ic * x + pc * y for x, y in zip(u[pivot_row], u[i])],
-            )
         if h[pivot_row][col] < 0:
             h[pivot_row] = [-x for x in h[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
         p = h[pivot_row][col]
         for i in range(pivot_row):
             q = h[i][col] // p
             if q:
                 h[i] = [x - q * y for x, y in zip(h[i], h[pivot_row])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
         pivot_row += 1
-    return IntMatrix(m, n, tuple(map(tuple, h))), IntMatrix(m, m, tuple(map(tuple, u)))
+    return tuple(tuple(row[:n]) for row in h), tuple(tuple(row[n:]) for row in h)
 
 
 class SolvePlan:
@@ -164,18 +145,14 @@ class SolvePlan:
     """
 
     def __init__(self, a: IntMatrix) -> None:
-        h, u = hnf(a.transpose())
-        pivots: list[int] = []
-        for row in h.entries:
-            p = next((j for j, v in enumerate(row) if v != 0), None)
-            if p is None:
-                break
-            pivots.append(p)
+        h, u = hnf(IntMatrix.from_rows(tuple(zip(*a.entries)) or ((),) * a.cols))
+        # H is in echelon form: its nonzero rows come first
+        pivots = [next(j for j, v in enumerate(row) if v) for row in h if any(row)]
         rank = len(pivots)
         self.rows = a.rows
-        self.kernel = list(u.entries[rank:])
-        h_cols = list(zip(*h.entries[:rank])) if rank else [()] * a.rows
-        u_cols = list(zip(*u.entries[:rank])) if rank else [()] * a.cols
+        self.kernel = list(u[rank:])
+        h_cols = list(zip(*h[:rank])) if rank else [()] * a.rows
+        u_cols = list(zip(*u[:rank])) if rank else [()] * a.cols
         # y[t] = (c[p] - sum(coeff * y[s] for s, coeff in terms)) / pivot
         self._pivot_terms = tuple(
             (p, h_cols[p][t], nonzero_terms(h_cols[p][:t])) for t, p in enumerate(pivots)
@@ -208,27 +185,22 @@ def nonzero_terms(vec: Sequence[int]) -> SparseTerms:
     return tuple((i, v) for i, v in enumerate(vec) if v)
 
 
-def solve_integral(
-    a: IntMatrix, b: IntMatrix
-) -> tuple[IntMatrix, list[tuple[int, ...]]] | None:
+def solve_integral(a: IntMatrix, b: IntMatrix) -> tuple[Rows, list[tuple[int, ...]]] | None:
     """Solve a @ X == b over the integers.
 
     ``b`` may have several columns; each is solved against the same kernel.
-    Returns (X, kernel_basis) where the basis spans {v : a @ v = 0} over the
-    integers, or None when no integral solution exists.  The particular
-    solution is canonical: its free coordinates vanish in the coordinates
-    induced by hnf of the transpose.
+    Returns (X, kernel_basis), X as a.cols rows of b.cols entries, where the
+    basis spans {v : a @ v = 0} over the integers, or None when no integral
+    solution exists.  The particular solution is canonical: its free
+    coordinates vanish in the coordinates induced by hnf of the transpose.
     """
     if a.rows != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows} equations, {b.rows} right-hand rows")
     plan = SolvePlan(a)
-    x_cols = []
-    for c_idx in range(b.cols):
-        col = plan.solve(b.column(c_idx))
-        if col is None:
-            return None
-        x_cols.append(col)
-    return IntMatrix(b.cols, a.cols, tuple(x_cols)).transpose(), plan.kernel
+    x_cols = [plan.solve(c) for c in tuple(zip(*b.entries)) or ((),) * b.cols]
+    if None in x_cols:
+        return None
+    return tuple(zip(*x_cols)) or ((),) * a.cols, plan.kernel
 
 
 def _reduce(v: list[int], echelon: Sequence[tuple[int, list[int]]]) -> list[int]:
@@ -336,7 +308,7 @@ def _reduced_inverse(rows: Sequence[Sequence[int]]) -> list[list[int]] | None:
     return m if pivots == list(range(n)) else None
 
 
-def unimodular_inverse(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+def unimodular_inverse(rows: Sequence[Sequence[int]]) -> Rows:
     """Integral inverse of a square integer matrix, read off the reduced [A | I].
 
     Raises ValueError when no integral inverse exists, that is unless the
@@ -380,9 +352,15 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 def clear_denominators(rows: Sequence[Sequence[Rat]]) -> list[list[int]]:
-    """Each row times the lcm of its entries' denominators: integer rows, same row space."""
+    """Each row times the lcm of its entries' denominators: integer rows, same row space.
+
+    Every rational reader clears its input here, so an entry other than an int or a Fraction fails here.
+    """
     cleared = []
     for row in rows:
+        for x in row:
+            if type(x) not in RAT_TYPES:
+                raise ValueError(f"entry {x!r} is not an int or a Fraction")
         scale = lcm(*(x.denominator for x in row))
         cleared.append([x.numerator * (scale // x.denominator) for x in row])
     return cleared
@@ -403,10 +381,10 @@ def rat_kernel(rows: Sequence[Sequence[Rat]]) -> list[list[Fraction]]:
 
 def rat_invert(rows: Sequence[Sequence[Rat]]) -> list[list[Fraction]]:
     """Inverse over the rationals: (D A)^-1 D, with D diagonal, d_j the lcm of row j's denominators."""
-    scales = [lcm(*(x.denominator for x in row)) for row in rows]
     m = _reduced_inverse(clear_denominators(rows))
     if m is None:
         raise ValueError("singular matrix")
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
     return [[Fraction(x * d, row[t]) for x, d in zip(row[len(m):], scales)] for t, row in enumerate(m)]
 
 

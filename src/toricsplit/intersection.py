@@ -112,12 +112,13 @@ class AugmentedIntersectionMatrix:
         """The integral solve plan of Q: one HNF, built at the first leaf.
 
         ``relation_walls`` has already checked Q's solution lattice; the
-        plan checks itself against it: Q @ x = 0 solves and its integral
-        kernel has rank n.
+        plan checks itself against it: Q @ k = 0 for each vector k of its
+        integral kernel, which has rank n.
         """
         plan = SolvePlan(self.q)
-        if plan.solve((0,) * self.q.rows) is None:
-            raise RuntimeError("invariant broken: Q @ x = 0 has no integral solution")
+        for k in plan.kernel:
+            if any(apply_q(self, k)):
+                raise RuntimeError(f"invariant broken: the plan's kernel vector {k} has Q @ k != 0")
         if len(plan.kernel) != self.fan.dim:
             raise RuntimeError(
                 f"invariant broken: the plan's kernel has rank {len(plan.kernel)}, "
@@ -141,6 +142,9 @@ def augmented_matrix(fan: Fan) -> AugmentedIntersectionMatrix:
 def apply_q(aim: AugmentedIntersectionMatrix, x: Sequence[int]) -> tuple[int, ...]:
     if len(x) != aim.q.cols:
         raise ValueError(f"class has {len(x)} coordinates, fan has {aim.q.cols} rays")
+    for v in x:
+        if type(v) is not int:
+            raise ValueError(f"class {tuple(x)} has a non-integer coordinate")
     return tuple(sum(c * x[j] for j, c in terms) for terms in aim.nonzero_terms)
 
 

@@ -220,6 +220,9 @@ def canonical_class_rep(x, fan: Fan) -> tuple[int, ...]:
     """
     if len(x) != len(fan.rays):
         raise ValueError(f"class vector needs {len(fan.rays)} entries")
+    for v in x:
+        if type(v) is not int:
+            raise ValueError(f"class {tuple(x)} has a non-integer coordinate")
     support, terms = fan.reduction
     reduced = tuple(v - sum(c * x[s] for s, c in t) for v, t in zip(x, terms))
     if any(reduced[k] for k in support):

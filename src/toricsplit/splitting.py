@@ -31,10 +31,10 @@ from typing import TYPE_CHECKING, Sequence
 
 from .exact_linear import Rat, _row_echelon, clear_denominators, dot, int_kernel, int_rank, rat_invert
 from .fan import Wall, wall_label
+from .intersection import AugmentedIntersectionMatrix, apply_q
 
 if TYPE_CHECKING:
     from .bundle_data import KaneyamaBundleData
-    from .intersection import AugmentedIntersectionMatrix
 
 Monomial = tuple[Fraction, int]
 MonomialMatrix = tuple[tuple[Monomial, ...], ...]
@@ -492,11 +492,9 @@ def _h_truncated(t: IntMonomialMatrix, k: int, det_exp: int) -> int:
 
 
 def twist_system(
-    system: SplittingSystem, aim: "AugmentedIntersectionMatrix", column: Sequence[int]
+    system: SplittingSystem, aim: AugmentedIntersectionMatrix, column: Sequence[int]
 ) -> SplittingSystem:
     """Shift every wall tuple by the restriction degree of the line bundle class ``column``."""
-    from .intersection import apply_q
-
     if tuple(w.tau for w in aim.row_walls) != system.taus:
         raise ValueError("system walls do not match the intersection matrix")
     shifts = apply_q(aim, column)

@@ -174,16 +174,13 @@ def _sign_admissible(column, strict):
 def _brute_force_keys(aim, system, strict):
     keys = set()
     for choice in product(*[sorted(set(permutations(row))) for row in system.degrees]):
-        rhs = IntMatrix.from_rows([list(row) for row in choice])
-        if not all(_sign_admissible(rhs.column(l), strict) for l in range(rhs.cols)):
+        if not all(_sign_admissible(column, strict) for column in zip(*choice)):
             continue
-        solved = solve_integral(aim.q, rhs)
+        solved = solve_integral(aim.q, IntMatrix.from_rows(choice))
         if solved is None:
             continue
         x, _ = solved
-        keys.add(
-            tuple(sorted(canonical_class_rep(x.column(l), aim.fan) for l in range(x.cols)))
-        )
+        keys.add(tuple(sorted(canonical_class_rep(column, aim.fan) for column in zip(*x))))
     return keys
 
 

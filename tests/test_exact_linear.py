@@ -26,6 +26,15 @@ def mat(rows):
     return IntMatrix.from_rows(rows)
 
 
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def matmul(a, b):
+    # the product as row tuples, for comparison with hnf's and solve_integral's results
+    return tuple(map(tuple, rat_matmul(a, b)))
+
+
 def _fraction_rref(rows):
     # reference Gauss-Jordan over Fraction, independent of the package's elimination
     m = [[Fraction(x) for x in row] for row in rows]
@@ -73,8 +82,7 @@ def _oracle_invert(rows):
 def is_reduced_echelon(h):
     last_pivot = -1
     seen_zero_row = False
-    for i in range(h.rows):
-        row = h.entries[i]
+    for i, row in enumerate(h):
         p = next((j for j, x in enumerate(row) if x != 0), None)
         if p is None:
             seen_zero_row = True
@@ -83,7 +91,7 @@ def is_reduced_echelon(h):
         assert p > last_pivot
         assert row[p] > 0
         for above in range(i):
-            assert 0 <= h.entries[above][p] < row[p]
+            assert 0 <= h[above][p] < row[p]
         last_pivot = p
     return True
 
@@ -103,38 +111,37 @@ def test_intmatrix_rejects_bool():
         IntMatrix(1, 2, ((3, False),))
 
 
-def test_intmatrix_product_shape_with_an_empty_dimension():
-    # no row of the product, or no inner term, still leaves its shape rows x other.cols
-    assert IntMatrix(2, 0, ((), ())) @ IntMatrix(0, 3, ()) == IntMatrix(2, 3, ((0, 0, 0), (0, 0, 0)))
-    assert IntMatrix(0, 2, ()) @ mat([[1, 2, 3], [4, 5, 6]]) == IntMatrix(0, 3, ())
-    assert IntMatrix(1, 0, ((),)) @ IntMatrix(0, 1, ()) == IntMatrix(1, 1, ((0,),))
-
-
 def test_hnf_identity():
-    h, u = hnf(IntMatrix.identity(2))
-    assert h == IntMatrix.identity(2)
-    assert u == IntMatrix.identity(2)
+    h, u = hnf(mat(identity(2)))
+    assert h == identity(2)
+    assert u == identity(2)
 
 
 def test_hnf_zero():
     z = mat([[0, 0], [0, 0]])
     h, u = hnf(z)
-    assert h == z
-    assert u == IntMatrix.identity(2)
+    assert h == z.entries
+    assert u == identity(2)
 
 
 def test_hnf_keeps_the_shape_of_an_empty_matrix():
-    # H is m x n and U is m x m even with no row to read a column count off
-    assert hnf(IntMatrix(0, 3, ())) == (IntMatrix(0, 3, ()), IntMatrix(0, 0, ()))
-    assert hnf(IntMatrix(2, 0, ((), ()))) == (IntMatrix(2, 0, ((), ())), IntMatrix.identity(2))
+    # H has m rows of n entries and U is m x m even with no column to reduce
+    assert hnf(IntMatrix(0, 3, ())) == ((), ())
+    assert hnf(IntMatrix(2, 0, ((), ()))) == (((), ()), identity(2))
+
+
+def test_hnf_returns_row_tuples():
+    for h_or_u in hnf(mat([[2, 4], [1, 3], [0, 5]])):
+        assert type(h_or_u) is tuple and all(type(row) is tuple for row in h_or_u)
+        assert all(type(x) is int for row in h_or_u for x in row)
 
 
 def test_hnf_known_lattice():
     a = mat([[2, 4], [1, 3]])
     h, u = hnf(a)
-    assert u @ a == h
-    assert abs(int_det(u.entries)) == 1
-    assert h == mat([[1, 1], [0, 2]])
+    assert matmul(u, a.entries) == h
+    assert abs(int_det(u)) == 1
+    assert h == ((1, 1), (0, 2))
     # the unreduced echelon form [[1,3],[0,2]] spans the same row lattice
     h2, _ = hnf(mat([[1, 3], [0, 2]]))
     assert h2 == h
@@ -147,8 +154,8 @@ def test_hnf_random_property():
         n = rng.randint(1, 5)
         a = mat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
         h, u = hnf(a)
-        assert u @ a == h
-        assert abs(int_det(u.entries)) == 1
+        assert matmul(u, a.entries) == h
+        assert abs(int_det(u)) == 1
         assert is_reduced_echelon(h)
 
 
@@ -158,19 +165,19 @@ def test_solve_all_ones_column():
     result = solve_integral(a, b)
     assert result is not None
     x, kernel = result
-    assert x == mat([[3], [0], [0]])
+    assert x == ((3,), (0,), (0,))
     assert len(kernel) == 2
     for k in kernel:
         assert sum(k) == 0
-        assert (a @ mat([[v] for v in k])).entries == ((0,), (0,), (0,))
+        assert matmul(a.entries, [[v] for v in k]) == ((0,), (0,), (0,))
 
 
 def test_solve_identity():
     b = mat([[5, -1], [2, 7], [0, 3]])
-    result = solve_integral(IntMatrix.identity(3), b)
+    result = solve_integral(mat(identity(3)), b)
     assert result is not None
     x, kernel = result
-    assert x == b
+    assert x == b.entries
     assert kernel == []
 
 
@@ -184,8 +191,14 @@ def test_solve_wide_with_coupled_pivot():
     result = solve_integral(a, mat([[1]]))
     assert result is not None
     x, kernel = result
-    assert (a @ x) == mat([[1]])
+    assert matmul(a.entries, x) == ((1,),)
     assert len(kernel) == 1
+
+
+def test_solve_keeps_the_shape_of_an_empty_side():
+    # X has a.cols rows of b.cols entries even when one side has no column or no row
+    assert solve_integral(mat([[1, 2]]), IntMatrix(1, 0, ((),))) == (((), ()), [(-2, 1)])
+    assert solve_integral(IntMatrix(0, 2, ()), IntMatrix(0, 1, ())) == (((0,), (0,)), [(1, 0), (0, 1)])
 
 
 def test_solve_dimension_mismatch():
@@ -199,15 +212,15 @@ def test_solve_random_roundtrip():
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         a = mat([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
-        x0 = mat([[rng.randint(-6, 6)] for _ in range(n)])
-        b = a @ x0
+        x0 = [[rng.randint(-6, 6)] for _ in range(n)]
+        b = mat(matmul(a.entries, x0))
         result = solve_integral(a, b)
         assert result is not None
         x, kernel = result
-        assert a @ x == b
+        assert matmul(a.entries, x) == b.entries
         assert len(kernel) == n - rat_rank(a.entries)
         # the two solutions differ by a kernel vector: adding it keeps the rank
-        diff = [x.entries[i][0] - x0.entries[i][0] for i in range(n)]
+        diff = [x[i][0] - x0[i][0] for i in range(n)]
         assert rat_rank(kernel + [diff]) == len(kernel)
 
 
@@ -382,8 +395,8 @@ def test_unimodular_inverse_roundtrip():
         inv = unimodular_inverse(a)
         assert all(isinstance(x, int) for row in inv for x in row)
         assert inv == tuple(tuple(int(x) for x in row) for row in _oracle_invert(a))
-        assert mat(a) @ mat(inv) == IntMatrix.identity(n)
-        assert mat(inv) @ mat(a) == IntMatrix.identity(n)
+        assert matmul(a, inv) == identity(n)
+        assert matmul(inv, a) == identity(n)
 
 
 def test_unimodular_inverse_rejects_non_unimodular():

@@ -17,9 +17,17 @@ from toricsplit.bundle_data import (
     validate,
 )
 from toricsplit.fan import format_fan, make_fan, parse_fan, projective_space
-from toricsplit.intersection import augmented_matrix
-from toricsplit.solver import find_splitting_types
-from toricsplit.splitting import SplittingSystem, bootstrap, h0_oracle, restrict, splitting_system, twist_system
+from toricsplit.intersection import apply_q, augmented_matrix, sign_of_class
+from toricsplit.solver import canonical_class_rep, find_splitting_types
+from toricsplit.splitting import (
+    SplittingSystem,
+    bootstrap,
+    h0_oracle,
+    restrict,
+    splitting_system,
+    transition_from_block,
+    twist_system,
+)
 from toricsplit.surface_graph import WeightedCircularGraph, blowup, cp2, enumerate_blowups, hirzebruch
 
 P1 = projective_space(1)
@@ -34,13 +42,24 @@ def _edit(text, old, new):
     return text.replace(old, new, 1)
 
 
+def _p2_tangent_pastings():
+    data = tangent_bundle(P2)
+    return data, {**{(0, c): data.to_base[c] for c in (1, 2)}, **{(c, 0): data.from_base[c] for c in (1, 2)}}
+
+
 def _p2_tangent_with_weight(chi):
     # P2's tangent data with cone 0's first weight replaced by ``chi``
-    data = tangent_bundle(P2)
+    data, pastings = _p2_tangent_pastings()
     weights = [list(ws) for ws in data.weight_systems]
     weights[0][0] = chi
-    pastings = {**{(0, c): data.to_base[c] for c in (1, 2)}, **{(c, 0): data.from_base[c] for c in (1, 2)}}
     return assemble_bundle(P2, weights, pastings)
+
+
+def _p2_tangent_with_pasting(entry):
+    # P2's tangent data with every entry x of pasting (0,1) replaced by ``entry(x)``
+    data, pastings = _p2_tangent_pastings()
+    pastings[(0, 1)] = [[entry(x) for x in row] for row in pastings[(0, 1)]]
+    return assemble_bundle(P2, data.weight_systems, pastings)
 
 
 P2_TAUS = tuple(w.tau for w in augmented_matrix(P2).row_walls)
@@ -95,6 +114,18 @@ CASES = {
     ),
     "bundle-weight-long": (lambda: _p2_tangent_with_weight((1, 0, 5)), "weight (1, 0, 5) is not 2 integers"),
     "bundle-weight-short": (lambda: _p2_tangent_with_weight((1,)), "weight (1,) is not 2 integers"),
+    "bundle-pasting-float": (
+        lambda: _p2_tangent_with_pasting(float),
+        "pasting (0,1) entry -1.0 is not an int or a Fraction",
+    ),
+    "bundle-pasting-half": (
+        lambda: _p2_tangent_with_pasting(lambda x: 0.5),
+        "pasting (0,1) entry 0.5 is not an int or a Fraction",
+    ),
+    "bundle-pasting-str": (
+        lambda: _p2_tangent_with_pasting(str),
+        "pasting (0,1) entry '-1' is not an int or a Fraction",
+    ),
     "euler-exponent-non-integer": (
         lambda: make_euler_spec(P2, [(1, 0, 0), (0, 1, 0)], [(1.5, 0, 0), (0, 1, 0)]),
         "exponent vector (1.5, 0, 0) has a non-integer entry",
@@ -158,7 +189,25 @@ CASES = {
     "system-list-row": (lambda: _search([2, 1]), "degree row [2, 1] is not a tuple of integers"),
     "twist-non-integer-class": (
         lambda: twist_system(splitting_system(tangent_bundle(P2)), augmented_matrix(P2), (0.5, 0, 0)),
-        "degree row (2.5, 1.5) is not a tuple of integers",
+        "class (0.5, 0, 0) has a non-integer coordinate",
+    ),
+    "sign-of-non-integer-class": (
+        lambda: sign_of_class(augmented_matrix(P2), [1.5, 0, 0]),
+        "class (1.5, 0, 0) has a non-integer coordinate",
+    ),
+    "reduce-non-integer-class": (
+        lambda: canonical_class_rep([0.5, 0, 0], P2),
+        "class (0.5, 0, 0) has a non-integer coordinate",
+    ),
+    # the rational readers of splitting, through exact_linear.clear_denominators
+    "bootstrap-float-pasting": (
+        lambda: bootstrap([1, 0], [0, 0], [[1.5, 0], [0, 1]]),
+        "entry 1.5 is not an int or a Fraction",
+    ),
+    "h0-oracle-float-coefficient": (lambda: h0_oracle([[(1.5, 0)]]), "entry 1.5 is not an int or a Fraction"),
+    "transition-float-pasting": (
+        lambda: transition_from_block([1], [0], [[0.5]]),
+        "entry 0.5 is not an int or a Fraction",
     ),
     "system-tuple-per-wall": (
         lambda: SplittingSystem(((0,), (1,)), ((1, 0),)),
@@ -187,6 +236,10 @@ BOOL_CASES = {
         "cone (False, True) has a non-integer ray index",
     ),
     "assemble_bundle": (lambda: _p2_tangent_with_weight((True, 0)), "weight (True, 0) is not 2 integers"),
+    "assemble_bundle-pasting": (
+        lambda: _p2_tangent_with_pasting(lambda x: True),
+        "pasting (0,1) entry True is not an int or a Fraction",
+    ),
     "make_euler_spec-divisor": (
         lambda: make_euler_spec(P2, [(1, 0, 0), (0, True, 0)], [(1, 0, 0), (0, 1, 0)]),
         "divisor (0, True, 0) has a non-integer coefficient",
@@ -200,6 +253,19 @@ BOOL_CASES = {
         "degree row (True, False) is not a tuple of integers",
     ),
     "bootstrap": (lambda: bootstrap((True, 0), (0, 1), [[1, 0], [0, 1]]), "chart weights must be integers"),
+    "bootstrap-pasting": (
+        lambda: bootstrap((1, 0), (0, 1), [[True, 0], [0, 1]]),
+        "entry True is not an int or a Fraction",
+    ),
+    "twist_system": (
+        lambda: twist_system(splitting_system(tangent_bundle(P2)), augmented_matrix(P2), (True, 0, 0)),
+        "class (True, 0, 0) has a non-integer coordinate",
+    ),
+    "apply_q": (lambda: apply_q(augmented_matrix(P2), (0, False, 0)), "class (0, False, 0) has a non-integer coordinate"),
+    "canonical_class_rep": (
+        lambda: canonical_class_rep((1, 0, True), P2),
+        "class (1, 0, True) has a non-integer coordinate",
+    ),
     "restrict-v_chart": (
         lambda: restrict(tangent_bundle(P2), augmented_matrix(P2).row_walls[0], v_chart=(False, True)),
         "v_chart (False, True) is not 2 integers",

@@ -18,7 +18,7 @@ import pytest
 from toricsplit import exact_linear, intersection, solver
 from toricsplit.cli import table41_rows
 from toricsplit.bundle_data import cp2_rank2, tangent_bundle
-from toricsplit.exact_linear import IntMatrix, SolvePlan, hnf, rat_rank, solve_integral, unimodular_inverse
+from toricsplit.exact_linear import IntMatrix, SolvePlan, hnf, rat_matmul, rat_rank, solve_integral, unimodular_inverse
 from toricsplit.fan import make_fan, projective_space, walls
 from toricsplit.intersection import AugmentedIntersectionMatrix, SignClass, augmented_matrix
 from toricsplit.solver import SplittingType, canonical_class_rep, find_splitting_types
@@ -37,6 +37,10 @@ def tangent_case(fan):
 
 def canonical_keys(types):
     return {tuple(sorted(t.canonical)) for t in types}
+
+
+def identity(n):
+    return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 # ------------------------------------------------------------ frozen answers
@@ -148,15 +152,22 @@ def test_orderings_are_built_once_per_distinct_row_reached(monkeypatch):
 def test_kernel_guard_trips_on_foreign_matrix():
     fan = projective_space(2)
     aim, system = tangent_case(fan)
-    bogus = AugmentedIntersectionMatrix(fan, aim.row_walls, IntMatrix.identity(3))
+    bogus = AugmentedIntersectionMatrix(fan, aim.row_walls, identity(3))
     with pytest.raises(RuntimeError, match="principal-divisor lattice"):
         find_splitting_types(bogus, system)
 
 
-def test_check_homogeneous_solve_exists(monkeypatch):
-    monkeypatch.setattr(exact_linear.SolvePlan, "solve", lambda plan, c: None)
+def test_check_plan_kernel_lies_in_ker_q(monkeypatch):
+    real = exact_linear.hnf
+
+    def bad_kernel(a):
+        # U's rows past the rank are the plan's kernel: shift the last one off ker Q
+        h, u = real(a)
+        return h, u[:-1] + ((u[-1][0] + 1,) + u[-1][1:],)
+
+    monkeypatch.setattr(exact_linear, "hnf", bad_kernel)
     aim, system = tangent_case(projective_space(2))
-    with pytest.raises(RuntimeError, match="Q @ x = 0 has no integral solution"):
+    with pytest.raises(RuntimeError, match=r"^invariant broken: the plan's kernel vector \(.*\) has Q @ k != 0$"):
         find_splitting_types(aim, system)
 
 
@@ -308,7 +319,9 @@ def test_exactness_checks_survive_optimize_flag():
             print("RuntimeError")
         # F_1's tangent search reaches no leaf, so only the lattice guard can see a foreign Q
         fan = graph_to_fan(hirzebruch(1))
-        bogus = AugmentedIntersectionMatrix(fan, augmented_matrix(fan).row_walls, IntMatrix.identity(4))
+        bogus = AugmentedIntersectionMatrix(
+            fan, augmented_matrix(fan).row_walls, IntMatrix.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
+        )
         try:
             solver.find_splitting_types(bogus, splitting_system(tangent_bundle(fan)))
         except RuntimeError:
@@ -388,7 +401,7 @@ def test_left_kernel_is_built_once_per_matrix(monkeypatch):
     assert len(aim.left_kernel) == 2
     for vec in aim.left_kernel:
         assert all(isinstance(c, int) for c in vec)
-        assert (IntMatrix.from_rows([vec]) @ aim.q).entries == ((0,) * aim.q.cols,)
+        assert rat_matmul([vec], aim.q.entries) == [[0] * aim.q.cols]
 
 
 def test_results_are_deterministic():
@@ -404,10 +417,9 @@ def test_soundness_on_enumerated_surfaces():
         fan = graph_to_fan(graph)
         aim, system = tangent_case(fan)
         for t in find_splitting_types(aim, system):
-            x = IntMatrix.from_rows([list(col) for col in zip(*t.columns)])
-            assert (aim.q @ x).entries == t.rows
+            assert rat_matmul(aim.q.entries, list(zip(*t.columns))) == list(map(list, t.rows))
             for col in t.columns:
-                image = (aim.q @ IntMatrix.from_rows([[v] for v in col])).column(0)
+                image = [row[0] for row in rat_matmul(aim.q.entries, [[v] for v in col])]
                 assert all(e >= 0 for e in image) or all(e < 0 for e in image)
 
 
@@ -485,30 +497,30 @@ def test_class_vector_length_checked():
 def _reference_solve_integral(a, b):
     """Oracle for ``SolvePlan``: a fresh HNF of a^T per call, dense back-substitution."""
     n_unknowns = a.cols
-    hp, up = hnf(a.transpose())
+    hp, up = hnf(IntMatrix.from_rows(list(zip(*a.entries))))
     pivots = []
-    for t in range(hp.rows):
-        p = next((j for j in range(hp.cols) if hp.entries[t][j] != 0), None)
+    for row in hp:
+        p = next((j for j, v in enumerate(row) if v != 0), None)
         if p is None:
             break
         pivots.append(p)
     rank = len(pivots)
-    kernel = [up.entries[t] for t in range(rank, n_unknowns)]
+    kernel = [up[t] for t in range(rank, n_unknowns)]
     x_cols = []
     for c_idx in range(b.cols):
-        c = b.column(c_idx)
+        c = [row[c_idx] for row in b.entries]
         y = [0] * n_unknowns
         for t, p in enumerate(pivots):
-            s = c[p] - sum(hp.entries[u_i][p] * y[u_i] for u_i in range(t))
-            piv = hp.entries[t][p]
+            s = c[p] - sum(hp[u_i][p] * y[u_i] for u_i in range(t))
+            piv = hp[t][p]
             if s % piv:
                 return None
             y[t] = s // piv
         for i in range(a.rows):
-            if sum(hp.entries[t][i] * y[t] for t in range(rank)) != c[i]:
+            if sum(hp[t][i] * y[t] for t in range(rank)) != c[i]:
                 return None
-        x_cols.append([sum(up.entries[t][j] * y[t] for t in range(rank)) for j in range(n_unknowns)])
-    return IntMatrix.from_rows([list(col) for col in zip(*x_cols)]), kernel
+        x_cols.append([sum(up[t][j] * y[t] for t in range(rank)) for j in range(n_unknowns)])
+    return tuple(zip(*x_cols)) or ((),) * n_unknowns, kernel
 
 
 def _plan_fans():
@@ -544,7 +556,7 @@ def test_plan_matches_reference_solve():
                     consistent = rat_rank(a.entries) == rat_rank([row + (v,) for row, v in zip(a.entries, c)])
                     kinds["not integral" if consistent else "inconsistent"] += 1
                 else:
-                    assert got == want[0].column(0)
+                    assert got == tuple(row[0] for row in want[0])
                     kinds["integral"] += 1
             b = IntMatrix.from_rows(list(zip(*targets[::2])))
             assert solve_integral(a, b) == _reference_solve_integral(a, b)
@@ -610,7 +622,7 @@ def _reference_lattice_form(vectors):
     if not vectors:
         return ()
     h, _ = hnf(IntMatrix.from_rows([list(v) for v in vectors]))
-    return tuple(row for row in h.entries if any(row))
+    return tuple(row for row in h if any(row))
 
 
 def _reference_lattice_ok(aim):
@@ -688,7 +700,7 @@ def test_wall_order_relations_span_the_rref_kernel(assert_readers_match_referenc
     # nonzero HNF rows, so it shares no elimination with the code.  Every exact reader of Q
     # also agrees with the eliminations the row-order pass replaced.
     def hnf_rank(rows):
-        return sum(map(any, hnf(IntMatrix.from_rows(rows))[0].entries))
+        return sum(map(any, hnf(IntMatrix.from_rows(rows))[0]))
 
     checked = 0
     for fan in _lattice_fans():
@@ -700,11 +712,11 @@ def test_wall_order_relations_span_the_rref_kernel(assert_readers_match_referenc
             relations = AugmentedIntersectionMatrix(fan, aim.row_walls, q).left_kernel
             ends = [max(w for w, c in enumerate(y) if c) for y in relations]
             for y, end in zip(relations, ends):
-                assert (IntMatrix.from_rows([y]) @ q).entries == ((0,) * q.cols,)
+                assert rat_matmul([y], q.entries) == [[0] * q.cols]
                 assert y[end] > 0 and gcd(*y) == 1
             for i in range(q.rows):
                 h, u = hnf(IntMatrix.from_rows(rows[: i + 1]))
-                kernel = [u_row for h_row, u_row in zip(h.entries, u.entries) if not any(h_row)]
+                kernel = [u_row for h_row, u_row in zip(h, u) if not any(h_row)]
                 mine = [y[: i + 1] for y, end in zip(relations, ends) if end <= i]
                 # H has rank H nonzero rows, so i + 1 - rank H relations end at walls <= i
                 assert len(mine) == len(kernel), (rows, i)
