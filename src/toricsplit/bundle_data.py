@@ -131,10 +131,11 @@ def assemble_bundle(
 def validate(data: KaneyamaBundleData) -> list[str]:
     """All violations of the net, cocycle, and support conditions (empty = valid).
 
-    Checks shapes and, for the cocycle condition, (c, 0) @ (0, c) = I per
-    cone; net and support come from ``data.restrictions``, one ``restrict``
-    per wall, and only when that fails is each wall restricted on its own,
-    to report one violation per bad wall.
+    Checks shapes and stored entry types as ``assemble_bundle`` does and,
+    for the cocycle condition, (c, 0) @ (0, c) = I per cone; net and support
+    come from ``data.restrictions``, one ``restrict`` per wall, and only when
+    that fails is each wall restricted on its own, to report one violation
+    per bad wall.
     """
     fan = data.fan
     r = data.rank
@@ -145,12 +146,22 @@ def validate(data: KaneyamaBundleData) -> list[str]:
     for ci, ws in enumerate(data.weight_systems):
         if len(ws) != r or any(len(chi) != fan.dim for chi in ws):
             violations.append(f"weight system of cone {ci} has the wrong shape")
+            continue
+        for chi in ws:
+            for x in chi:
+                if type(x) is not int:
+                    violations.append(f"weight {tuple(chi)} is not {fan.dim} integers")
+                    break
     identity = [[int(i == j) for j in range(r)] for i in range(r)]
     # through cone 0 the cocycle condition is pasting (c, 0) @ (0, c) = identity
     for c in range(n_cones):
         pair = (data.from_base[c], data.to_base[c])
         if any(len(p) != r or any(len(row) != r for row in p) for p in pair):
             violations.append(f"pasting ({c},0) or (0,{c}) has the wrong shape")
+            continue
+        fault = _entry_fault(c, 0, pair[0]) or _entry_fault(0, c, pair[1])
+        if fault:
+            violations.append(fault)
         elif rat_matmul(*pair) != identity:
             if any(rat_rank(p) < r for p in pair):
                 violations.append(f"pasting ({c},0) or (0,{c}) is singular")
@@ -172,6 +183,15 @@ def validate(data: KaneyamaBundleData) -> list[str]:
             except ValueError as exc:
                 violations.append(str(exc))
     return violations
+
+
+def _entry_fault(c2: int, c1: int, p: PastingMatrix) -> str | None:
+    """The violation of pasting (c2, c1)'s first entry that is not an ``int`` or a ``Fraction``, if any."""
+    for row in p:
+        for x in row:
+            if type(x) not in RAT_TYPES:
+                return f"pasting ({c2},{c1}) entry {x!r} is not an int or a Fraction"
+    return None
 
 
 def tangent_bundle(fan: Fan) -> KaneyamaBundleData:

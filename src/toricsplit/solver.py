@@ -91,7 +91,10 @@ def find_splitting_types(
     ``kernel_cuts``.  The result has ``leaves - failed_solves`` types: a
     leaf's columns are sorted, so a type's classes fix their degree columns
     and with them the leaf, and a repeated type raises ``RuntimeError``.
+    ``strict`` must be a ``bool``.
     """
+    if type(strict) is not bool:
+        raise ValueError(f"strict {strict!r} is not a bool")
     if tuple(w.tau for w in aim.row_walls) != system.taus:
         raise ValueError("system walls do not match the intersection matrix")
     degree_rows = system.degrees

@@ -43,16 +43,14 @@ IntMonomialMatrix = tuple[tuple[tuple[int, int], ...], ...]
 
 @dataclass(frozen=True)
 class RestrictionBlock:
-    """One isotypic block of a wall restriction.
+    """One isotypic block of a wall restriction: the weights pairing alike against the wall's rays.
 
-    ``stab_class`` is the common pairing of the block's weights against the
-    wall's rays.  Chart-1 weights are stored non-increasing, chart-2 weights
+    Chart-1 weights are stored non-increasing, chart-2 weights
     non-decreasing; ``pasting`` has chart-2 rows and chart-1 columns and is
     the part of the full pasting surviving the limit into the wall point,
     its entries as the bundle data holds them (``int`` or ``Fraction``).
     """
 
-    stab_class: tuple[int, ...]
     chart1_weights: tuple[int, ...]
     chart2_weights: tuple[int, ...]
     pasting: tuple[tuple[Rat, ...], ...]
@@ -140,7 +138,7 @@ def restrict(
         run1, run2 = sorted1[lo:hi], sorted2[lo:hi]
         t1, t2 = tuple([-w for _, w, _ in run1]), tuple([w for _, w, _ in run2])
         pasting = tuple([tuple([p[i2][i1] for _, _, i1 in run1]) for _, _, i2 in run2])
-        blocks.append(RestrictionBlock(keys[lo], t1, t2, pasting))
+        blocks.append(RestrictionBlock(t1, t2, pasting))
     return WallRestriction(wall, v, tuple(blocks))
 
 
@@ -322,7 +320,7 @@ def h0_oracle(transition: Sequence[Sequence[tuple[Rat, int]]]) -> tuple[int, ...
     twists = range(lo, hi + 3)
     if split is None:
         det_exp = _determinant_exponent(t)
-        h = {k: _h_truncated(t, k, det_exp) for k in twists}
+        h = {k: _h_truncated(t, k, det_exp, lo) for k in twists}
     else:
         det_exp = sum(split[0]) + sum(split[1])
         h = _h_separable(t, split, twists)
@@ -424,7 +422,7 @@ def _h_separable(t: IntMonomialMatrix, split: tuple[list[int], list[int]], twist
     a pair of prefixes, so one (r+1)**2 rank table serves every (k, m), and
     the pivots of one row-order elimination fill it.  They also decide the
     determinant, det C * z**(sum(u) + sum(t)): a row without a pivot makes
-    it zero.  The active counts of every level are tabled once.
+    it zero.
     """
     u, tj = split
     r = len(t)
@@ -438,22 +436,18 @@ def _h_separable(t: IntMonomialMatrix, split: tuple[list[int], list[int]], twist
     for p in pivots:
         rank.append([x + (b > p) for b, x in enumerate(rank[-1])])
     u, tj = sorted(u), sorted(tj)  # ascending, for bisect_left
-    # twist k has levels m = m_lo(k)..max(tj), m_lo(k) = min(min(tj), k - max(u)) - 1, and
-    # level m has the columns with t_j >= m and the rows with u_i < k - m; both m_lo(k) and
-    # k - m_lo(k) grow with k, so the first twist's levels and the last twist's k - m_lo
-    # bound every count read below
-    m_first = min(tj[0], twists[0] - u[-1]) - 1
-    d_last = twists[-1] - min(tj[0], twists[-1] - u[-1]) + 1
-    cols_at = [r - bisect_left(tj, m) for m in range(m_first, tj[-1] + 1)]  # at m - m_first
-    rows_at = [bisect_left(u, d) for d in range(d_last, twists[0] - tj[-1] - 1, -1)]  # at d_last - (k - m)
     h = {}
     for k in twists:
         m_lo = min(tj[0], k - u[-1]) - 1
-        levels = zip(cols_at[m_lo - m_first :], rows_at[d_last - k + m_lo :])
-        n_cols, n_rows = next(levels)
-        if n_cols - rank[n_rows][n_cols]:
-            raise RuntimeError("sections below the lowest exponent level")
-        h[k] = sum(n_cols - rank[n_rows][n_cols] for n_cols, n_rows in levels)
+        total = 0
+        for m in range(m_lo, tj[-1] + 1):
+            # level m has the columns with t_j >= m and the rows with u_i < k - m
+            n_cols = r - bisect_left(tj, m)
+            free = n_cols - rank[bisect_left(u, k - m)][n_cols]
+            if free and m == m_lo:
+                raise RuntimeError("sections below the lowest exponent level")
+            total += free
+        h[k] = total
     return h
 
 
@@ -463,17 +457,19 @@ _DETERMINANT_RANK_CAP = 8
 _TRUNCATION_CAP = 4096
 
 
-def _h_truncated(t: IntMonomialMatrix, k: int, det_exp: int) -> int:
-    """h(k) by bounded-depth elimination; depth bound from the adjugate formula."""
+def _h_truncated(t: IntMonomialMatrix, k: int, det_exp: int, lo: int) -> int:
+    """h(k) by bounded-depth elimination; depth bound from the adjugate formula.
+
+    ``lo`` is the lowest exponent of a nonzero entry of ``t``.
+    """
     r = len(t)
-    exps = [e for row in t for c, e in row if c != 0]
-    depth = max(0, det_exp - k - (r - 1) * min(exps))
+    depth = max(0, det_exp - k - (r - 1) * lo)
     if depth > _TRUNCATION_CAP:
         raise RuntimeError(f"section pole depth {depth} exceeds the hard cap {_TRUNCATION_CAP}")
     # variables s[j, m] for -depth <= m <= 0; one constraint per negative power per row
     var_index = {(j, m): j * (depth + 1) + (m + depth) for j in range(r) for m in range(-depth, 1)}
     rows: list[list[int]] = []
-    p_min = min(exps) - k - depth
+    p_min = lo - k - depth
     for i in range(r):
         for p in range(p_min, 0):
             row = [0] * len(var_index)

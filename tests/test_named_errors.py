@@ -9,6 +9,8 @@ from fractions import Fraction
 
 from toricsplit.bundle_data import (
     assemble_bundle,
+    euler_monomial_spec,
+    euler_splitting_system,
     format_bundle,
     make_euler_spec,
     parse_bundle,
@@ -16,6 +18,7 @@ from toricsplit.bundle_data import (
     tangent_bundle,
     validate,
 )
+from toricsplit.exact_linear import IntMatrix
 from toricsplit.fan import format_fan, make_fan, parse_fan, projective_space
 from toricsplit.intersection import apply_q, augmented_matrix, sign_of_class
 from toricsplit.solver import canonical_class_rep, find_splitting_types
@@ -53,6 +56,13 @@ def _p2_tangent_with_weight(chi):
     weights = [list(ws) for ws in data.weight_systems]
     weights[0][0] = chi
     return assemble_bundle(P2, weights, pastings)
+
+
+def _p2_tangent_weights_ranked(cone):
+    # P2's tangent weight systems with one weight dropped from ``cone``'s
+    weights = [list(ws) for ws in tangent_bundle(P2).weight_systems]
+    del weights[cone][-1]
+    return weights
 
 
 def _p2_tangent_with_pasting(entry):
@@ -107,6 +117,11 @@ CASES = {
     "graph-list-weights": (lambda: WeightedCircularGraph([1, 1, 1]), "graph weights [1, 1, 1] are not a tuple"),
     "hirzebruch-str": (lambda: hirzebruch("2"), "hirzebruch parameter '2' is not an integer"),
     "hirzebruch-float": (lambda: hirzebruch(1.5), "hirzebruch parameter 1.5 is not an integer"),
+    "graph-two-vertices": (
+        lambda: WeightedCircularGraph((0, 0)),
+        "a weighted circular graph needs at least 3 vertices",
+    ),
+    "blowup-count-negative": (lambda: enumerate_blowups(-1), "blowup count must be nonnegative"),
     # assemble_bundle and make_euler_spec
     "bundle-weight-fraction": (
         lambda: _p2_tangent_with_weight((Fraction(3, 2), 0)),
@@ -125,6 +140,26 @@ CASES = {
     "bundle-pasting-str": (
         lambda: _p2_tangent_with_pasting(str),
         "pasting (0,1) entry '-1' is not an int or a Fraction",
+    ),
+    "bundle-weight-system-count": (
+        lambda: assemble_bundle(P2, tangent_bundle(P2).weight_systems[:2], _p2_tangent_pastings()[1]),
+        "one weight system per maximal cone required",
+    ),
+    "bundle-weight-system-rank": (
+        lambda: assemble_bundle(P2, _p2_tangent_weights_ranked(1), _p2_tangent_pastings()[1]),
+        "all weight systems must have the same rank",
+    ),
+    "euler-exponent-length": (
+        lambda: make_euler_spec(P2, [(1, 0, 0), (0, 1, 0)], [(1, 0), (0, 1, 0)]),
+        "exponent vector (1, 0) needs 3 entries",
+    ),
+    "euler-multiplicity-negative": (
+        lambda: euler_monomial_spec(P2, [1, -1, 1]),
+        "multiplicities must be nonnegative",
+    ),
+    "euler-foreign-matrix": (
+        lambda: euler_splitting_system(euler_monomial_spec(P2, [1, 1, 1]), augmented_matrix(projective_space(3))),
+        "intersection matrix belongs to a different fan",
     ),
     "euler-exponent-non-integer": (
         lambda: make_euler_spec(P2, [(1, 0, 0), (0, 1, 0)], [(1.5, 0, 0), (0, 1, 0)]),
@@ -187,6 +222,14 @@ CASES = {
         "degree row (Fraction(3, 2), 0) is not a tuple of integers",
     ),
     "system-list-row": (lambda: _search([2, 1]), "degree row [2, 1] is not a tuple of integers"),
+    "search-strict-str": (
+        lambda: find_splitting_types(augmented_matrix(P2), splitting_system(tangent_bundle(P2)), strict="no"),
+        "strict 'no' is not a bool",
+    ),
+    "search-strict-none": (
+        lambda: find_splitting_types(augmented_matrix(P2), splitting_system(tangent_bundle(P2)), strict=None),
+        "strict None is not a bool",
+    ),
     "twist-non-integer-class": (
         lambda: twist_system(splitting_system(tangent_bundle(P2)), augmented_matrix(P2), (0.5, 0, 0)),
         "class (0.5, 0, 0) has a non-integer coordinate",
@@ -213,6 +256,9 @@ CASES = {
         lambda: SplittingSystem(((0,), (1,)), ((1, 0),)),
         "one degree tuple per wall required",
     ),
+    # IntMatrix, the checked input of hnf, SolvePlan and solve_integral
+    "intmatrix-negative-dimension": (lambda: IntMatrix(-1, 0, ()), "negative dimension"),
+    "intmatrix-row-count": (lambda: IntMatrix(2, 1, ((1,),)), "row count does not match entries"),
 }
 
 
@@ -301,10 +347,36 @@ def _pasting_shape(data):
     return replace(data, from_base=tuple(from_base))
 
 
+def _weight_entry(entry):
+    # cone 1's first stored weight with every coordinate x replaced by ``entry(x)``
+    def damage(data):
+        systems = list(data.weight_systems)
+        systems[1] = (tuple(map(entry, systems[1][0])), systems[1][1])
+        return replace(data, weight_systems=tuple(systems))
+
+    return damage
+
+
+def _pasting_entry(field, entry):
+    # cone 1's stored pasting ``field`` with every entry x replaced by ``entry(x)``
+    def damage(data):
+        stored = list(getattr(data, field))
+        stored[1] = tuple(tuple(map(entry, row)) for row in stored[1])
+        return replace(data, **{field: tuple(stored)})
+
+    return damage
+
+
 VALIDATE_CASES = {
     "count": (lambda d: replace(d, to_base=d.to_base[:-1]), "weight system or pasting count does not match the fan"),
     "weight-shape": (_weight_length, "weight system of cone 1 has the wrong shape"),
     "pasting-shape": (_pasting_shape, "pasting (1,0) or (0,1) has the wrong shape"),
+    "weight-float": (_weight_entry(float), "weight (0.0, -1.0) is not 2 integers"),
+    "weight-bool": (_weight_entry(bool), "weight (False, True) is not 2 integers"),
+    "weight-fraction": (_weight_entry(Fraction), "weight (Fraction(0, 1), Fraction(-1, 1)) is not 2 integers"),
+    "pasting-float": (_pasting_entry("from_base", float), "pasting (1,0) entry -1.0 is not an int or a Fraction"),
+    "pasting-bool": (_pasting_entry("to_base", bool), "pasting (0,1) entry True is not an int or a Fraction"),
+    "pasting-str": (_pasting_entry("to_base", str), "pasting (0,1) entry '-1' is not an int or a Fraction"),
 }
 
 

@@ -136,7 +136,7 @@ def test_truncated_matches_separable_path():
         h = _h_separable(t, split, range(lo, hi + 3))
         assert list(h) == list(range(lo, hi + 3))
         for k in {lo, (lo + hi) // 2, hi, hi + 2}:
-            assert h[k] == _h_truncated(t, k, det_exp)
+            assert h[k] == _h_truncated(t, k, det_exp, lo)
 
 
 def _old_h_separable(t, split, k):
@@ -216,7 +216,7 @@ def _old_h0_oracle(transition):
     if split:
         h = {k: _old_h_separable(t, split, k) for k in twists}
     else:
-        h = {k: _h_truncated(t, k, det_exp) for k in twists}
+        h = {k: _h_truncated(t, k, det_exp, lo) for k in twists}
     degrees = []
     for d in range(hi, lo - 1, -1):
         mult = h[d] - 2 * h[d + 1] + h[d + 2]
@@ -652,7 +652,6 @@ def _reference_restrict(data, wall, v_chart=None):
         block_pasting = tuple(tuple(p[idx2[m2]][idx1[m1]] for m1 in order1) for m2 in order2)
         blocks.append(
             RestrictionBlock(
-                key,
                 tuple(t1[m] for m in order1),
                 tuple(t2[m] for m in order2),
                 block_pasting,
