@@ -29,7 +29,7 @@ from .exact_linear import RAT_TYPES, Rat, dot, rat_matmul, rat_rank
 from .fan import ENTRY_LENGTH_CAP, INTEGER_TOKEN, Fan, content_lines, parse_int
 from .intersection import AugmentedIntersectionMatrix, apply_q
 from .solver import canonical_class_rep
-from .splitting import SplittingSystem, WallRestriction, restrict
+from .splitting import RestrictionBlock, SplittingSystem, restrict
 
 PastingMatrix = tuple[tuple[Rat, ...], ...]
 
@@ -57,7 +57,7 @@ class KaneyamaBundleData:
         return rat_matmul(self.from_base[c2], self.to_base[c1])
 
     @cached_property
-    def restrictions(self) -> tuple[WallRestriction, ...]:
+    def restrictions(self) -> tuple[tuple[RestrictionBlock, ...], ...]:
         """``restrict(self, wall)`` for every wall in wall order, built once per object;
         the first wall that fails net or support raises its ``ValueError``."""
         return tuple(restrict(self, wall) for wall in self.fan.walls)
@@ -297,6 +297,8 @@ def euler_monomial_spec(fan: Fan, multiplicities: Sequence[int]) -> EulerBundleS
     j = len(fan.rays)
     if len(multiplicities) != j:
         raise ValueError(f"need one multiplicity per ray ({j})")
+    if not all(type(m) is int for m in multiplicities):
+        raise ValueError(f"multiplicities {tuple(multiplicities)} have a non-integer entry")
     if any(m < 0 for m in multiplicities):
         raise ValueError("multiplicities must be nonnegative")
     vectors = [tuple(m if t == i else 0 for t in range(j)) for i, m in enumerate(multiplicities)]

@@ -57,19 +57,6 @@ class RestrictionBlock:
 
 
 @dataclass(frozen=True)
-class WallRestriction:
-    wall: Wall
-    v_chart: tuple[int, ...]
-    blocks: tuple[RestrictionBlock, ...]
-
-    def weight_difference_total(self) -> int:
-        """Sum over blocks of (chart-1 total - chart-2 total); equals the restricted first Chern number."""
-        return sum(
-            sum(b.chart1_weights) - sum(b.chart2_weights) for b in self.blocks
-        )
-
-
-@dataclass(frozen=True)
 class SplittingSystem:
     """One non-increasing tuple of integer degrees per wall, all of one length, in the fan's wall order."""
 
@@ -77,6 +64,13 @@ class SplittingSystem:
     degrees: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.taus, tuple):
+            raise ValueError("taus are not a tuple of tuples")
+        for tau in self.taus:
+            if not isinstance(tau, tuple):
+                raise ValueError("taus are not a tuple of tuples")
+        if not isinstance(self.degrees, tuple):
+            raise ValueError("degrees are not a tuple")
         if len(self.taus) != len(self.degrees):
             raise ValueError("one degree tuple per wall required")
         for row in self.degrees:
@@ -90,8 +84,8 @@ class SplittingSystem:
 
 def restrict(
     data: "KaneyamaBundleData", wall: Wall, v_chart: Sequence[int] | None = None
-) -> WallRestriction:
-    """Restrict validated bundle data to the invariant curve of ``wall``.
+) -> tuple[RestrictionBlock, ...]:
+    """Restrict validated bundle data to the invariant curve of ``wall``: its isotypic blocks.
 
     ``v_chart`` selects the one-parameter subgroup measuring chart weights;
     any lattice point pairing to 1 against the wall conormal of the first
@@ -139,7 +133,7 @@ def restrict(
         t1, t2 = tuple([-w for _, w, _ in run1]), tuple([w for _, w, _ in run2])
         pasting = tuple([tuple([p[i2][i1] for _, _, i1 in run1]) for _, _, i2 in run2])
         blocks.append(RestrictionBlock(t1, t2, pasting))
-    return WallRestriction(wall, v, tuple(blocks))
+    return tuple(blocks)
 
 
 def bootstrap(
@@ -256,15 +250,15 @@ def splitting_system(data: "KaneyamaBundleData") -> SplittingSystem:
     """
     taus = []
     rows = []
-    for restriction in data.restrictions:
+    for wall, blocks in zip(data.fan.walls, data.restrictions):
         degs: list[int] = []
-        for block in restriction.blocks:
+        for block in blocks:
             if len(block.chart1_weights) == 1:
                 # one-dimensional isotypic block: degree is the weight difference
                 degs.append(block.chart1_weights[0] - block.chart2_weights[0])
             else:
                 degs.extend(bootstrap(block.chart1_weights, block.chart2_weights, block.pasting))
-        taus.append(restriction.wall.tau)
+        taus.append(wall.tau)
         rows.append(tuple(sorted(degs, reverse=True)))
     return SplittingSystem(tuple(taus), tuple(rows))
 
@@ -279,6 +273,8 @@ def transition_from_block(
     The entry (i, j) is the (i, j) entry of the inverse pasting times
     z**(chart1[i] - chart2[j]).
     """
+    if not len(chart1_weights) == len(chart2_weights) == len(pasting):
+        raise ValueError("block shape mismatch")
     inv = rat_invert(pasting)
     return tuple(
         tuple((inv[i][j], chart1_weights[i] - chart2_weights[j]) for j in range(len(inv)))

@@ -209,9 +209,9 @@ def test_walls_are_built_once_per_fan(monkeypatch):
     assert len(calls) == len(fans)
     for fan in fans:
         assert augmented_matrix(fan).row_walls is fan.walls
-        restrictions = tangent_bundle(fan).restrictions
-        assert len(restrictions) == len(fan.walls)
-        assert all(r.wall is w for r, w in zip(restrictions, fan.walls))
+        data = tangent_bundle(fan)
+        assert len(data.restrictions) == len(fan.walls)
+        assert all(r == splitting.restrict(data, w) for r, w in zip(data.restrictions, fan.walls))
         assert walls(fan) is fan.walls
     assert len(calls) == len(fans)
 

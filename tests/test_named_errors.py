@@ -153,6 +153,10 @@ CASES = {
         lambda: make_euler_spec(P2, [(1, 0, 0), (0, 1, 0)], [(1, 0), (0, 1, 0)]),
         "exponent vector (1, 0) needs 3 entries",
     ),
+    "euler-multiplicity-str": (
+        lambda: euler_monomial_spec(P2, ("a", 1, 1)),
+        "multiplicities ('a', 1, 1) have a non-integer entry",
+    ),
     "euler-multiplicity-negative": (
         lambda: euler_monomial_spec(P2, [1, -1, 1]),
         "multiplicities must be nonnegative",
@@ -252,6 +256,21 @@ CASES = {
         lambda: transition_from_block([1], [0], [[0.5]]),
         "entry 0.5 is not an int or a Fraction",
     ),
+    "transition-short-weights": (
+        lambda: transition_from_block((1,), (0, 1), [[1, 0], [0, 1]]),
+        "block shape mismatch",
+    ),
+    # the weight 5 fits no row of the pasting
+    "transition-long-weights": (
+        lambda: transition_from_block((1, 0, 5), (0, 1), [[1, 0], [0, 1]]),
+        "block shape mismatch",
+    ),
+    "system-list-taus": (lambda: SplittingSystem(list(P2_TAUS), ((2, 1),) * 3), "taus are not a tuple of tuples"),
+    "system-list-tau": (
+        lambda: SplittingSystem(tuple(map(list, P2_TAUS)), ((2, 1),) * 3),
+        "taus are not a tuple of tuples",
+    ),
+    "system-list-degrees": (lambda: SplittingSystem(P2_TAUS, [(2, 1)] * 3), "degrees are not a tuple"),
     "system-tuple-per-wall": (
         lambda: SplittingSystem(((0,), (1,)), ((1, 0),)),
         "one degree tuple per wall required",
@@ -293,6 +312,10 @@ BOOL_CASES = {
     "make_euler_spec-exponent": (
         lambda: make_euler_spec(P2, [(1, 0, 0), (0, 1, 0)], [(True, 0, 0), (0, 1, 0)]),
         "exponent vector (True, 0, 0) has a non-integer entry",
+    ),
+    "euler_monomial_spec": (
+        lambda: euler_monomial_spec(P2, (True, 1, 1)),
+        "multiplicities (True, 1, 1) have a non-integer entry",
     ),
     "SplittingSystem": (
         lambda: SplittingSystem(((0,),), ((True, False),)),

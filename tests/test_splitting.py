@@ -17,7 +17,6 @@ from toricsplit.splitting import (
     _DETERMINANT_RANK_CAP,
     RestrictionBlock,
     SplittingSystem,
-    WallRestriction,
     _clear_rows,
     _h_separable,
     _h_truncated,
@@ -549,13 +548,12 @@ def test_restrict_tangent_cp2_wall_degrees():
     fan = projective_space(2)
     data = tangent_bundle(fan)
     wall = walls(fan)[0]
-    res = restrict(data, wall)
-    assert res.v_chart == fan.rays[wall.extra1]
+    blocks = restrict(data, wall)
     degs = sorted(
-        (b.chart1_weights[0] - b.chart2_weights[0] for b in res.blocks), reverse=True
+        (b.chart1_weights[0] - b.chart2_weights[0] for b in blocks), reverse=True
     )
     assert degs == [2, 1]
-    assert res.weight_difference_total() == 3
+    assert sum(sum(b.chart1_weights) - sum(b.chart2_weights) for b in blocks) == 3
 
 
 def test_restrict_v_chart_invariance():
@@ -567,11 +565,11 @@ def test_restrict_v_chart_invariance():
         seen = set()
         for mult in (-2, 0, 1, 3):
             v = tuple(b + mult * t for b, t in zip(base, tau_ray))
-            res = restrict(data, wall, v)
+            blocks = restrict(data, wall, v)
             seen.add(
                 tuple(
                     sorted(
-                        (b.chart1_weights[0] - b.chart2_weights[0] for b in res.blocks),
+                        (b.chart1_weights[0] - b.chart2_weights[0] for b in blocks),
                         reverse=True,
                     )
                 )
@@ -657,7 +655,7 @@ def _reference_restrict(data, wall, v_chart=None):
                 block_pasting,
             )
         )
-    return WallRestriction(wall, v, tuple(blocks))
+    return tuple(blocks)
 
 
 def _restrict_outcome(restrict_fn, data, wall, v_chart=None):
@@ -668,9 +666,12 @@ def _restrict_outcome(restrict_fn, data, wall, v_chart=None):
 
 
 def _assert_restrict_matches_reference(data, shift=False):
-    """Equal restrictions wall by wall, at the default ``v_chart`` and, with ``shift``, moved along tau."""
+    """Equal restrictions wall by wall, at the default ``v_chart`` and, with ``shift``, moved along tau;
+    ``data.restrictions`` holds the default one of each wall, in wall order."""
     fan = data.fan
-    for wall in walls(fan):
+    assert len(data.restrictions) == len(fan.walls)
+    for wall, blocks in zip(fan.walls, data.restrictions):
+        assert blocks == restrict(data, wall), wall
         base = fan.rays[wall.extra1]
         v_charts = [None]
         if shift:
@@ -705,7 +706,7 @@ def test_restrict_matches_reference_on_line_sums(line_bundle_sum):
         divisors = [[rng.randint(-1, 1) for _ in fan.rays] for _ in range(rng.randint(2, 4))]
         data = line_bundle_sum(fan, divisors)
         _assert_restrict_matches_reference(data, shift=True)
-        for block in (b for r in data.restrictions for b in r.blocks if len(b.chart1_weights) > 1):
+        for block in (b for blocks in data.restrictions for b in blocks if len(b.chart1_weights) > 1):
             spread += len(set(block.chart1_weights)) > 1
             tied += len(set(block.chart1_weights)) < len(block.chart1_weights)
     assert spread > 50 and tied > 50, (spread, tied)
