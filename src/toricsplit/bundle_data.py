@@ -47,10 +47,13 @@ class KaneyamaBundleData:
     (c, 0), from cone c's frame to cone 0's and back; both are the identity at c = 0."""
 
     fan: Fan
-    rank: int
     weight_systems: tuple[tuple[tuple[int, ...], ...], ...]
     to_base: tuple[PastingMatrix, ...]
     from_base: tuple[PastingMatrix, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.weight_systems[0])
 
     def pasting(self, c2: int, c1: int) -> list[list[Rat]]:
         """Pasting matrix from cone c1's frame to cone c2's; rows index c2 weights."""
@@ -99,29 +102,30 @@ def assemble_bundle(
             raise ValueError(f"pasting ({c2},{c1}) names a cone out of range")
         if len(raw) != rank or any(len(row) != rank for row in raw):
             raise ValueError(f"pasting ({c2},{c1}) is not {rank}x{rank}")
-        for row in raw:
-            for x in row:
-                if type(x) not in RAT_TYPES:
-                    raise ValueError(f"pasting ({c2},{c1}) entry {x!r} is not an int or a Fraction")
+        if fault := _entry_fault(c2, c1, raw):
+            raise ValueError(fault)
     star = range(1, n_cones)
     missing = [pair for c in star for pair in ((0, c), (c, 0)) if pair not in pasting_map]
     if missing:
         raise ValueError("pasting ({},{}) is missing".format(*missing[0]))
 
     # the cocycle on the pastings as given: the sort permutes each cone's rows and
-    # columns alike, so they factor through cone 0 exactly when the permuted ones do
+    # columns alike, so they factor through cone 0 exactly when the permuted ones do;
+    # a given (0, 0) must be cone 0's stored frame, the identity
+    identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
     for (c2, c1), raw in pasting_map.items():
-        if 0 not in (c2, c1) and rat_matmul(pasting_map[(c2, 0)], pasting_map[(0, c1)]) != list(map(list, raw)):
+        if 0 in (c2, c1) and c2 != c1:
+            continue
+        through = rat_matmul(pasting_map[(c2, 0)], pasting_map[(0, c1)]) if c2 else list(map(list, identity))
+        if through != list(map(list, raw)):
             raise ValueError(f"cocycle fails for cones ({c2},0,{c1})")
 
     def permuted(c2: int, c1: int) -> PastingMatrix:
         raw = pasting_map[(c2, c1)]
         return tuple([tuple([raw[i][j] for j in perms[c1]]) for i in perms[c2]])
 
-    identity = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
     return KaneyamaBundleData(
         fan,
-        rank,
         tuple(sorted_systems),
         (identity, *[permuted(0, c) for c in star]),
         (identity, *[permuted(c, 0) for c in star]),
@@ -138,11 +142,11 @@ def validate(data: KaneyamaBundleData) -> list[str]:
     per bad wall.
     """
     fan = data.fan
-    r = data.rank
     violations: list[str] = []
     n_cones = len(fan.max_cones)
     if not len(data.weight_systems) == len(data.to_base) == len(data.from_base) == n_cones:
         return ["weight system or pasting count does not match the fan"]
+    r = data.rank
     for ci, ws in enumerate(data.weight_systems):
         if len(ws) != r or any(len(chi) != fan.dim for chi in ws):
             violations.append(f"weight system of cone {ci} has the wrong shape")
@@ -185,7 +189,7 @@ def validate(data: KaneyamaBundleData) -> list[str]:
     return violations
 
 
-def _entry_fault(c2: int, c1: int, p: PastingMatrix) -> str | None:
+def _entry_fault(c2: int, c1: int, p: Sequence[Sequence[Rat]]) -> str | None:
     """The violation of pasting (c2, c1)'s first entry that is not an ``int`` or a ``Fraction``, if any."""
     for row in p:
         for x in row:
@@ -221,6 +225,9 @@ def cp2_rank2(a: int, b: int, c: int) -> KaneyamaBundleData:
     off-match entries die in every wall limit, so the splitting numbers only
     see the matching.
     """
+    for x in (a, b, c):
+        if type(x) is not int:
+            raise ValueError(f"cp2_rank2 parameter {x!r} is not an integer")
     if a < 1 or b < 1 or c < 1:
         raise ValueError("weights a, b, c must be positive")
     from .fan import projective_space
@@ -344,6 +351,8 @@ def euler_splitting_system(
 
 
 def format_bundle(data: KaneyamaBundleData) -> str:
+    if data.rank == 0:
+        raise ValueError("rank-0 bundle data has no text form: parse_bundle needs a positive rank")
     lines = [f"rank {data.rank}"]
     for ci, ws in enumerate(data.weight_systems):
         chunks = ";".join("(" + " ".join(str(x) for x in chi) + ")" for chi in ws)

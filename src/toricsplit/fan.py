@@ -95,13 +95,6 @@ class Wall:
     relation: tuple[int, ...]
 
 
-def _is_primitive(ray: tuple[int, ...]) -> bool:
-    g = 0
-    for x in ray:
-        g = gcd(g, x)
-    return g == 1
-
-
 def make_fan(n: int, rays, max_cones) -> Fan:
     """Validate raw integer data into a Fan.
 
@@ -123,7 +116,7 @@ def make_fan(n: int, rays, max_cones) -> Fan:
             raise ValueError(f"ray {ray} has a non-integer coordinate")
         if len(ray) != n:
             raise ValueError(f"ray {ray} does not have {n} coordinates")
-        if not _is_primitive(ray):
+        if gcd(*ray) != 1:
             raise ValueError(f"non-primitive ray {ray}")
     if len(set(ray_tuples)) != len(ray_tuples):
         raise ValueError("duplicate rays")

@@ -27,8 +27,12 @@ class SignClass(Enum):
 @dataclass(frozen=True)
 class AugmentedIntersectionMatrix:
     fan: Fan
-    row_walls: tuple[Wall, ...]
     q: IntMatrix
+
+    @property
+    def row_walls(self) -> tuple[Wall, ...]:
+        """The wall of each row of Q: ``fan.walls``, in that order."""
+        return self.fan.walls
 
     @cached_property
     def left_kernel(self) -> tuple[tuple[int, ...], ...]:
@@ -136,7 +140,7 @@ def augmented_matrix(fan: Fan) -> AugmentedIntersectionMatrix:
         row[w.extra1] += 1
         row[w.extra2] += 1
         rows.append(row)
-    return AugmentedIntersectionMatrix(fan, fan.walls, IntMatrix.from_rows(rows))
+    return AugmentedIntersectionMatrix(fan, IntMatrix.from_rows(rows))
 
 
 def apply_q(aim: AugmentedIntersectionMatrix, x: Sequence[int]) -> tuple[int, ...]:

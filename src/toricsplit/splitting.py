@@ -298,7 +298,10 @@ def h0_oracle(transition: Sequence[Sequence[tuple[Rat, int]]]) -> tuple[int, ...
     entries, has det T = det C * z**(sum(u) + sum(t)) for its coefficient
     matrix C, so its determinant is read off the pivots of the one
     elimination of C that also ranks every twist.  Only a non-separable
-    transition is expanded over all r! permutations.
+    transition is expanded over all r! permutations.  The work is bounded
+    before the first twist: a non-separable transition's pole depth at
+    k = lo, then any transition's exponent window hi - lo, must not exceed
+    ``_TRUNCATION_CAP``.
     """
     r = len(transition)
     if any(len(row) != r for row in transition):
@@ -313,13 +316,17 @@ def h0_oracle(transition: Sequence[Sequence[tuple[Rat, int]]]) -> tuple[int, ...
         raise ValueError("singular transition matrix")  # a zero column
     exps = [e for row in t for c, e in row if c != 0]
     lo, hi = min(exps), max(exps)
-    twists = range(lo, hi + 3)
     if split is None:
         det_exp = _determinant_exponent(t)
-        h = {k: _h_truncated(t, k, det_exp, lo) for k in twists}
+        # the pole depth of ``_h_truncated`` is largest at the first twist, k = lo
+        if det_exp - r * lo > _TRUNCATION_CAP:
+            raise RuntimeError(f"section pole depth {det_exp - r * lo} exceeds the hard cap {_TRUNCATION_CAP}")
     else:
         det_exp = sum(split[0]) + sum(split[1])
-        h = _h_separable(t, split, twists)
+    if hi - lo > _TRUNCATION_CAP:
+        raise ValueError(f"transition exponent window {hi - lo} exceeds the hard cap {_TRUNCATION_CAP}")
+    twists = range(lo, hi + 3)
+    h = _h_separable(t, split, twists) if split else {k: _h_truncated(t, k, det_exp, lo) for k in twists}
     degrees: list[int] = []
     for d in range(hi, lo - 1, -1):
         mult = h[d] - 2 * h[d + 1] + h[d + 2]
@@ -450,18 +457,20 @@ def _h_separable(t: IntMonomialMatrix, split: tuple[list[int], list[int]], twist
 # the r! determinant expansion of a non-separable transition; checked for every transition,
 # separable ones too, so that no verdict depends on the route
 _DETERMINANT_RANK_CAP = 8
-_TRUNCATION_CAP = 4096
+# the pole depth of a non-separable transition at its first twist, and the exponent window
+# hi - lo of every transition, which sets the number of twists; the work grows with both, and
+# the slowest rank-8 input found under this cap took 1.4 s on a 2-vCPU Xeon
+_TRUNCATION_CAP = 32
 
 
 def _h_truncated(t: IntMonomialMatrix, k: int, det_exp: int, lo: int) -> int:
     """h(k) by bounded-depth elimination; depth bound from the adjugate formula.
 
-    ``lo`` is the lowest exponent of a nonzero entry of ``t``.
+    ``lo`` is the lowest exponent of a nonzero entry of ``t``.  ``h0_oracle``
+    caps the depth at k = lo, where it is largest, before the first twist.
     """
     r = len(t)
     depth = max(0, det_exp - k - (r - 1) * lo)
-    if depth > _TRUNCATION_CAP:
-        raise RuntimeError(f"section pole depth {depth} exceeds the hard cap {_TRUNCATION_CAP}")
     # variables s[j, m] for -depth <= m <= 0; one constraint per negative power per row
     var_index = {(j, m): j * (depth + 1) + (m + depth) for j in range(r) for m in range(-depth, 1)}
     rows: list[list[int]] = []

@@ -2,7 +2,7 @@
 
 import random
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +10,7 @@ import pytest
 
 from toricsplit import bundle_data
 from toricsplit.bundle_data import (
+    KaneyamaBundleData,
     assemble_bundle,
     cp2_rank2,
     euler_monomial_spec,
@@ -58,6 +59,29 @@ def test_assemble_rejects_bad_pastings():
     for pasting_map, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             assemble_bundle(data.fan, data.weight_systems, pasting_map)
+
+
+def test_rank_is_read_off_the_weights(perturbed_bundles):
+    assert [f.name for f in fields(KaneyamaBundleData)] == ["fan", "weight_systems", "to_base", "from_base"]
+    fans = [projective_space(n) for n in (1, 2, 3)]
+    fans += [graph_to_fan(g) for k in range(3) for g in enumerate_blowups(k)]
+    bundles = [tangent_bundle(fan) for fan in fans]
+    bundles += [cp2_rank2(a, b, c) for a, b, c in product((1, 2, 3), repeat=3)]
+    bundles += [data for data in perturbed_bundles if not validate(data)]
+    for data in bundles:
+        assert data.rank == len(data.weight_systems[0])
+    assert {data.rank for data in bundles} == {1, 2, 3}
+
+
+def test_a_given_diagonal_pasting_must_be_the_identity():
+    # (0, 0) is checked against cone 0's stored frame, the identity; (1, 1) through cone 0
+    fan = projective_space(2)
+    data = tangent_bundle(fan)
+    star = {**{(0, c): data.to_base[c] for c in (1, 2)}, **{(c, 0): data.from_base[c] for c in (1, 2)}}
+    for c in (0, 1):
+        assert assemble_bundle(fan, data.weight_systems, {**star, (c, c): [[1, 0], [0, 1]]}) == data
+        with pytest.raises(ValueError, match=rf"^cocycle fails for cones \({c},0,{c}\)$"):
+            assemble_bundle(fan, data.weight_systems, {**star, (c, c): [[5, 0], [0, 5]]})
 
 
 def test_rank_zero_data_is_valid_and_splits_to_empty_rows():

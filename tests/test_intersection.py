@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -6,6 +7,7 @@ from toricsplit.bundle_data import tangent_bundle
 from toricsplit.cli import table41_rows
 from toricsplit.fan import make_fan, projective_space, walls
 from toricsplit.intersection import (
+    AugmentedIntersectionMatrix,
     SignClass,
     apply_q,
     augmented_matrix,
@@ -43,6 +45,15 @@ def test_q_surface_is_circulant_tridiagonal():
             expected = g.weights[i] if i == j else 1 if (i - j) % s in (1, s - 1) else 0
             assert aim.q.entries[i][j] == expected
         assert sum(aim.q.entries[i]) == g.weights[i] + 2
+
+
+def test_row_walls_are_read_off_the_fan(small_fans):
+    # the matrix holds only its fan and Q, and each row's wall is the fan's wall, in fan.walls order
+    assert [f.name for f in fields(AugmentedIntersectionMatrix)] == ["fan", "q"]
+    for fan in small_fans:
+        aim = augmented_matrix(fan)
+        assert aim.row_walls is aim.fan.walls
+        assert aim.q.rows == len(fan.walls)
 
 
 def test_sign_of_class():

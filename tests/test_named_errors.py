@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from toricsplit.bundle_data import (
     assemble_bundle,
+    cp2_rank2,
     euler_monomial_spec,
     euler_splitting_system,
     format_bundle,
@@ -23,6 +24,7 @@ from toricsplit.fan import format_fan, make_fan, parse_fan, projective_space
 from toricsplit.intersection import apply_q, augmented_matrix, sign_of_class
 from toricsplit.solver import canonical_class_rep, find_splitting_types
 from toricsplit.splitting import (
+    _TRUNCATION_CAP,
     SplittingSystem,
     bootstrap,
     h0_oracle,
@@ -73,6 +75,7 @@ def _p2_tangent_with_pasting(entry):
 
 
 P2_TAUS = tuple(w.tau for w in augmented_matrix(P2).row_walls)
+WIDE = _TRUNCATION_CAP + 1  # an exponent window just over the oracle's cap
 
 
 def _search(row, first=None):
@@ -145,6 +148,21 @@ CASES = {
         lambda: assemble_bundle(P2, tangent_bundle(P2).weight_systems[:2], _p2_tangent_pastings()[1]),
         "one weight system per maximal cone required",
     ),
+    # parse_bundle refuses "pasting i i", so only a library caller can give (0, 0)
+    "bundle-pasting-0-0": (
+        lambda: assemble_bundle(
+            P2, tangent_bundle(P2).weight_systems, {**_p2_tangent_pastings()[1], (0, 0): ((5, 0), (0, 5))}
+        ),
+        "cocycle fails for cones (0,0,0)",
+    ),
+    # assemble_bundle and validate accept rank 0, but parse_bundle would refuse its text
+    "format-bundle-rank-0": (
+        lambda: format_bundle(
+            assemble_bundle(P2, [[], [], []], {(a, b): [] for a in range(3) for b in range(3) if a != b})
+        ),
+        "rank-0 bundle data has no text form: parse_bundle needs a positive rank",
+    ),
+    "cp2-rank2-str": (lambda: cp2_rank2("a", 1, 1), "cp2_rank2 parameter 'a' is not an integer"),
     "bundle-weight-system-rank": (
         lambda: assemble_bundle(P2, _p2_tangent_weights_ranked(1), _p2_tangent_pastings()[1]),
         "all weight systems must have the same rank",
@@ -252,6 +270,15 @@ CASES = {
         "entry 1.5 is not an int or a Fraction",
     ),
     "h0-oracle-float-coefficient": (lambda: h0_oracle([[(1.5, 0)]]), "entry 1.5 is not an int or a Fraction"),
+    "h0-oracle-separable-window": (
+        lambda: h0_oracle([[(1, 0), (0, 0)], [(0, 0), (1, WIDE)]]),
+        f"transition exponent window {WIDE} exceeds the hard cap {_TRUNCATION_CAP}",
+    ),
+    # unipotent, so its pole depth is 0; exponents u_i + t_j fit every entry but (1, 2)
+    "h0-oracle-non-separable-window": (
+        lambda: h0_oracle([[(1, 0), (1, WIDE), (1, 0)], [(0, 0), (1, 0), (1, 0)], [(0, 0), (0, 0), (1, 0)]]),
+        f"transition exponent window {WIDE} exceeds the hard cap {_TRUNCATION_CAP}",
+    ),
     "transition-float-pasting": (
         lambda: transition_from_block([1], [0], [[0.5]]),
         "entry 0.5 is not an int or a Fraction",
@@ -343,6 +370,7 @@ BOOL_CASES = {
     "WeightedCircularGraph": (lambda: WeightedCircularGraph((True, 1, 1)), "non-integer weight True"),
     "blowup": (lambda: blowup(cp2(), True), "blowup position True is not an integer"),
     "hirzebruch": (lambda: hirzebruch(True), "hirzebruch parameter True is not an integer"),
+    "cp2_rank2": (lambda: cp2_rank2(True, 1, 1), "cp2_rank2 parameter True is not an integer"),
     # after k = 1 is cached, True must not be read as 1
     "enumerate_blowups": (
         lambda: enumerate_blowups(1) and enumerate_blowups(True),

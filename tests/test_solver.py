@@ -152,7 +152,7 @@ def test_orderings_are_built_once_per_distinct_row_reached(monkeypatch):
 def test_kernel_guard_trips_on_foreign_matrix():
     fan = projective_space(2)
     aim, system = tangent_case(fan)
-    bogus = AugmentedIntersectionMatrix(fan, aim.row_walls, identity(3))
+    bogus = AugmentedIntersectionMatrix(fan, identity(3))
     with pytest.raises(RuntimeError, match="principal-divisor lattice"):
         find_splitting_types(bogus, system)
 
@@ -320,7 +320,7 @@ def test_exactness_checks_survive_optimize_flag():
         # F_1's tangent search reaches no leaf, so only the lattice guard can see a foreign Q
         fan = graph_to_fan(hirzebruch(1))
         bogus = AugmentedIntersectionMatrix(
-            fan, augmented_matrix(fan).row_walls, IntMatrix.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
+            fan, IntMatrix.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
         )
         try:
             solver.find_splitting_types(bogus, splitting_system(tangent_bundle(fan)))
@@ -678,7 +678,7 @@ def test_lattice_check_matches_hnf_reference():
         aim = augmented_matrix(fan)
         assert _eager_lattice_ok(aim) and _reference_lattice_ok(aim)
         for kind, rows in _foreign_matrices(aim.q):
-            foreign = AugmentedIntersectionMatrix(fan, aim.row_walls, IntMatrix.from_rows(rows))
+            foreign = AugmentedIntersectionMatrix(fan, IntMatrix.from_rows(rows))
             verdict = _eager_lattice_ok(foreign)
             assert verdict == _reference_lattice_ok(foreign), (fan, kind, rows)
             verdicts.setdefault(kind, set()).add(verdict)
@@ -709,7 +709,7 @@ def test_wall_order_relations_span_the_rref_kernel(assert_readers_match_referenc
         for rows in matrices:
             assert_readers_match_references(rows)
             q = IntMatrix.from_rows(rows)
-            relations = AugmentedIntersectionMatrix(fan, aim.row_walls, q).left_kernel
+            relations = AugmentedIntersectionMatrix(fan, q).left_kernel
             ends = [max(w for w, c in enumerate(y) if c) for y in relations]
             for y, end in zip(relations, ends):
                 assert rat_matmul([y], q.entries) == [[0] * q.cols]
@@ -746,7 +746,7 @@ def test_fresh_row_certificate_matches_the_elimination(line_sum_search_items):
     for fan in _lattice_fans():
         aim = augmented_matrix(fan)
         for kind, rows in _foreign_matrices(aim.q):
-            foreign = AugmentedIntersectionMatrix(fan, aim.row_walls, IntMatrix.from_rows(rows))
+            foreign = AugmentedIntersectionMatrix(fan, IntMatrix.from_rows(rows))
             try:
                 foreign.relation_walls
                 verdict = True
@@ -848,7 +848,7 @@ def test_too_few_fresh_rows_still_fail_under_optimize_flag():
         fan = graph_to_fan(hirzebruch(1))
         aim = augmented_matrix(fan)
         rows = [[0] * aim.q.cols] * 3 + [list(aim.q.entries[3])]
-        bogus = AugmentedIntersectionMatrix(fan, aim.row_walls, IntMatrix.from_rows(rows))
+        bogus = AugmentedIntersectionMatrix(fan, IntMatrix.from_rows(rows))
         try:
             solver.find_splitting_types(bogus, splitting_system(tangent_bundle(fan)))
         except RuntimeError as exc:
@@ -897,7 +897,7 @@ def test_stats_reconcile_with_types():
     fan = projective_space(2)
     aim = augmented_matrix(fan)
     doubled = AugmentedIntersectionMatrix(
-        fan, aim.row_walls, IntMatrix.from_rows([[2 * v for v in row] for row in aim.q.entries])
+        fan, IntMatrix.from_rows([[2 * v for v in row] for row in aim.q.entries])
     )
     stats = {}
     assert find_splitting_types(doubled, splitting_system(tangent_bundle(fan)), stats=stats) == []

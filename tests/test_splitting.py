@@ -15,6 +15,7 @@ from toricsplit.fan import projective_space, walls
 from toricsplit.intersection import augmented_matrix
 from toricsplit.splitting import (
     _DETERMINANT_RANK_CAP,
+    _TRUNCATION_CAP,
     RestrictionBlock,
     SplittingSystem,
     _clear_rows,
@@ -107,6 +108,17 @@ def test_oracle_depth_cap():
     assert _separate_exponents(t) is None
     with pytest.raises(RuntimeError, match="pole depth"):
         h0_oracle(t)
+
+
+def test_oracle_window_cap():
+    # a window hi - lo of exactly the cap is accepted on both routes; one more is refused,
+    # with these matrices, in test_named_errors
+    w = _TRUNCATION_CAP
+    # u = (0, -w) and t = (0, w, 0) fit every entry but (1, 2)
+    non_separable = mono([[(1, 0), (1, w), (1, 0)], [(0, 0), (1, 0), (1, 0)], [(0, 0), (0, 0), (1, 0)]])
+    assert _separate_exponents(non_separable) is None
+    assert h0_oracle(non_separable) == (0, 0, 0)
+    assert h0_oracle(mono([[(1, 0), (0, 0)], [(0, 0), (1, w)]])) == (w, 0)
 
 
 def test_oracle_determinant_rank_cap():
@@ -597,7 +609,7 @@ def test_restrict_rejects_bad_v_chart():
 def test_restrict_rejects_net_violation():
     fan = projective_space(2)
     one = ((1,),)
-    data = KaneyamaBundleData(fan, 1, (((1, 0),), ((0, 1),), ((0, 0),)), (one,) * 3, (one,) * 3)
+    data = KaneyamaBundleData(fan, (((1, 0),), ((0, 1),), ((0, 0),)), (one,) * 3, (one,) * 3)
     with pytest.raises(ValueError, match="net condition"):
         restrict(data, walls(fan)[0])
 
@@ -785,7 +797,7 @@ def test_splitting_system_multidimensional_block():
     fan = projective_space(2)
     zero = ((0, 0), (0, 0))
     ident = ((1, 0), (0, 1))
-    data = KaneyamaBundleData(fan, 2, (zero, zero, zero), (ident,) * 3, (ident,) * 3)
+    data = KaneyamaBundleData(fan, (zero, zero, zero), (ident,) * 3, (ident,) * 3)
     system = splitting_system(data)
     assert all(row == (0, 0) for row in system.degrees)
 
