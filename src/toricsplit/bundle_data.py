@@ -26,9 +26,8 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .exact_linear import RAT_TYPES, Rat, dot, rat_matmul, rat_rank
-from .fan import ENTRY_LENGTH_CAP, INTEGER_TOKEN, Fan, content_lines, parse_int
+from .fan import ENTRY_LENGTH_CAP, INTEGER_TOKEN, Fan, canonical_class_rep, content_lines, parse_int, projective_space
 from .intersection import AugmentedIntersectionMatrix, apply_q
-from .solver import canonical_class_rep
 from .splitting import RestrictionBlock, SplittingSystem, restrict
 
 PastingMatrix = tuple[tuple[Rat, ...], ...]
@@ -91,8 +90,8 @@ def assemble_bundle(
             raise ValueError("all weight systems must have the same rank")
         chis = [tuple(chi) for chi in ws]
         for chi in chis:
-            if len(chi) != fan.dim or not all(type(x) is int for x in chi):
-                raise ValueError(f"weight {chi} is not {fan.dim} integers")
+            if fault := _weight_fault(chi, fan.dim):
+                raise ValueError(fault)
         perm = sorted(range(rank), key=chis.__getitem__)
         perms.append(perm)
         sorted_systems.append(tuple([chis[i] for i in perm]))
@@ -100,9 +99,7 @@ def assemble_bundle(
     for (c2, c1), raw in pasting_map.items():
         if not (0 <= c2 < n_cones and 0 <= c1 < n_cones):
             raise ValueError(f"pasting ({c2},{c1}) names a cone out of range")
-        if len(raw) != rank or any(len(row) != rank for row in raw):
-            raise ValueError(f"pasting ({c2},{c1}) is not {rank}x{rank}")
-        if fault := _entry_fault(c2, c1, raw):
+        if fault := _pasting_fault(c2, c1, raw, rank):
             raise ValueError(fault)
     star = range(1, n_cones)
     missing = [pair for c in star for pair in ((0, c), (c, 0)) if pair not in pasting_map]
@@ -135,37 +132,29 @@ def assemble_bundle(
 def validate(data: KaneyamaBundleData) -> list[str]:
     """All violations of the net, cocycle, and support conditions (empty = valid).
 
-    Checks shapes and stored entry types as ``assemble_bundle`` does and,
-    for the cocycle condition, (c, 0) @ (0, c) = I per cone; net and support
-    come from ``data.restrictions``, one ``restrict`` per wall, and only when
-    that fails is each wall restricted on its own, to report one violation
-    per bad wall.
+    A count fault or weight systems of unequal lengths are reported alone.
+    Otherwise every weight and pasting fault is listed, with the checkers and
+    wording of ``assemble_bundle``, and the cocycle condition is checked as
+    (c, 0) @ (0, c) = I per cone; net and support come from
+    ``data.restrictions``, one ``restrict`` per wall, and only when that fails
+    is each wall restricted on its own, to report one violation per bad wall.
     """
     fan = data.fan
-    violations: list[str] = []
     n_cones = len(fan.max_cones)
     if not len(data.weight_systems) == len(data.to_base) == len(data.from_base) == n_cones:
         return ["weight system or pasting count does not match the fan"]
+    if len({len(ws) for ws in data.weight_systems}) != 1:
+        return ["all weight systems must have the same rank"]
     r = data.rank
-    for ci, ws in enumerate(data.weight_systems):
-        if len(ws) != r or any(len(chi) != fan.dim for chi in ws):
-            violations.append(f"weight system of cone {ci} has the wrong shape")
-            continue
-        for chi in ws:
-            for x in chi:
-                if type(x) is not int:
-                    violations.append(f"weight {tuple(chi)} is not {fan.dim} integers")
-                    break
+    violations = [fault for ws in data.weight_systems for chi in ws if (fault := _weight_fault(chi, fan.dim))]
     identity = [[int(i == j) for j in range(r)] for i in range(r)]
     # through cone 0 the cocycle condition is pasting (c, 0) @ (0, c) = identity
     for c in range(n_cones):
         pair = (data.from_base[c], data.to_base[c])
-        if any(len(p) != r or any(len(row) != r for row in p) for p in pair):
-            violations.append(f"pasting ({c},0) or (0,{c}) has the wrong shape")
-            continue
-        fault = _entry_fault(c, 0, pair[0]) or _entry_fault(0, c, pair[1])
-        if fault:
-            violations.append(fault)
+        # at c = 0 both stored pastings are (0, 0): a fault they share is named once
+        faults = [f for f in dict.fromkeys((_pasting_fault(c, 0, pair[0], r), _pasting_fault(0, c, pair[1], r))) if f]
+        if faults:
+            violations += faults
         elif rat_matmul(*pair) != identity:
             if any(rat_rank(p) < r for p in pair):
                 violations.append(f"pasting ({c},0) or (0,{c}) is singular")
@@ -189,8 +178,18 @@ def validate(data: KaneyamaBundleData) -> list[str]:
     return violations
 
 
-def _entry_fault(c2: int, c1: int, p: Sequence[Sequence[Rat]]) -> str | None:
-    """The violation of pasting (c2, c1)'s first entry that is not an ``int`` or a ``Fraction``, if any."""
+def _weight_fault(chi: Sequence[int], dim: int) -> str | None:
+    """The fault of a weight that is not ``dim`` integers, if it has one."""
+    if len(chi) != dim or not all(type(x) is int for x in chi):
+        return f"weight {tuple(chi)} is not {dim} integers"
+    return None
+
+
+def _pasting_fault(c2: int, c1: int, p: Sequence[Sequence[Rat]], rank: int) -> str | None:
+    """The first fault of pasting (c2, c1): a shape other than rank x rank, then
+    the first entry that is not an ``int`` or a ``Fraction``."""
+    if len(p) != rank or any(len(row) != rank for row in p):
+        return f"pasting ({c2},{c1}) is not {rank}x{rank}"
     for row in p:
         for x in row:
             if type(x) not in RAT_TYPES:
@@ -223,15 +222,14 @@ def cp2_rank2(a: int, b: int, c: int) -> KaneyamaBundleData:
     unique (up to equivalence) constant matrices with the weight-matched
     entries nonzero that satisfy the cocycle and support conditions; the
     off-match entries die in every wall limit, so the splitting numbers only
-    see the matching.
+    see the matching.  Only the pastings into and out of cone 0 are given;
+    (1, 2) and (2, 1) are their products.
     """
     for x in (a, b, c):
         if type(x) is not int:
             raise ValueError(f"cp2_rank2 parameter {x!r} is not an integer")
     if a < 1 or b < 1 or c < 1:
         raise ValueError("weights a, b, c must be positive")
-    from .fan import projective_space
-
     fan = projective_space(2)
     w_01 = [(a, 0), (0, b)]
     w_02 = [(a, -a), (0, -c)]
@@ -239,10 +237,8 @@ def cp2_rank2(a: int, b: int, c: int) -> KaneyamaBundleData:
     weights = [w_01, w_02, w_12]
     pasting_map = {
         (2, 0): [[1, 1], [1, 0]],
-        (1, 2): [[1, 0], [1, -1]],
         (1, 0): [[1, 1], [0, 1]],
         (0, 2): [[0, 1], [1, -1]],
-        (2, 1): [[1, 0], [1, -1]],
         (0, 1): [[1, -1], [0, 1]],
     }
     return assemble_bundle(fan, weights, pasting_map)

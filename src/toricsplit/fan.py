@@ -1,4 +1,4 @@
-"""Complete nonsingular fans: validation, walls, wall relations, dual bases.
+"""Complete nonsingular fans: validation, walls, wall relations, dual bases, class reduction.
 
 A fan is stored as an ordered ray list plus maximal cones given by ray
 index sets, with each cone's dual basis.  ``make_fan`` inverts cone 0 only
@@ -76,6 +76,24 @@ class Fan:
             tuple((s, c) for s, col in zip(support, columns) if (c := dot(ray, col))) for ray in self.rays
         )
         return support, terms
+
+
+def canonical_class_rep(x, fan: Fan) -> tuple[int, ...]:
+    """Reduce a ray-coefficient vector modulo the principal-divisor lattice.
+
+    The coordinates of the fixed unimodular ray subset of ``fan.reduction``
+    are driven to zero, in one pass over its per-ray terms.
+    """
+    if len(x) != len(fan.rays):
+        raise ValueError(f"class vector needs {len(fan.rays)} entries")
+    for v in x:
+        if type(v) is not int:
+            raise ValueError(f"class {tuple(x)} has a non-integer coordinate")
+    support, terms = fan.reduction
+    reduced = tuple(v - sum(c * x[s] for s, c in t) for v, t in zip(x, terms))
+    if any(reduced[k] for k in support):
+        raise RuntimeError(f"invariant broken: reduced class {reduced} is nonzero on the support {support}")
+    return reduced
 
 
 @dataclass(frozen=True)

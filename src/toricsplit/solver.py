@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .exact_linear import SparseTerms
-from .fan import Fan
+from .fan import canonical_class_rep
 from .intersection import AugmentedIntersectionMatrix, SignClass, apply_q, sign_of_degrees
 from .splitting import SplittingSystem
 
@@ -91,10 +91,12 @@ def find_splitting_types(
     ``kernel_cuts``.  The result has ``leaves - failed_solves`` types: a
     leaf's columns are sorted, so a type's classes fix their degree columns
     and with them the leaf, and a repeated type raises ``RuntimeError``.
-    ``strict`` must be a ``bool``.
+    ``strict`` must be a ``bool`` and ``stats`` ``None`` or a ``dict``.
     """
     if type(strict) is not bool:
         raise ValueError(f"strict {strict!r} is not a bool")
+    if stats is not None and not isinstance(stats, dict):
+        raise ValueError(f"stats {stats!r} is not a dict")
     if tuple(w.tau for w in aim.row_walls) != system.taus:
         raise ValueError("system walls do not match the intersection matrix")
     degree_rows = system.degrees
@@ -213,21 +215,3 @@ def _solve_column(
         raise RuntimeError(f"invariant broken: integral solve of candidate {perm_id} misses Q @ x = rows")
     # the check above makes the target the column's degrees Q @ x
     return x, canonical_class_rep(x, aim.fan), sign_of_degrees(target)
-
-
-def canonical_class_rep(x, fan: Fan) -> tuple[int, ...]:
-    """Reduce a ray-coefficient vector modulo the principal-divisor lattice.
-
-    The coordinates of the fixed unimodular ray subset of ``fan.reduction``
-    are driven to zero, in one pass over its per-ray terms.
-    """
-    if len(x) != len(fan.rays):
-        raise ValueError(f"class vector needs {len(fan.rays)} entries")
-    for v in x:
-        if type(v) is not int:
-            raise ValueError(f"class {tuple(x)} has a non-integer coordinate")
-    support, terms = fan.reduction
-    reduced = tuple(v - sum(c * x[s] for s, c in t) for v, t in zip(x, terms))
-    if any(reduced[k] for k in support):
-        raise RuntimeError(f"invariant broken: reduced class {reduced} is nonzero on the support {support}")
-    return reduced

@@ -5,6 +5,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from toricsplit import bundle_data, fan, solver
 from toricsplit.fan import projective_space
 from toricsplit.intersection import augmented_matrix
 
@@ -23,6 +24,12 @@ def test_traced_names_resolve(monkeypatch):
             assert callable(getattr(module, name, None)), f"toricsplit.{layer}.{name} is traced but missing"
     # fan.walls.hit_ratio is read from the walls cache
     assert callable(getattr(importlib.import_module("toricsplit.fan").walls, "cache_info", None))
+
+
+def test_the_traced_class_reducer_is_fans():
+    # the tracer names solver.canonical_class_rep and wraps that function wherever a module
+    # holds it, so bundle_data's calls are counted only while every module holds fan's one
+    assert solver.canonical_class_rep is fan.canonical_class_rep is bundle_data.canonical_class_rep
 
 
 def test_benchmark_reads_of_the_intersection_matrix():

@@ -1,6 +1,7 @@
 """Command-line behavior: golden outputs, error paths, determinism."""
 
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,7 +11,15 @@ import pytest
 
 import toricsplit.bundle_data as bundle_data
 import toricsplit.splitting as splitting
-from toricsplit.bundle_data import cp2_rank2, format_bundle, load_bundle, parse_bundle, tangent_bundle
+from toricsplit.bundle_data import (
+    cp2_rank2,
+    euler_monomial_spec,
+    format_bundle,
+    format_euler,
+    load_bundle,
+    parse_bundle,
+    tangent_bundle,
+)
 from toricsplit.cli import main, table41_rows
 from toricsplit.fan import format_fan, projective_space, walls
 from toricsplit.surface_graph import graph_to_fan, hirzebruch
@@ -395,3 +404,58 @@ def test_output_does_not_depend_on_hash_seed(graph):
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith(b"degrees\t")
+
+
+def _fuzz_seeds():
+    """(fan text, bundle text) pairs that bundle-split accepts: P2, F1 and P3 with their
+    tangent and Euler files, and P2 with a cp2_rank2 file."""
+    p2 = projective_space(2)
+    seeds = [(format_fan(p2), format_bundle(cp2_rank2(1, 2, 3)))]
+    for fan in (p2, graph_to_fan(hirzebruch(1)), projective_space(3)):
+        euler = euler_monomial_spec(fan, [1] * len(fan.rays))
+        seeds += [(format_fan(fan), format_bundle(tangent_bundle(fan))), (format_fan(fan), format_euler(euler))]
+    return seeds
+
+
+def _mutate(rng, text):
+    """``text`` with a few characters deleted or inserted, a line duplicated, or two lines swapped."""
+    lines = text.splitlines(keepends=True)
+    kind = rng.randrange(4)
+    at = rng.randrange(len(text) + 1)
+    if kind == 0:
+        return text[:at] + text[at + rng.randint(1, 3) :]
+    if kind == 1:
+        return text[:at] + "".join(rng.choices("0123456789-+/ ():;#\n\tabx", k=rng.randint(1, 3))) + text[at:]
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    if kind == 2:
+        lines.insert(j, lines[i])
+    else:
+        lines[i], lines[j] = lines[j], lines[i]
+    return "".join(lines)
+
+
+def test_no_malformed_file_gives_a_traceback(capsys, tmp_path):
+    # each run either splits or fails with one named error line, in-process through main
+    rng = random.Random(33)
+    seeds = _fuzz_seeds()
+    fan_path, bundle_path = tmp_path / "fan.txt", tmp_path / "bundle.txt"
+    argv = ["bundle-split", "--fan", str(fan_path), "--bundle", str(bundle_path)]
+    outcomes = {0: 0, 2: 0}
+    for trial in range(len(seeds) + 400):
+        fan_text, bundle_text = seeds[trial % len(seeds)]
+        if trial >= len(seeds):  # every seed first runs as it is
+            if rng.random() < 0.3:
+                fan_text = _mutate(rng, fan_text)
+            else:
+                bundle_text = _mutate(rng, bundle_text)
+        fan_path.write_text(fan_text, encoding="utf-8")
+        bundle_path.write_text(bundle_text, encoding="utf-8")
+        code, out, err = run(capsys, *argv)
+        case = f"trial {trial}:\n{fan_text}---\n{bundle_text}"
+        if trial < len(seeds) or code == 0:
+            assert code == 0 and err == "" and out.startswith("splitting numbers:\n"), case
+        else:
+            assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, case
+        outcomes[code] += 1
+    # the mutations reach both outcomes
+    assert min(outcomes.values()) > 0, outcomes

@@ -252,6 +252,10 @@ CASES = {
         lambda: find_splitting_types(augmented_matrix(P2), splitting_system(tangent_bundle(P2)), strict=None),
         "strict None is not a bool",
     ),
+    "search-stats-list": (
+        lambda: find_splitting_types(augmented_matrix(P2), splitting_system(tangent_bundle(P2)), stats=[]),
+        "stats [] is not a dict",
+    ),
     "twist-non-integer-class": (
         lambda: twist_system(splitting_system(tangent_bundle(P2)), augmented_matrix(P2), (0.5, 0, 0)),
         "class (0.5, 0, 0) has a non-integer coordinate",
@@ -392,6 +396,10 @@ def _weight_length(data):
     return replace(data, weight_systems=tuple(systems))
 
 
+def _short_cone_0(data):
+    return replace(data, weight_systems=(data.weight_systems[0][:1], *data.weight_systems[1:]))
+
+
 def _pasting_shape(data):
     from_base = list(data.from_base)
     from_base[1] = ((1,),)
@@ -420,8 +428,14 @@ def _pasting_entry(field, entry):
 
 VALIDATE_CASES = {
     "count": (lambda d: replace(d, to_base=d.to_base[:-1]), "weight system or pasting count does not match the fan"),
-    "weight-shape": (_weight_length, "weight system of cone 1 has the wrong shape"),
-    "pasting-shape": (_pasting_shape, "pasting (1,0) or (0,1) has the wrong shape"),
+    # cone 0's one weight would set the rank; unequal lengths are named alone
+    "weight-count": (_short_cone_0, "all weight systems must have the same rank"),
+    "weight-shape": (_weight_length, "weight (1, -1, 0) is not 2 integers"),
+    "pasting-shape": (_pasting_shape, "pasting (1,0) is not 2x2"),
+    "frame-shape": (
+        lambda d: replace(d, to_base=(((1,),), *d.to_base[1:]), from_base=(((1,),), *d.from_base[1:])),
+        "pasting (0,0) is not 2x2",
+    ),
     "weight-float": (_weight_entry(float), "weight (0.0, -1.0) is not 2 integers"),
     "weight-bool": (_weight_entry(bool), "weight (False, True) is not 2 integers"),
     "weight-fraction": (_weight_entry(Fraction), "weight (Fraction(0, 1), Fraction(-1, 1)) is not 2 integers"),
